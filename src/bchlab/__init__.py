@@ -25,7 +25,6 @@ from .code_core import (
     dimension,
     dual_code,
     generator_matrix,
-    generator_polynomial,
     is_lcd,
     realize,
 )
@@ -47,13 +46,9 @@ from .examples import all_example_ids, verify_example
 from .finite_field import FieldCtx, get_field
 from .oracle import (
     DistanceResult,
-    DuallyVerdict,
     check_bound_report,
-    dually_bch_fast,
-    dually_bch_oracle,
     dually_sweep,
     gap_profile,
-    gap_scan,
     min_distance,
     min_distance_via_checks,
 )

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cyclotomic import CYCLIC, NEGACYCLIC
 from .errors import (
     BadFamilyParams,
     DeltaOutOfRange,
@@ -35,9 +36,6 @@ from .errors import (
     UnsupportedM,
     UnsupportedQ,
 )
-
-CYCLIC = "cyclic"
-NEGACYCLIC = "negacyclic"
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cyclotomic, poly_linalg
 from .cyclotomic import CYCLIC, NEGACYCLIC, DefiningSet
-from .errors import BadDelta, ExtensionTooLarge
+from .errors import BadDelta, BCHLabError, ExtensionTooLarge
 from .finite_field import FieldCtx, get_field, prime_power_decomposition, \
     root_of_unity
 
@@ -30,7 +30,13 @@ def max_ext_degree(override: int | None = None) -> int:
     if override is not None:
         return override
     raw = os.environ.get(ENV_MAX_EXT)
-    return int(raw) if raw else DEFAULT_MAX_EXT
+    if not raw:
+        return DEFAULT_MAX_EXT
+    try:
+        return int(raw)
+    except ValueError:
+        raise BCHLabError(
+            f"{ENV_MAX_EXT} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -107,11 +113,6 @@ def realize(spec: CodeSpec, max_ext: int | None = None,
     return CodeInstance(spec=spec, n=n, t=t, field=field,
                         extension=extension, beta=beta, gen_poly=gen,
                         dim=n - len(t))
-
-
-def generator_polynomial(spec: CodeSpec, max_ext: int | None = None) \
-        -> list[int]:
-    return realize(spec, max_ext).gen_poly
 
 
 def generator_matrix(inst: CodeInstance) -> np.ndarray:

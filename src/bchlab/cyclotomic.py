@@ -46,10 +46,17 @@ def ord_mod(a: int, n: int) -> int:
     return t
 
 
-def coset(x: int, q: int, n: int) -> tuple[int, ...]:
-    """The q-cyclotomic coset of x modulo n, as a sorted tuple."""
+def _check_coprime(q: int, n: int) -> None:
+    """Cosets of q mod n need a positive modulus n coprime to q."""
+    if n < 1:
+        raise NotCoprime(f"modulus must be >= 1, got {n}")
     if math.gcd(q % n, n) != 1:
         raise NotCoprime(f"gcd({q}, {n}) != 1")
+
+
+def coset(x: int, q: int, n: int) -> tuple[int, ...]:
+    """The q-cyclotomic coset of x modulo n, as a sorted tuple."""
+    _check_coprime(q, n)
     x %= n
     out = [x]
     y = x * q % n
@@ -64,8 +71,7 @@ def leader_map(q: int, n: int, odd_only: bool = False) -> dict[int, int]:
 
     odd_only restricts to the class 1 + 2 Z_n (n must then be even).
     """
-    if math.gcd(q % n, n) != 1:
-        raise NotCoprime(f"gcd({q}, {n}) != {1}")
+    _check_coprime(q, n)
     if odd_only and n % 2:
         raise BadFamilyParams("odd residue class needs an even modulus")
     leaders: dict[int, int] = {}

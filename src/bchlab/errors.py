@@ -81,10 +81,6 @@ class DeltaOutOfRange(BCHLabError):
     """delta is outside the closed form's stated window."""
 
 
-class AnchorNotInDual(BCHLabError):
-    """Gap scan anchor residue is not in the dual defining set."""
-
-
 class EmptySet(BCHLabError):
     """An operation that needs a nonempty set got an empty one."""
 

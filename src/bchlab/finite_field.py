@@ -245,9 +245,9 @@ class FieldCtx:
         if not _is_irreducible(list(modulus), p):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
-        self.generator = self._find_generator()
         self.exp: list[int] | None = None
         self.log: list[int | None] | None = None
+        self.generator = self._find_generator()
         if self.order <= table_cap:
             self._build_tables()
 
@@ -319,9 +319,6 @@ class FieldCtx:
             return self.exp[(-self.log[a]) % (self.order - 1)]
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -351,24 +348,12 @@ class FieldCtx:
         for g in range(1, self.order):
             ok = True
             for rho in primes:
-                if self._pow_raw(g, n1 // rho) == 1:
+                if self.pow(g, n1 // rho) == 1:
                     ok = False
                     break
             if ok:
                 return g
         raise RuntimeError("unreachable: F_q* is cyclic")
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        if self.k == 1:
-            return pow(a, e, self.p)
-        result = 1
-        b = a
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, b)
-            b = self._mul_poly(b, b)
-            e >>= 1
-        return result
 
     def _build_tables(self) -> None:
         n1 = self.order - 1
@@ -396,11 +381,6 @@ def get_field(p: int, k: int) -> FieldCtx:
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = FieldCtx(p, k)
     return _FIELD_CACHE[key]
-
-
-def multiplicative_generator(ctx: FieldCtx) -> int:
-    """The context's deterministic primitive element."""
-    return ctx.generator
 
 
 def root_of_unity(ctx: FieldCtx, n: int) -> int:

@@ -1,9 +1,10 @@
 """Brute-force oracles: every closed form has an independent check here.
 
 Nothing in this module evaluates a piecewise formula.  The oracles work
-directly from coset sweeps (gap scans, dually-BCH search) or from
+directly from coset sweeps (gap profile, dually-BCH sweep) or from
 codeword enumeration (minimum distance), so agreement with closed_forms
-is meaningful evidence.
+is meaningful evidence.  The tests compare the gap profile and the
+dually sweep with naive per-set references in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import code_core, cyclotomic
-from .cyclotomic import CYCLIC, DefiningSet
-from .errors import AnchorNotInDual, EmptySet, TooManyCodewords
+from .cyclotomic import CYCLIC
+from .errors import EmptySet, TooManyCodewords
 from .finite_field import get_field
 
 MIN_DISTANCE_CAP = 20_000_000
@@ -31,40 +32,7 @@ def _leaders(q: int, modulus: int, odd_only: bool) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# gap scans
-
-
-def gap_scan(tperp: DefiningSet, anchor: int | None = None,
-             two_sided: bool = False) -> tuple[int | None, int | None]:
-    """Directly scan for the gap edges next to the anchor residue.
-
-    Walks down (and, when two_sided, up) from the anchor in class steps
-    until the first residue outside T_perp.  Returns (gap_low,
-    gap_high); an edge is None when the scan wraps all the way around
-    without leaving T_perp (no gap), and gap_high is None unless
-    two_sided.  AnchorNotInDual if the anchor is not in T_perp.
-    """
-    if anchor is None:
-        anchor = max(_leaders(tperp.q, tperp.modulus, tperp.r == 2).values())
-    if anchor not in tperp.residues:
-        raise AnchorNotInDual(f"anchor {anchor} is not in the dual set")
-    rn, r = tperp.modulus, tperp.r
-    low = None
-    x = (anchor - r) % rn
-    for _ in range(tperp.n):
-        if x not in tperp.residues:
-            low = x
-            break
-        x = (x - r) % rn
-    high = None
-    if two_sided:
-        x = (anchor + r) % rn
-        for _ in range(tperp.n):
-            if x not in tperp.residues:
-                high = x
-                break
-            x = (x + r) % rn
-    return low, high
+# gap profile
 
 
 class GapProfile:
@@ -123,123 +91,7 @@ def gap_profile(q: int, m: int, family: str) -> GapProfile:
 
 
 # ---------------------------------------------------------------------------
-# dually-BCH oracle
-
-
-@dataclass
-class DuallyVerdict:
-    """Outcome of the dually-BCH search.
-
-    Exactly one of witness / counterexample is set: witness = (b,
-    delta_prime) reconstructs T_perp as the union of the delta_prime - 1
-    cosets C_b, C_{b+r}, ...; counterexample is a residue of T_perp
-    whose coset is missed by the best-covering run (no run covers more
-    cosets, so no consecutive window can reproduce T_perp).
-    """
-
-    is_dually: bool
-    witness: tuple[int, int] | None = None
-    counterexample: int | None = None
-
-
-def dually_bch_oracle(tperp: DefiningSet) -> DuallyVerdict:
-    """Exhaustive search for a BCH window equal to T_perp.
-
-    For each candidate first exponent b (ascending through the class),
-    extend i = 0, 1, 2, ... while C_{b+ri} stays inside T_perp, checking
-    after each step whether the accumulated union covers every coset of
-    T_perp.  First success gives the deterministic witness (smallest b,
-    then smallest delta_prime for that b).
-    """
-    if not tperp.residues:
-        raise EmptySet("dually-BCH search needs a nonempty dual set")
-    lm = _leaders(tperp.q, tperp.modulus, tperp.r == 2)
-    in_set = tperp.residues
-    k = len({lm[x] for x in in_set})
-    rn, r = tperp.modulus, tperp.r
-    start = 1 if r == 2 else 0
-    for b in range(start, rn, r):
-        if b not in in_set:
-            continue
-        seen: set[int] = set()
-        j = b
-        steps = 0
-        while j in in_set and steps < tperp.n:
-            steps += 1
-            seen.add(lm[j])
-            if len(seen) == k:
-                return DuallyVerdict(True, witness=(b, steps + 1))
-            j = (j + r) % rn
-    return DuallyVerdict(False,
-                         counterexample=_best_run_counterexample(tperp, lm))
-
-
-def _runs(tperp: DefiningSet) -> list[list[int]]:
-    """Maximal circular runs of consecutive class residues inside T_perp."""
-    rn, r, n = tperp.modulus, tperp.r, tperp.n
-    start = 1 if r == 2 else 0
-    in_pos = [(start + r * p) in tperp.residues for p in range(n)]
-    if all(in_pos):
-        return [[start + r * p for p in range(n)]]
-    off = in_pos.index(False)  # rotate here so no run wraps
-    runs: list[list[int]] = []
-    cur: list[int] = []
-    for i in range(n):
-        p = (off + i) % n
-        if in_pos[p]:
-            cur.append(start + r * p)
-        elif cur:
-            runs.append(cur)
-            cur = []
-    if cur:
-        runs.append(cur)
-    return runs
-
-
-def _best_run_counterexample(tperp: DefiningSet, lm: dict[int, int]) -> int:
-    best_cover: set[int] = set()
-    for run in _runs(tperp):
-        cover = {lm[x] for x in run}
-        if len(cover) > len(best_cover):
-            best_cover = cover
-    missed = [x for x in sorted(tperp.residues) if lm[x] not in best_cover]
-    assert missed, "counterexample requested for a coverable dual set"
-    return missed[0]
-
-
-def dually_bch_fast(tperp: DefiningSet) -> DuallyVerdict:
-    """Same verdict and witness as dually_bch_oracle in one class pass.
-
-    A window with union T_perp must sit inside one maximal run, so the
-    verdict is whether some run touches every coset, and the minimal
-    witness comes from a sliding-window pass over each qualifying run.
-    """
-    if not tperp.residues:
-        raise EmptySet("dually-BCH search needs a nonempty dual set")
-    lm = _leaders(tperp.q, tperp.modulus, tperp.r == 2)
-    k = len({lm[x] for x in tperp.residues})
-    best: tuple[int, int] | None = None
-    for run in _runs(tperp):
-        if len({lm[x] for x in run}) < k:
-            continue
-        counts: dict[int, int] = {}
-        left = 0
-        for right, x in enumerate(run):
-            counts[lm[x]] = counts.get(lm[x], 0) + 1
-            while len(counts) == k:
-                cand = (run[left], right - left + 2)
-                if best is None or cand < best:
-                    best = cand
-                lead = lm[run[left]]
-                counts[lead] -= 1
-                if not counts[lead]:
-                    del counts[lead]
-                left += 1
-    if best is None:
-        return DuallyVerdict(False,
-                             counterexample=_best_run_counterexample(tperp,
-                                                                     lm))
-    return DuallyVerdict(True, witness=best)
+# dually-BCH sweep
 
 
 def dually_sweep(q: int, m: int, family: str, deltas: list[int],
@@ -546,18 +398,21 @@ def _dependency_word(support: list[int], cols: list[list[int]], field,
 
 
 def check_bound_report(report) -> None:
-    """Fill a BoundReport's oracle fields by independent gap scans.
+    """Fill a BoundReport's oracle fields from the gap profile.
 
-    On disagreement the report keeps the formula values in its cases but
-    the lower_bound is replaced by the run bound computed directly on
+    The high edge is checked only in the two-sided case (negacyclic, odd
+    m).  On disagreement the report keeps the formula values in its cases
+    but the lower_bound is replaced by the run bound computed directly on
     T_perp, which is authoritative.
     """
     spec_set = cyclotomic.defining_set(report.q, report.m, report.family,
                                        report.delta)
     tperp = cyclotomic.dual_defining_set(spec_set)
-    anchor = max(_leaders(report.q, tperp.modulus, tperp.r == 2).values())
-    two_sided = report.family != CYCLIC and report.m % 2 == 1
-    low, high = gap_scan(tperp, anchor=anchor, two_sided=two_sided)
+    profile = gap_profile(report.q, report.m, report.family)
+    low = profile.low(report.delta)
+    high = None
+    if report.family != CYCLIC and report.m % 2 == 1:
+        high = profile.high(report.delta)
     report.oracle_gap_low = low
     report.oracle_gap_high = high
     run_bound = code_core.bch_bound(tperp)

@@ -28,20 +28,6 @@ def padd(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
     return ptrim(out)
 
 
-def pneg(a: list[int], ctx: FieldCtx) -> list[int]:
-    return [ctx.neg(c) for c in a]
-
-
-def psub(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
-    return padd(a, pneg(b, ctx), ctx)
-
-
-def pscale(a: list[int], s: int, ctx: FieldCtx) -> list[int]:
-    if s == 0:
-        return []
-    return ptrim([ctx.mul(c, s) for c in a])
-
-
 def pmul(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
     if not a or not b:
         return []
@@ -73,20 +59,6 @@ def pdivmod(a: list[int], b: list[int],
             a[shift + j] = ctx.sub(a[shift + j], ctx.mul(c, b[j]))
         ptrim(a)
     return ptrim(quot), a
-
-
-def pmonic(a: list[int], ctx: FieldCtx) -> list[int]:
-    if not a:
-        return []
-    return pscale(a, ctx.inv(a[-1]), ctx)
-
-
-def pgcd(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
-    a, b = a[:], b[:]
-    while b:
-        _, r = pdivmod(a, b, ctx)
-        a, b = b, r
-    return pmonic(a, ctx)
 
 
 def peval(a: list[int], x: int, ctx: FieldCtx) -> int:

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+from bchlab import cli
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "bchlab.cli", *args],
@@ -38,11 +40,13 @@ def test_cosets_odd_class():
 
 
 def test_cosets_noncoprime_is_an_error():
-    proc = run_cli("cosets", "2", "10")
-    assert proc.returncode == 1
-    err = json.loads(proc.stderr)
-    assert err["error"]["type"] == "NotCoprime"
-    assert proc.stdout == ""
+    # a modulus below 1 has no cosets either
+    for args in (("2", "10"), ("3", "0"), ("3", "-4")):
+        proc = run_cli("cosets", *args)
+        assert proc.returncode == 1, args
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "NotCoprime"
+        assert proc.stdout == ""
 
 
 def test_leaders_agreement_and_unsupported():
@@ -82,6 +86,16 @@ def test_code_info_extension_cap():
     assert err["schema"] == 1
     assert err["error"]["type"] == "ExtensionTooLarge"
     assert proc.stdout == ""
+
+
+def test_code_info_bad_extension_env(monkeypatch, capsys):
+    monkeypatch.setenv("BCHLAB_MAX_EXT_DEGREE", "abc")
+    assert cli.main(["code-info", "3", "2", "cyclic", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"]["type"] == "BCHLabError"
+    assert "BCHLAB_MAX_EXT_DEGREE" in err["error"]["message"]
 
 
 def test_bound_defect_is_flagged():

@@ -59,8 +59,6 @@ def test_field_axioms(p, k):
         for b in xs:
             assert ctx.add(a, b) == ctx.add(b, a)
             assert ctx.mul(a, b) == ctx.mul(b, a)
-            if b:
-                assert ctx.mul(ctx.div(a, b), b) == a
             for c in xs[:5]:
                 assert ctx.mul(a, ctx.add(b, c)) == \
                     ctx.add(ctx.mul(a, b), ctx.mul(a, c))
@@ -80,8 +78,6 @@ def test_division_by_zero():
     ctx = ff.get_field(3, 2)
     with pytest.raises(DivisionByZero):
         ctx.inv(0)
-    with pytest.raises(DivisionByZero):
-        ctx.div(1, 0)
     with pytest.raises(DivisionByZero):
         ctx.pow(0, -1)
 
@@ -112,7 +108,7 @@ def test_get_field_caches():
 def test_multiplicative_generator_order():
     for p, k in [(3, 2), (3, 4), (7, 2)]:
         ctx = ff.get_field(p, k)
-        g = ff.multiplicative_generator(ctx)
+        g = ctx.generator
         order = p**k - 1
         assert ctx.pow(g, order) == 1
         for r in ff.factorize(order):

@@ -1,5 +1,11 @@
-"""Brute-force oracles: gap scans, dually-BCH engines, exact distances."""
+"""Brute-force oracles: gap profile, dually sweep, exact distances.
 
+The gap profile and the dually sweep are checked against the naive
+per-set references in reference.py, which also carry the witness and
+counterexample certificates.
+"""
+
+import ast
 import random
 
 import numpy as np
@@ -12,8 +18,9 @@ from bchlab import finite_field as ff
 from bchlab import oracle as orc
 from bchlab import poly_linalg as pl
 from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
-from bchlab.errors import (AnchorNotInDual, EmptySet, TooManyCodewords)
+from bchlab.errors import EmptySet, TooManyCodewords
 
+import reference as ref
 from grid_utils import profile, realized
 
 
@@ -29,19 +36,19 @@ def even_like_tperp(q, m, delta):
 
 def test_gap_scan_hand_cases():
     tp = tperp_of(3, 3, CYCLIC, 2)
-    assert orc.gap_scan(tp) == (9, None)
+    assert ref.gap_scan(tp) == (9, None)
     assert max(tp.leaders()) == 14
     tp = tperp_of(3, 3, NEGACYCLIC, 2)
-    assert orc.gap_scan(tp, two_sided=True) == (3, 9)
-    assert orc.gap_scan(tp, anchor=7, two_sided=True) == (3, 9)
-    with pytest.raises(AnchorNotInDual):
-        orc.gap_scan(tp, anchor=1)  # 1 is in T, not in the dual set
+    assert ref.gap_scan(tp, two_sided=True) == (3, 9)
+    assert ref.gap_scan(tp, anchor=7, two_sided=True) == (3, 9)
+    with pytest.raises(ref.AnchorNotInDual):
+        ref.gap_scan(tp, anchor=1)  # 1 is in T, not in the dual set
 
 
 def test_gap_scan_no_gap():
     # T-perp = whole odd class: the scan wraps without leaving the set
     whole = cy.DefiningSet(3, 28, 2, frozenset(range(1, 28, 2)))
-    assert orc.gap_scan(whole, anchor=7, two_sided=True) == (None, None)
+    assert ref.gap_scan(whole, anchor=7, two_sided=True) == (None, None)
 
 
 def test_gap_profile_matches_gap_scan():
@@ -51,7 +58,7 @@ def test_gap_profile_matches_gap_scan():
         two_sided = family == NEGACYCLIC and m % 2 == 1
         for d in range(2, prof.max_delta + 1):
             tp = tperp_of(q, m, family, d)
-            low, high = orc.gap_scan(tp, anchor=prof.anchor,
+            low, high = ref.gap_scan(tp, anchor=prof.anchor,
                                      two_sided=two_sided)
             assert prof.low(d) == low, (q, m, family, d)
             if two_sided:
@@ -100,49 +107,36 @@ def assert_witness_consistent(tp, verdict):
 def test_dually_engines_and_witnesses():
     for q, m, fam, d, want, witness, cx in DUALLY_PINS:
         tp = tperp_of(q, m, fam, d)
-        fast = orc.dually_bch_fast(tp)
-        greedy = orc.dually_bch_oracle(tp)
-        assert (fast.is_dually, fast.witness, fast.counterexample) == \
-            (greedy.is_dually, greedy.witness, greedy.counterexample)
-        assert (fast.is_dually, fast.witness, fast.counterexample) == \
-            (want, witness, cx), (q, m, fam, d)
-        assert_witness_consistent(tp, fast)
+        verdict = ref.dually_bch_oracle(tp)
+        assert (verdict.is_dually, verdict.witness, verdict.counterexample) \
+            == (want, witness, cx), (q, m, fam, d)
+        assert_witness_consistent(tp, verdict)
+        assert orc.dually_sweep(q, m, fam, [d]) == [want], (q, m, fam, d)
     for q, m, d, want, witness, cx in DUALLY_EVEN_PINS:
         tp = even_like_tperp(q, m, d)
-        fast = orc.dually_bch_fast(tp)
-        greedy = orc.dually_bch_oracle(tp)
-        assert (fast.is_dually, fast.witness, fast.counterexample) == \
-            (greedy.is_dually, greedy.witness, greedy.counterexample)
-        assert (fast.is_dually, fast.witness, fast.counterexample) == \
-            (want, witness, cx), (q, m, d)
-        assert_witness_consistent(tp, fast)
+        verdict = ref.dually_bch_oracle(tp)
+        assert (verdict.is_dually, verdict.witness, verdict.counterexample) \
+            == (want, witness, cx), (q, m, d)
+        assert_witness_consistent(tp, verdict)
+        assert orc.dually_sweep(q, m, CYCLIC, [d], even_like=True) == \
+            [want], (q, m, d)
 
 
 def test_dually_engines_agree_exhaustively():
+    # narrow-sense sets, (3, 3, cyclic) included
     for q, m, family in [(3, 3, NEGACYCLIC), (3, 4, NEGACYCLIC),
                          (7, 2, NEGACYCLIC), (3, 3, CYCLIC)]:
-        prof = profile(q, m, family)
-        for d in range(2, prof.max_delta + 1):
+        deltas = list(range(2, profile(q, m, family).max_delta + 1))
+        swept = orc.dually_sweep(q, m, family, deltas)
+        for d, got in zip(deltas, swept):
             tp = tperp_of(q, m, family, d)
-            fast = orc.dually_bch_fast(tp)
-            greedy = orc.dually_bch_oracle(tp)
-            assert (fast.is_dually, fast.witness) == \
-                (greedy.is_dually, greedy.witness), (q, m, family, d)
-            assert_witness_consistent(tp, fast)
-
-
-def test_dually_sweep_matches_fast_engine():
-    prof = profile(3, 4, NEGACYCLIC)
-    deltas = list(range(2, prof.max_delta + 1))
-    swept = orc.dually_sweep(3, 4, NEGACYCLIC, deltas)
-    direct = [orc.dually_bch_fast(tperp_of(3, 4, NEGACYCLIC, d)).is_dually
-              for d in deltas]
-    assert swept == direct
+            verdict = ref.dually_bch_oracle(tp)
+            assert got == verdict.is_dually, (q, m, family, d)
+            assert_witness_consistent(tp, verdict)
     deltas = list(range(2, 14))
     swept = orc.dually_sweep(5, 2, CYCLIC, deltas, even_like=True)
-    direct = [orc.dually_bch_fast(even_like_tperp(5, 2, d)).is_dually
-              for d in deltas]
-    assert swept == direct
+    assert swept == [ref.dually_bch_oracle(even_like_tperp(5, 2, d)).is_dually
+                     for d in deltas]
     # order of requested deltas must not matter
     assert orc.dually_sweep(5, 2, CYCLIC, [13, 2, 8], even_like=True) == \
         [swept[11], swept[0], swept[6]]
@@ -312,3 +306,35 @@ def test_bound_defect_sets_are_exactly_the_known_ones():
         assert set(got) == want, (q, m)
         for d, bound in got.items():
             assert bound == EXACT_RUN_BOUND_AT_DEFECTS[(q, m)][d], (q, m, d)
+
+
+def test_check_bound_report_gaps_match_gap_scan():
+    points = [(q, m, NEGACYCLIC) for q, m in EXPECTED_BOUND_DEFECTS]
+    points += [(3, 3, CYCLIC), (5, 3, CYCLIC)]
+    for q, m, family in points:
+        prof = profile(q, m, family)
+        two_sided = family == NEGACYCLIC and m % 2 == 1
+        bound = (cf.dual_bound_cyclic if family == CYCLIC
+                 else cf.dual_bound_negacyclic)
+        for d in range(2, prof.max_delta + 1):
+            rep = bound(q, m, d)
+            orc.check_bound_report(rep)
+            want = ref.gap_scan(tperp_of(q, m, family, d),
+                                anchor=prof.anchor, two_sided=two_sided)
+            assert (rep.oracle_gap_low, rep.oracle_gap_high) == want, \
+                (q, m, family, d)
+
+
+def test_reference_does_not_import_the_oracle():
+    tree = ast.parse(open(ref.__file__).read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        assert not any(name == "bchlab.oracle"
+                       or name.startswith("bchlab.oracle.")
+                       for name in names), names
