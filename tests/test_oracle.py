@@ -312,21 +312,21 @@ def test_check_bound_report_gaps_match_gap_scan():
     points = [(q, m, NEGACYCLIC) for q, m in EXPECTED_BOUND_DEFECTS]
     points += [(3, 3, CYCLIC), (5, 3, CYCLIC)]
     for q, m, family in points:
-        prof = profile(q, m, family)
         two_sided = family == NEGACYCLIC and m % 2 == 1
         bound = (cf.dual_bound_cyclic if family == CYCLIC
                  else cf.dual_bound_negacyclic)
-        for d in range(2, prof.max_delta + 1):
+        for d in range(2, profile(q, m, family).max_delta + 1):
             rep = bound(q, m, d)
             orc.check_bound_report(rep)
             want = ref.gap_scan(tperp_of(q, m, family, d),
-                                anchor=prof.anchor, two_sided=two_sided)
+                                two_sided=two_sided)
             assert (rep.oracle_gap_low, rep.oracle_gap_high) == want, \
                 (q, m, family, d)
 
 
 def test_reference_does_not_import_the_oracle():
-    tree = ast.parse(open(ref.__file__).read())
+    with open(ref.__file__) as fh:
+        tree = ast.parse(fh.read())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
