@@ -133,6 +133,16 @@ def test_dually_engines_agree_exhaustively():
             verdict = ref.dually_bch_oracle(tp)
             assert got == verdict.is_dually, (q, m, family, d)
             assert_witness_consistent(tp, verdict)
+
+
+def test_dually_sweep_matches_fast_engine():
+    # one sweep over many deltas gives what one-delta sweeps give
+    prof = profile(3, 4, NEGACYCLIC)
+    deltas = list(range(2, prof.max_delta + 1))
+    swept = orc.dually_sweep(3, 4, NEGACYCLIC, deltas)
+    assert swept == [orc.dually_sweep(3, 4, NEGACYCLIC, [d])[0]
+                     for d in deltas]
+    # even-like sets, against the per-set reference
     deltas = list(range(2, 14))
     swept = orc.dually_sweep(5, 2, CYCLIC, deltas, even_like=True)
     assert swept == [ref.dually_bch_oracle(even_like_tperp(5, 2, d)).is_dually
