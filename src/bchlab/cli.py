@@ -52,6 +52,17 @@ def _delta_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part]
@@ -461,8 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="recompute pinned worked examples")
     p.add_argument("example_id", nargs="?", default=None)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for codeword enumeration")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="processes for codeword enumeration (at least 1; "
+                        "at most the CPU count are started)")
     p.add_argument("--verbose", action="store_true",
                    help="text format: show passing claims too")
     add_format(p)

@@ -69,9 +69,13 @@ def dimension(spec: CodeSpec) -> int:
 
 @dataclass
 class CodeInstance:
-    """A realized code: field contexts, root of unity, generator."""
+    """A realized code: field contexts, root of unity, generator.
 
-    spec: CodeSpec
+    spec is None for a dual code: its defining set t is the complement
+    of the primal's, which no (delta, b) describes in general.
+    """
+
+    spec: CodeSpec | None
     n: int
     t: DefiningSet
     field: FieldCtx          # F_q, symbols
@@ -132,7 +136,6 @@ def dual_code(inst: CodeInstance) -> CodeInstance:
     is recomputed from scratch and checked orthogonal to the primal.
     """
     tperp = cyclotomic.dual_defining_set(inst.t)
-    spec = inst.spec
     gen = [1]
     field = inst.field
     for leader in tperp.leaders():
@@ -140,9 +143,7 @@ def dual_code(inst: CodeInstance) -> CodeInstance:
                                                                leader),
                                             inst.extension, field)
         gen = poly_linalg.pmul(gen, mp, field)
-    dual = CodeInstance(spec=CodeSpec(spec.q, spec.m, spec.family,
-                                      spec.delta, spec.b),
-                        n=inst.n, t=tperp, field=field,
+    dual = CodeInstance(spec=None, n=inst.n, t=tperp, field=field,
                         extension=inst.extension, beta=inst.beta,
                         gen_poly=gen, dim=inst.n - len(tperp))
     _check_orthogonal(inst, dual)

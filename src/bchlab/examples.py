@@ -117,7 +117,7 @@ def true_distance(inst: code_core.CodeInstance, workers: int = 1,
     for a minimal dependent column subset of a parity-check matrix (a
     generator matrix of the dual code).
     """
-    if inst.spec.q ** inst.dim <= enum_cap:
+    if inst.field.order ** inst.dim <= enum_cap:
         gen = code_core.generator_matrix(inst)
         return oracle.min_distance(gen, inst.field, workers=workers).distance
     checks = code_core.generator_matrix(code_core.dual_code(inst))

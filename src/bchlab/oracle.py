@@ -3,14 +3,17 @@
 Nothing in this module evaluates a piecewise formula.  The oracles work
 directly from coset sweeps (gap profile, dually-BCH sweep) or from
 codeword enumeration (minimum distance), so agreement with closed_forms
-is meaningful evidence.  The tests compare the gap profile and the
-dually sweep with naive per-set references in tests/reference.py.
+is meaningful evidence.  The tests compare the gap profile, the dually
+sweep and the block Gray walk with naive references in
+tests/reference.py.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -20,6 +23,8 @@ from .errors import EmptySet, TooManyCodewords
 from .finite_field import get_field
 
 MIN_DISTANCE_CAP = 20_000_000
+BLOCK_SYMBOLS = 1 << 16  # digits in one numpy step of the Gray walk
+_GAP_CHUNK = 1 << 12  # residues in one numpy step of GapProfile
 
 _LEADER_CACHE: dict[tuple[int, int, bool], dict[int, int]] = {}
 
@@ -58,31 +63,29 @@ class GapProfile:
         else:
             self.max_delta = (anchor + 3) // 2 - 1
         size = self.max_delta + 2
-        low = [-1] * size
-        high = [rn + 1] * size
-        start = 1 if r == 2 else 0
-        for x in range(start, rn, r):
-            lead = lm[x]
-            if lead == 0 or lead == anchor:
-                continue
+        low = np.full(size, -1, dtype=np.int64)
+        high = np.full(size, rn + 1, dtype=np.int64)
+        # the leader map's keys are exactly the class residues; read them
+        # in chunks to bound the temporary arrays
+        residues, leaders = iter(lm), iter(lm.values())
+        for _ in range(0, len(lm), _GAP_CHUNK):
+            x = np.fromiter(islice(residues, _GAP_CHUNK), dtype=np.int64)
+            lead = np.fromiter(islice(leaders, _GAP_CHUNK), dtype=np.int64)
             d = lead + 1 if family == CYCLIC else (lead + 3) // 2
-            if d >= size:
-                continue
-            if x < anchor and x > low[d]:
-                low[d] = x
-            if x > anchor and x < high[d]:
-                high[d] = x
-        for d in range(1, size):
-            low[d] = max(low[d], low[d - 1])
-            high[d] = min(high[d], high[d - 1])
-        self._low, self._high = low, high
+            keep = (lead != 0) & (lead != anchor) & (d < size)
+            below = keep & (x < anchor)
+            np.maximum.at(low, d[below], x[below])
+            above = keep & (x > anchor)
+            np.minimum.at(high, d[above], x[above])
+        self._low = np.maximum.accumulate(low)
+        self._high = np.minimum.accumulate(high)
 
     def low(self, delta: int) -> int | None:
-        v = self._low[min(delta, self.max_delta + 1)]
+        v = int(self._low[min(delta, self.max_delta + 1)])
         return None if v < 0 else v
 
     def high(self, delta: int) -> int | None:
-        v = self._high[min(delta, self.max_delta + 1)]
+        v = int(self._high[min(delta, self.max_delta + 1)])
         return None if v > self.rn else v
 
 
@@ -165,90 +168,104 @@ class DistanceResult:
     enumerated: int
 
 
-def _gray_word(idx: int, q: int, k: int) -> list[int]:
-    """Message k-tuple at position idx of the reflected base-q Gray walk."""
-    digits = []
-    x = idx
-    for _ in range(k + 1):
-        digits.append(x % q)
-        x //= q
-    return [(digits[j] - digits[j + 1]) % q for j in range(k)]
-
-
 def _distance_block(p: int, kf: int, rows: list[list[int]], start: int,
                     stop: int) -> tuple[int, int, list[int]]:
     """Best (weight, index, word) over Gray positions [start, stop).
 
-    Consecutive Gray messages differ in one digit by +1, so each step is
-    a single row addition to the running codeword.  The changed digit at
-    step i is the number of trailing q-1 digits of i - 1.
+    Position i has base-q digits d_0, d_1, ... and message digits
+    g_j = (d_j - d_{j+1}) mod q, taken as integer codes: digit c
+    contributes the field multiple mul(c, row_j).  Words are held as
+    base-p digit vectors (kf digit planes of length n), on which field
+    addition is digit-wise addition mod p.
+
+    Writing i = hi*q^L + lo, g_0..g_{L-2} depend only on lo and g_L..
+    only on hi; the boundary digit g_{L-1} = (d_{L-1} - d_L) mod q adds
+    one of q multiples of row L-1, selected by d_{L-1} = lo // q^(L-1).
+    So a block of q^L consecutive positions is one addition of a per-
+    block offset to a table of low partial words, then a row-wise
+    count_nonzero; argmin keeps the first minimum in Gray order, the
+    same (weight, index, word) as a walk of one word per step.
     """
     q = p ** kf
-    k = len(rows)
-    n = len(rows[0])
-    word = _gray_word(start, q, k)
+    k, n = len(rows), len(rows[0])
+    sym = np.min_scalar_type(2 * p - 2)
     if kf == 1:
-        # prime field: int codes add like integers mod p, so a digit
-        # increment is one row addition
-        mat = np.array(rows, dtype=np.int64)
-        cw = np.zeros(n, dtype=np.int64)
-        for j, gj in enumerate(word):
-            if gj:
-                cw = (cw + gj * mat[j]) % p
+        mul = np.arange(q)[:, None] * np.arange(q) % q
     else:
-        # extension field: digit c means the field multiple mul(c, row),
-        # so a digit step c -> c+1 adds the precomputed difference vector
         ctx = get_field(p, kf)
-        add = np.zeros((q, q), dtype=np.int16)
-        for a in range(q):
-            for b in range(q):
-                add[a, b] = ctx.add(a, b)
-        scaled = np.zeros((k, q, n), dtype=np.int16)
-        diff = np.zeros((k, q, n), dtype=np.int16)
-        for r in range(k):
-            for c in range(q):
-                scaled[r, c] = [ctx.mul(c, x) for x in rows[r]]
-        for r in range(k):
-            for c in range(q):
-                diff[r, c] = [ctx.sub(int(a), int(b)) for a, b in
-                              zip(scaled[r, (c + 1) % q], scaled[r, c])]
-        cw = np.zeros(n, dtype=np.int16)
-        for j, gj in enumerate(word):
-            if gj:
-                cw = add[cw, scaled[j, gj]]
-    best_w = int(np.count_nonzero(cw))
-    best_i = start
-    best_word = cw.copy()
-    for idx in range(start + 1, stop):
-        x = idx - 1
-        t = 0
-        while x % q == q - 1:
-            x //= q
-            t += 1
-        if kf == 1:
-            cw += mat[t]
-            cw %= p
-        else:
-            old = word[t]
-            word[t] = (old + 1) % q
-            cw = add[cw, diff[t, old]]
-        w = int(np.count_nonzero(cw))
-        if w < best_w:
-            best_w = w
-            best_i = idx
-            best_word = cw.copy()
-    return best_w, best_i, [int(c) for c in best_word]
+        mul = np.array([[ctx.mul(c, x) for x in range(q)] for c in range(q)])
+    prod = mul[:, np.array(rows)].transpose(1, 0, 2)  # mul(c, row_j)
+    scaled = np.concatenate([prod // p ** i % p for i in range(kf)],
+                            axis=2).astype(sym)
+
+    def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # digit-wise (a + b) mod p: for unsigned s = a + b < 2p, s - p
+        # wraps to a value above s exactly when s < p
+        s = a + b
+        return np.minimum(s, s - p, out=s)
+
+    ell = 1
+    while ell < k and q ** (ell + 1) * n * kf <= BLOCK_SYMBOLS:
+        ell += 1
+    size = q ** ell
+    lo = np.arange(size)
+    digits = [lo // q ** j % q for j in range(ell)]
+    low = np.zeros((size, n * kf), dtype=sym)
+    for j in range(ell - 1):
+        low = add(low, scaled[j, (digits[j] - digits[j + 1]) % q])
+    low = low.reshape(q, size // q, n * kf)
+    shift = np.arange(q)
+    high_rows = np.arange(ell, k)[:, None]
+    per_step = max(1, BLOCK_SYMBOLS // (size * n * kf))  # blocks
+    powers = q ** np.arange(k - ell + 1)[:, None]
+
+    best: tuple[int, int, list[int]] | None = None
+    for h0 in range(start // size, (stop - 1) // size + 1, per_step):
+        # hd[j, s] = digit d_{L+j} of the s-th block in this step
+        hd = np.arange(h0, h0 + per_step) // powers % q
+        high = scaled[high_rows, (hd[:-1] - hd[1:]) % q].sum(
+            axis=0, dtype=np.int64)
+        # boundary digit of sub-block v: (v - d_L) mod q times row L-1
+        boundary = scaled[ell - 1, (shift - hd[0][:, None]) % q]
+        offset = ((boundary + high[:, None, :]) % p).astype(sym)
+        block = add(low, offset[:, :, None, :]).reshape(per_step * size, -1)
+        a = max(start - h0 * size, 0)
+        b = min(stop - h0 * size, per_step * size)
+        nonzero = block[a:b, :n]
+        for i in range(1, kf):
+            nonzero = nonzero | block[a:b, i * n:(i + 1) * n]
+        weights = np.count_nonzero(nonzero, axis=1)
+        j = int(np.argmin(weights))
+        if best is None or weights[j] < best[0]:
+            word = block[a + j].reshape(kf, n).T @ p ** np.arange(kf)
+            best = (int(weights[j]), h0 * size + a + j, word.tolist())
+    return best
+
+
+def _walk_split(total: int, workers: int) -> list[tuple[int, int]]:
+    """Gray positions [1, total] as (lo, hi) ranges, one per process.
+
+    Never more ranges than os.cpu_count(): extra processes would only
+    queue for the same cores.
+    """
+    workers = min(workers, os.cpu_count() or 1)
+    if workers <= 1 or total < 4096:
+        return [(1, total + 1)]
+    per = -(-total // workers)
+    return [(lo, min(lo + per, total + 1))
+            for lo in range(1, total + 1, per)]
 
 
 def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
                  workers: int = 1) -> DistanceResult:
     """Exact minimum distance by enumerating all q^k - 1 nonzero words.
 
-    The Gray walk makes each codeword one vector addition from its
-    predecessor.  Blocks of the walk are independent (a block's first
-    word is reconstructed from its index), so workers > 1 splits the
-    range across processes; the merged result is deterministic, keyed by
-    (weight, first achieving index).
+    The words are visited in reflected base-q Gray order, a block of
+    consecutive positions per numpy step (see _distance_block).  Ranges
+    of the walk are independent (each word is rebuilt from its index),
+    so workers > 1 splits the range across at most os.cpu_count()
+    processes; the merged result is deterministic, keyed by (weight,
+    first achieving index).
     """
     k, _ = gen.shape
     if k == 0:
@@ -260,16 +277,7 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
             f"{total} codewords exceeds cap {cap}; "
             "enumerate the dual side instead")
     rows = [[int(c) for c in row] for row in gen]
-    blocks: list[tuple[int, int]] = []
-    if workers <= 1 or total < 4096:
-        blocks.append((1, total + 1))
-    else:
-        per = -(-total // workers)
-        lo = 1
-        while lo <= total:
-            hi = min(lo + per, total + 1)
-            blocks.append((lo, hi))
-            lo = hi
+    blocks = _walk_split(total, workers)
     if len(blocks) == 1:
         results = [_distance_block(field.p, field.k, rows, *blocks[0])]
     else:

@@ -1,21 +1,26 @@
 """Naive reference oracles that the production engines are tested against.
 
 `bchlab.oracle` answers each question with one engine: `GapProfile` for
-gap edges and `dually_sweep` for dually-BCH verdicts.  The functions here
-answer the same questions the slow, obvious way, directly on one dual
-defining set, and they also return certificates: the witness window
-(b, delta') or an uncovered counterexample residue.  They deliberately
-share no code with `bchlab.oracle`; only the coset combinatorics of
-`bchlab.cyclotomic` is common.
+gap edges, `dually_sweep` for dually-BCH verdicts and the block-vectorised
+Gray walk of `_distance_block` for minimum distances.  The functions here
+answer the same questions the slow, obvious way: directly on one dual
+defining set, with certificates (the witness window (b, delta') or an
+uncovered counterexample residue), or one codeword per step of the Gray
+walk.  They deliberately share no code with `bchlab.oracle`; only the
+coset combinatorics of `bchlab.cyclotomic` and the field arithmetic of
+`bchlab.finite_field` are common.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from bchlab import cyclotomic
 from bchlab.cyclotomic import DefiningSet
 from bchlab.errors import EmptySet
+from bchlab.finite_field import get_field
 
 
 class AnchorNotInDual(ValueError):
@@ -143,3 +148,82 @@ def _best_run_counterexample(tperp: DefiningSet, lm: dict[int, int]) -> int:
     missed = [x for x in sorted(tperp.residues) if lm[x] not in best_cover]
     assert missed, "counterexample requested for a coverable dual set"
     return missed[0]
+
+
+# ---------------------------------------------------------------------------
+# Gray-walk enumeration, one codeword per step
+
+
+def _gray_word(idx: int, q: int, k: int) -> list[int]:
+    """Message k-tuple at position idx of the reflected base-q Gray walk."""
+    digits = []
+    x = idx
+    for _ in range(k + 1):
+        digits.append(x % q)
+        x //= q
+    return [(digits[j] - digits[j + 1]) % q for j in range(k)]
+
+
+def gray_walk_reference(p: int, kf: int, rows: list[list[int]], start: int,
+                        stop: int) -> tuple[int, int, list[int]]:
+    """Best (weight, index, word) over Gray positions [start, stop).
+
+    Consecutive Gray messages differ in one digit by +1, so each step is
+    a single row addition to the running codeword.  The changed digit at
+    step i is the number of trailing q-1 digits of i - 1.
+    """
+    q = p ** kf
+    k = len(rows)
+    n = len(rows[0])
+    word = _gray_word(start, q, k)
+    if kf == 1:
+        # prime field: int codes add like integers mod p, so a digit
+        # increment is one row addition
+        mat = np.array(rows, dtype=np.int64)
+        cw = np.zeros(n, dtype=np.int64)
+        for j, gj in enumerate(word):
+            if gj:
+                cw = (cw + gj * mat[j]) % p
+    else:
+        # extension field: digit c means the field multiple mul(c, row),
+        # so a digit step c -> c+1 adds the precomputed difference vector
+        ctx = get_field(p, kf)
+        add = np.zeros((q, q), dtype=np.int16)
+        for a in range(q):
+            for b in range(q):
+                add[a, b] = ctx.add(a, b)
+        scaled = np.zeros((k, q, n), dtype=np.int16)
+        diff = np.zeros((k, q, n), dtype=np.int16)
+        for r in range(k):
+            for c in range(q):
+                scaled[r, c] = [ctx.mul(c, x) for x in rows[r]]
+        for r in range(k):
+            for c in range(q):
+                diff[r, c] = [ctx.sub(int(a), int(b)) for a, b in
+                              zip(scaled[r, (c + 1) % q], scaled[r, c])]
+        cw = np.zeros(n, dtype=np.int16)
+        for j, gj in enumerate(word):
+            if gj:
+                cw = add[cw, scaled[j, gj]]
+    best_w = int(np.count_nonzero(cw))
+    best_i = start
+    best_word = cw.copy()
+    for idx in range(start + 1, stop):
+        x = idx - 1
+        t = 0
+        while x % q == q - 1:
+            x //= q
+            t += 1
+        if kf == 1:
+            cw += mat[t]
+            cw %= p
+        else:
+            old = word[t]
+            word[t] = (old + 1) % q
+            cw = add[cw, diff[t, old]]
+        w = int(np.count_nonzero(cw))
+        if w < best_w:
+            best_w = w
+            best_i = idx
+            best_word = cw.copy()
+    return best_w, best_i, [int(c) for c in best_word]

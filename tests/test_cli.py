@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from bchlab import cli
 
 
@@ -190,6 +192,14 @@ def test_verify_unknown_id():
 def test_verify_usage_errors():
     assert run_cli("verify").returncode == 2
     assert run_cli("verify", "cyclic-q3-m2", "--all").returncode == 2
+
+
+def test_verify_workers_must_be_positive(capsys):
+    for bad in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "cyclic-q3-m2", "--workers", bad])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 SWEEP_HEADER = ("family,q,m,delta,n,mode,formula_gap_low,oracle_gap_low,"

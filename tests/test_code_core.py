@@ -5,7 +5,9 @@ import pytest
 
 from bchlab import code_core as cc
 from bchlab import cyclotomic as cy
+from bchlab import examples
 from bchlab import finite_field as ff
+from bchlab import oracle as orc
 from bchlab import poly_linalg as pl
 from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
 from bchlab.errors import BadDelta, ExtensionTooLarge
@@ -116,6 +118,17 @@ def test_dual_code_orthogonality():
         g = cc.generator_matrix(inst)
         h = cc.generator_matrix(dual)
         assert matrix_product_is_zero(g, h, inst.field)
+
+
+def test_dual_code_has_no_spec():
+    # the dual's defining set is a complement, not a (delta, b) window
+    for q, m, fam, d in [(3, 3, NEGACYCLIC, 2), (9, 2, CYCLIC, 2),
+                         (7, 2, NEGACYCLIC, 2)]:
+        inst = realized(q, m, fam, d)
+        dual = cc.dual_code(inst)
+        assert dual.spec is None
+        enum = orc.min_distance(cc.generator_matrix(dual), inst.field)
+        assert examples.true_distance(dual) == enum.distance, (q, m, fam, d)
 
 
 def test_is_lcd_on_narrow_sense():

@@ -197,7 +197,7 @@ def test_min_distance_workers_deterministic():
 
 def test_min_distance_extension_field_symbols():
     # systematic [I | A] code over F9: the hand loop rebuilds every codeword
-    # from scratch, independently of the oracle's incremental gray walk
+    # from scratch, independently of the oracle's block Gray walk
     fld = ff.get_field(3, 2)
     q = fld.order
     rng = random.Random(92)
@@ -241,6 +241,69 @@ def test_min_distance_extension_field_realized():
             cw = add[cw, scaled[r][(idx // q ** r) % q]]
         best = min(best, int(np.count_nonzero(cw)))
     assert rep.distance == best
+
+
+# narrow-sense codes whose generator or dual generator matrices, over
+# F_3, F_5, F_7, F_11 and F_9, are walked against the reference
+WALK_CODES = [(3, 2, CYCLIC, 3), (3, 3, NEGACYCLIC, 2), (3, 3, NEGACYCLIC, 4),
+              (5, 2, CYCLIC, 2), (5, 2, CYCLIC, 8), (7, 2, CYCLIC, 2),
+              (7, 2, NEGACYCLIC, 2), (11, 2, NEGACYCLIC, 2),
+              (9, 2, CYCLIC, 2), (9, 2, CYCLIC, 32)]
+
+
+def walk_matrices():
+    """(p, kf, rows) of every matrix with at most 600k words, plus k = 1."""
+    out = []
+    for q, m, fam, d in WALK_CODES:
+        inst = realized(q, m, fam, d)
+        fld = inst.field
+        for code in (inst, cc.dual_code(inst)):
+            rows = cc.generator_matrix(code).tolist()
+            if q ** len(rows) <= 600_000:
+                out.append((fld.p, fld.k, rows))
+        out.append((fld.p, fld.k, rows[:1]))
+    return out
+
+
+def test_block_walk_matches_reference(monkeypatch):
+    rng = random.Random(4)
+    cases = walk_matrices()
+    one_block = 0
+    for p, kf, rows in cases:
+        end = (p ** kf) ** len(rows)
+        ranges = [(1, end)]
+        for _ in range(3):
+            lo = rng.randrange(1, end)
+            ranges.append((lo, min(end, lo + rng.randrange(1, 20_000))))
+        for lo, hi in ranges:
+            got = orc._distance_block(p, kf, rows, lo, hi)
+            want = ref.gray_walk_reference(p, kf, rows, lo, hi)
+            assert got == want, (p, kf, len(rows), lo, hi)
+        one_block += end * len(rows[0]) * kf <= orc.BLOCK_SYMBOLS
+    assert {len(rows) for _, _, rows in cases} >= {1, 2, 4, 6, 8, 12}
+    assert one_block and one_block < len(cases)
+    # a small block budget: one Gray digit per block, many blocks
+    monkeypatch.setattr(orc, "BLOCK_SYMBOLS", 1 << 10)
+    for p, kf, rows in cases:
+        end = (p ** kf) ** len(rows)
+        if end <= 20_000:
+            got = orc._distance_block(p, kf, rows, 1, end)
+            assert got == ref.gray_walk_reference(p, kf, rows, 1, end)
+
+
+def test_walk_split_is_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(orc.os, "cpu_count", lambda: 2)
+    assert orc._walk_split(10**6, 1000) == [(1, 500_001),
+                                            (500_001, 1_000_001)]
+    assert orc._walk_split(10**6, 1) == [(1, 1_000_001)]
+    assert orc._walk_split(4000, 2) == [(1, 4001)]
+    monkeypatch.setattr(orc.os, "cpu_count", lambda: None)
+    assert orc._walk_split(10**6, 1000) == [(1, 1_000_001)]
+    monkeypatch.setattr(orc.os, "cpu_count", lambda: 64)
+    blocks = orc._walk_split(10**6, 3)
+    assert len(blocks) == 3 and blocks[0][0] == 1
+    assert blocks[-1][1] == 10**6 + 1
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
 
 
 def test_via_checks_cross_validates_enumeration():
