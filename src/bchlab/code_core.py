@@ -175,26 +175,20 @@ def bch_bound(t: DefiningSet) -> int:
     """1 + the longest run of consecutive class residues in T, capped at n.
 
     Runs step by r and wrap around the class; a full class returns n.
+    The runs are read off the sorted class positions of T, so the cost
+    grows with |T|, not with n.
     """
-    n = t.n
-    present = [False] * n
     start = 1 if t.r == 2 else 0
-    for x in t.residues:
-        present[(x - start) // t.r] = True
-    count = sum(present)
-    if count == n:
-        return n
-    best = cur = 0
-    # scan twice around to catch the wrap; early out on the second lap
-    for i in range(2 * n):
-        if present[i % n]:
-            cur += 1
-            best = max(best, cur)
+    positions = sorted((x - start) // t.r for x in t.residues)
+    runs: list[int] = []  # lengths of the maximal runs, in class order
+    for i, pos in enumerate(positions):
+        if i and pos == positions[i - 1] + 1:
+            runs[-1] += 1
         else:
-            if i >= n:
-                break
-            cur = 0
-    return min(best + 1, n)
+            runs.append(1)
+    if len(runs) > 1 and positions[0] == 0 and positions[-1] == t.n - 1:
+        runs[0] += runs.pop()  # the last run wraps into the first
+    return min(max(runs, default=0) + 1, t.n)
 
 
 def is_lcd(inst: CodeInstance) -> bool:

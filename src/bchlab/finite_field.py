@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import (
     DivisionByZero,
     FactorizationTooLarge,
@@ -25,6 +27,7 @@ from .errors import (
 )
 
 TABLE_CAP = 1 << 21  # build exp/log tables when the field order is <= this
+_TABLE_CHUNK = 1 << 12  # codes turned into digit rows at once
 
 _TRIAL_LIMIT = 10**6
 _RHO_ITER_CAP = 10**6
@@ -356,17 +359,43 @@ class FieldCtx:
         raise RuntimeError("unreachable: F_q* is cyclic")
 
     def _build_tables(self) -> None:
-        n1 = self.order - 1
-        exp = [0] * n1
+        if self.k == 1:
+            exp = [0] * (self.order - 1)
+            x = 1
+            for i in range(self.order - 1):
+                exp[i] = x
+                x = x * self.generator % self.p
+        else:
+            exp = self._exp_by_doubling().tolist()
         log: list[int | None] = [None] * self.order
-        x = 1
-        for i in range(n1):
-            exp[i] = x
+        for i, x in enumerate(exp):
             log[x] = i
-            x = self._mul_poly(x, self.generator) if self.k > 1 \
-                else x * self.generator % self.p
         self.exp = exp
         self.log = log
+
+    def _exp_by_doubling(self) -> np.ndarray:
+        """Codes of g^0, ..., g^(order-2) as one int64 array.
+
+        With exp[0:s] known, exp[s:2s] = exp[0:s] * g^s.  Multiplying by
+        the fixed element h = g^s is F_p-linear on coefficient vectors:
+        row j of its matrix holds the digits of x^j * h, so a digit row
+        vector times the matrix (mod p) gives the digits of the product.
+        Digits exist only per chunk of _TABLE_CHUNK codes.
+        """
+        p, k, n1 = self.p, self.k, self.order - 1
+        place = p ** np.arange(k, dtype=np.int64)
+        exp = np.empty(n1, dtype=np.int64)
+        exp[0] = 1
+        s, h = 1, self.generator
+        while s < n1:
+            mat = np.array([self.digits(self._mul_poly(p ** j, h))
+                            for j in range(k)], dtype=np.int64)
+            for lo in range(0, min(s, n1 - s), _TABLE_CHUNK):
+                hi = min(lo + _TABLE_CHUNK, s, n1 - s)
+                digits = exp[lo:hi, None] // place % p
+                exp[s + lo:s + hi] = digits @ mat % p @ place
+            s, h = 2 * s, self._mul_poly(h, h)
+        return exp
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, k={self.k}, modulus={self.modulus})"

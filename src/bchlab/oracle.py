@@ -20,7 +20,6 @@ import numpy as np
 from . import code_core, cyclotomic
 from .cyclotomic import CYCLIC
 from .errors import EmptySet, TooManyCodewords
-from .finite_field import get_field
 
 MIN_DISTANCE_CAP = 20_000_000
 BLOCK_SYMBOLS = 1 << 16  # digits in one numpy step of the Gray walk
@@ -168,13 +167,20 @@ class DistanceResult:
     enumerated: int
 
 
-def _distance_block(p: int, kf: int, rows: list[list[int]], start: int,
-                    stop: int) -> tuple[int, int, list[int]]:
+def _mul_table(field) -> np.ndarray:
+    """q x q table of field.mul, for the field the code is over."""
+    q = field.order
+    return np.array([[field.mul(c, x) for x in range(q)] for c in range(q)])
+
+
+def _distance_block(p: int, kf: int, mul: np.ndarray, rows: list[list[int]],
+                    start: int, stop: int) -> tuple[int, int, list[int]]:
     """Best (weight, index, word) over Gray positions [start, stop).
 
     Position i has base-q digits d_0, d_1, ... and message digits
     g_j = (d_j - d_{j+1}) mod q, taken as integer codes: digit c
-    contributes the field multiple mul(c, row_j).  Words are held as
+    contributes the field multiple mul[c, row_j], from the _mul_table of
+    the code's own field (whatever its modulus).  Words are held as
     base-p digit vectors (kf digit planes of length n), on which field
     addition is digit-wise addition mod p.
 
@@ -189,11 +195,6 @@ def _distance_block(p: int, kf: int, rows: list[list[int]], start: int,
     q = p ** kf
     k, n = len(rows), len(rows[0])
     sym = np.min_scalar_type(2 * p - 2)
-    if kf == 1:
-        mul = np.arange(q)[:, None] * np.arange(q) % q
-    else:
-        ctx = get_field(p, kf)
-        mul = np.array([[ctx.mul(c, x) for x in range(q)] for c in range(q)])
     prod = mul[:, np.array(rows)].transpose(1, 0, 2)  # mul(c, row_j)
     scaled = np.concatenate([prod // p ** i % p for i in range(kf)],
                             axis=2).astype(sym)
@@ -277,14 +278,15 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
             f"{total} codewords exceeds cap {cap}; "
             "enumerate the dual side instead")
     rows = [[int(c) for c in row] for row in gen]
+    mul = _mul_table(field)
     blocks = _walk_split(total, workers)
     if len(blocks) == 1:
-        results = [_distance_block(field.p, field.k, rows, *blocks[0])]
+        results = [_distance_block(field.p, field.k, mul, rows, *blocks[0])]
     else:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=len(blocks)) as pool:
-            futures = [pool.submit(_distance_block, field.p, field.k, rows,
-                                   lo, hi) for lo, hi in blocks]
+            futures = [pool.submit(_distance_block, field.p, field.k, mul,
+                                   rows, lo, hi) for lo, hi in blocks]
             results = [f.result() for f in futures]
     best_w, best_i, best_word = min(results, key=lambda t: (t[0], t[1]))
     assert best_w > 0, "independent generator rows cannot hit zero"

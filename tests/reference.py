@@ -8,7 +8,9 @@ defining set, with certificates (the witness window (b, delta') or an
 uncovered counterexample residue), or one codeword per step of the Gray
 walk.  They deliberately share no code with `bchlab.oracle`; only the
 coset combinatorics of `bchlab.cyclotomic` and the field arithmetic of
-`bchlab.finite_field` are common.
+`bchlab.finite_field` are common.  `field_tables_reference` builds, one
+polynomial multiplication per element, the exp/log tables that `FieldCtx`
+fills by doubling.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from bchlab import cyclotomic
 from bchlab.cyclotomic import DefiningSet
 from bchlab.errors import EmptySet
-from bchlab.finite_field import get_field
 
 
 class AnchorNotInDual(ValueError):
@@ -164,15 +165,16 @@ def _gray_word(idx: int, q: int, k: int) -> list[int]:
     return [(digits[j] - digits[j + 1]) % q for j in range(k)]
 
 
-def gray_walk_reference(p: int, kf: int, rows: list[list[int]], start: int,
+def gray_walk_reference(ctx, rows: list[list[int]], start: int,
                         stop: int) -> tuple[int, int, list[int]]:
     """Best (weight, index, word) over Gray positions [start, stop).
 
+    Symbols are codes of the field ctx, with its own modulus.
     Consecutive Gray messages differ in one digit by +1, so each step is
     a single row addition to the running codeword.  The changed digit at
     step i is the number of trailing q-1 digits of i - 1.
     """
-    q = p ** kf
+    p, kf, q = ctx.p, ctx.k, ctx.order
     k = len(rows)
     n = len(rows[0])
     word = _gray_word(start, q, k)
@@ -187,7 +189,6 @@ def gray_walk_reference(p: int, kf: int, rows: list[list[int]], start: int,
     else:
         # extension field: digit c means the field multiple mul(c, row),
         # so a digit step c -> c+1 adds the precomputed difference vector
-        ctx = get_field(p, kf)
         add = np.zeros((q, q), dtype=np.int16)
         for a in range(q):
             for b in range(q):
@@ -227,3 +228,21 @@ def gray_walk_reference(p: int, kf: int, rows: list[list[int]], start: int,
             best_i = idx
             best_word = cw.copy()
     return best_w, best_i, [int(c) for c in best_word]
+
+
+# ---------------------------------------------------------------------------
+# exp/log tables, one field multiplication per element
+
+
+def field_tables_reference(ctx) -> tuple[list[int], list[int | None]]:
+    """exp/log tables of ctx's generator, built one element at a time."""
+    n1 = ctx.order - 1
+    exp = [0] * n1
+    log: list[int | None] = [None] * ctx.order
+    x = 1
+    for i in range(n1):
+        exp[i] = x
+        log[x] = i
+        x = ctx._mul_poly(x, ctx.generator) if ctx.k > 1 \
+            else x * ctx.generator % ctx.p
+    return exp, log

@@ -90,6 +90,16 @@ def test_code_info_extension_cap():
     assert proc.stdout == ""
 
 
+def test_code_info_large_m_is_an_extension_error():
+    # n = 3^30 + 1: the designed bound must not allocate per class position
+    proc = run_cli("code-info", "3", "30", "cyclic", "2")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "ExtensionTooLarge"
+    assert "extension degree 60" in err["message"]
+
+
 def test_code_info_bad_extension_env(monkeypatch, capsys):
     monkeypatch.setenv("BCHLAB_MAX_EXT_DEGREE", "abc")
     assert cli.main(["code-info", "3", "2", "cyclic", "2"]) == 1

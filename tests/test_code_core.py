@@ -12,7 +12,7 @@ from bchlab import poly_linalg as pl
 from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
 from bchlab.errors import BadDelta, ExtensionTooLarge
 
-from grid_utils import STRUCTURAL_INSTANCES, realized
+from grid_utils import STRUCTURAL_INSTANCES, grid_points, profile, realized
 
 # (q, m, family, delta) -> (n, dim, bch_bound)
 DIMENSION_PINS = {
@@ -51,6 +51,40 @@ def test_bch_bound_hand_cases():
     assert cc.bch_bound(cy.defining_set(3, 3, NEGACYCLIC, 2)) == 5
     # T(3,3,neg,4) misses only C_7 = {7,21}: two runs of 6 odd residues
     assert cc.bch_bound(cy.defining_set(3, 3, NEGACYCLIC, 4)) == 7
+
+
+def naive_bch_bound(t):
+    """1 + the longest run of T's class positions, read off the class twice."""
+    start = 1 if t.r == 2 else 0
+    bits = "".join("1" if start + t.r * i in t.residues else "0"
+                   for i in range(t.n))
+    if "0" not in bits:
+        return t.n
+    return min(max(map(len, (bits + bits).split("0"))) + 1, t.n)
+
+
+def test_bch_bound_matches_naive_scan_on_grid():
+    checked = 0
+    for q, m in grid_points():
+        for fam in (CYCLIC, NEGACYCLIC):
+            if fam == NEGACYCLIC and q % 4 != 3:
+                continue
+            n, r, rn = cy.family_parameters(q, m, fam)
+            empty = cy.DefiningSet(q, rn, r)
+            full = cy.DefiningSet(q, rn, r, frozenset(empty.class_residues()))
+            assert cc.bch_bound(empty) == naive_bch_bound(empty) == 1
+            assert cc.bch_bound(full) == naive_bch_bound(full) == n
+            # every delta on small classes, five spread over the
+            # delta range on large ones
+            md = profile(q, m, fam).max_delta
+            step = 1 if n * md <= 20_000 else md // 4
+            for d in range(2, md + 1, step):
+                t = cy.defining_set(q, m, fam, d)
+                for s in (t, cy.dual_defining_set(t)):
+                    assert cc.bch_bound(s) == naive_bch_bound(s), \
+                        (q, m, fam, d, len(s))
+                checked += 1
+    assert checked > 400
 
 
 def test_realize_structure():

@@ -1,9 +1,13 @@
 """Finite-field arithmetic: axioms, tables, roots of unity, subfield maps."""
 
+import random
+
 import pytest
 
 from bchlab import finite_field as ff
 from bchlab.errors import DivisionByZero, OrderNotDividing
+
+import reference as ref
 
 
 def test_factorize():
@@ -98,6 +102,29 @@ def test_tables_match_poly_path():
     for a in range(9):
         for b in range(9):
             assert ctx.mul(a, b) == ctx._mul_poly(a, b)
+    # random pairs in F_{7^4} and in F_{5^3} = F_5[x]/(x^3 + 3x + 2), a
+    # modulus other than the default x^3 + x + 1
+    rng = random.Random(5)
+    for ctx in (ff.get_field(7, 4), ff.FieldCtx(5, 3, modulus=(2, 3, 0, 1))):
+        for _ in range(2000):
+            a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
+            assert ctx.mul(a, b) == ctx._mul_poly(a, b)
+
+
+# several doubling steps, a last step shorter than the one before, and
+# (on F_{3^10}, F_{7^6}) chunk boundaries off the step boundaries
+TABLE_FIELDS = [(2, 8, None), (3, 2, None), (3, 2, (2, 2, 1)), (3, 5, None),
+                (3, 10, None), (5, 4, None), (7, 4, None), (7, 6, None),
+                (11, 3, None), (13, 2, None), (5, 3, (2, 3, 0, 1)),
+                (7, 1, None), (11, 1, None)]
+
+
+@pytest.mark.parametrize("p,k,modulus", TABLE_FIELDS)
+def test_tables_match_reference(p, k, modulus):
+    ctx = ff.get_field(p, k) if modulus is None \
+        else ff.FieldCtx(p, k, modulus=modulus)
+    assert modulus is None or ctx.modulus != ff.find_irreducible(p, k)
+    assert (ctx.exp, ctx.log) == ref.field_tables_reference(ctx)
 
 
 def test_get_field_caches():

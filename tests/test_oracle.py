@@ -252,7 +252,7 @@ WALK_CODES = [(3, 2, CYCLIC, 3), (3, 3, NEGACYCLIC, 2), (3, 3, NEGACYCLIC, 4),
 
 
 def walk_matrices():
-    """(p, kf, rows) of every matrix with at most 600k words, plus k = 1."""
+    """(field, rows) of every matrix with at most 600k words, plus k = 1."""
     out = []
     for q, m, fam, d in WALK_CODES:
         inst = realized(q, m, fam, d)
@@ -260,8 +260,8 @@ def walk_matrices():
         for code in (inst, cc.dual_code(inst)):
             rows = cc.generator_matrix(code).tolist()
             if q ** len(rows) <= 600_000:
-                out.append((fld.p, fld.k, rows))
-        out.append((fld.p, fld.k, rows[:1]))
+                out.append((fld, rows))
+        out.append((fld, rows[:1]))
     return out
 
 
@@ -269,26 +269,52 @@ def test_block_walk_matches_reference(monkeypatch):
     rng = random.Random(4)
     cases = walk_matrices()
     one_block = 0
-    for p, kf, rows in cases:
-        end = (p ** kf) ** len(rows)
+    for fld, rows in cases:
+        end = fld.order ** len(rows)
+        mul = orc._mul_table(fld)
         ranges = [(1, end)]
         for _ in range(3):
             lo = rng.randrange(1, end)
             ranges.append((lo, min(end, lo + rng.randrange(1, 20_000))))
         for lo, hi in ranges:
-            got = orc._distance_block(p, kf, rows, lo, hi)
-            want = ref.gray_walk_reference(p, kf, rows, lo, hi)
-            assert got == want, (p, kf, len(rows), lo, hi)
-        one_block += end * len(rows[0]) * kf <= orc.BLOCK_SYMBOLS
-    assert {len(rows) for _, _, rows in cases} >= {1, 2, 4, 6, 8, 12}
+            got = orc._distance_block(fld.p, fld.k, mul, rows, lo, hi)
+            want = ref.gray_walk_reference(fld, rows, lo, hi)
+            assert got == want, (fld.order, len(rows), lo, hi)
+        one_block += end * len(rows[0]) * fld.k <= orc.BLOCK_SYMBOLS
+    assert {len(rows) for _, rows in cases} >= {1, 2, 4, 6, 8, 12}
     assert one_block and one_block < len(cases)
     # a small block budget: one Gray digit per block, many blocks
     monkeypatch.setattr(orc, "BLOCK_SYMBOLS", 1 << 10)
-    for p, kf, rows in cases:
-        end = (p ** kf) ** len(rows)
+    for fld, rows in cases:
+        end = fld.order ** len(rows)
         if end <= 20_000:
-            got = orc._distance_block(p, kf, rows, 1, end)
-            assert got == ref.gray_walk_reference(p, kf, rows, 1, end)
+            got = orc._distance_block(fld.p, fld.k, orc._mul_table(fld),
+                                      rows, 1, end)
+            assert got == ref.gray_walk_reference(fld, rows, 1, end)
+
+
+def test_min_distance_uses_the_fields_own_modulus():
+    # F_9 = F_3[x]/(x^2 + 2x + 2), not the default modulus x^2 + 1: the
+    # returned word must lie in the brute-force span over this field and
+    # have its minimum weight
+    fld = ff.FieldCtx(3, 2, modulus=(2, 2, 1))
+    assert fld.modulus != ff.get_field(3, 2).modulus
+    q, k, n = fld.order, 2, 6
+    rng = random.Random(0)
+    for _ in range(60):
+        gen = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        span = set()
+        for a in range(q):
+            for b in range(q):
+                span.add(tuple(fld.add(fld.mul(a, x), fld.mul(b, y))
+                               for x, y in zip(*gen)))
+        assert len(span) == q ** k  # independent rows
+        best = min(weight(w) for w in span if any(w))
+        rep = orc.min_distance(np.array(gen), fld)
+        assert rep.word in span, gen
+        assert rep.distance == weight(rep.word) == best, gen
+        assert ref.gray_walk_reference(fld, gen, 1, q ** k)[2] == \
+            list(rep.word)
 
 
 def test_walk_split_is_capped_at_cpu_count(monkeypatch):
