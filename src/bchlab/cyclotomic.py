@@ -226,7 +226,9 @@ def defining_set(q: int, m: int, family: str, delta: int,
         raise BadFamilyParams(f"negacyclic offset must be odd, got {b}")
     residues: set[int] = set()
     for i in range(delta - 1):
-        residues.update(coset(b + r * i, q, rn))
+        x = (b + r * i) % rn
+        if x not in residues:  # its whole coset is already in
+            residues.update(coset(x, q, rn))
     return DefiningSet(q, rn, r, frozenset(residues))
 
 

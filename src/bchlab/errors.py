@@ -53,6 +53,10 @@ class TooManyCodewords(BCHLabError):
     """
 
 
+class SearchBudgetExceeded(BCHLabError):
+    """The check-matrix distance search visited more nodes than its cap."""
+
+
 class UnknownExample(BCHLabError):
     """verify_example got an id that is not in the registry."""
 

@@ -115,13 +115,15 @@ def true_distance(inst: code_core.CodeInstance, workers: int = 1,
 
     Enumerates codewords when the dimension allows, otherwise searches
     for a minimal dependent column subset of a parity-check matrix (a
-    generator matrix of the dual code).
+    generator matrix of the dual code).  The code is (nega)cyclic in
+    natural coordinate order, so that search is shift-normalised.
     """
     if inst.field.order ** inst.dim <= enum_cap:
         gen = code_core.generator_matrix(inst)
         return oracle.min_distance(gen, inst.field, workers=workers).distance
     checks = code_core.generator_matrix(code_core.dual_code(inst))
-    return oracle.min_distance_via_checks(checks, inst.field).distance
+    return oracle.min_distance_via_checks(checks, inst.field,
+                                          shift_invariant=True).distance
 
 
 def dual_distance(spec: code_core.CodeSpec, workers: int = 1,
@@ -130,7 +132,8 @@ def dual_distance(spec: code_core.CodeSpec, workers: int = 1,
 
     Enumerates the dual's codewords when its dimension allows, otherwise
     searches for a minimal dependent column subset of the primal
-    generator matrix (which is a parity-check matrix of the dual).
+    generator matrix (which is a parity-check matrix of the dual).  The
+    dual is (nega)cyclic too, so that search is shift-normalised.
     """
     inst = code_core.realize(spec)
     dual_dim = inst.n - len(dual_defining_set(inst.t))
@@ -139,7 +142,8 @@ def dual_distance(spec: code_core.CodeSpec, workers: int = 1,
         gen = code_core.generator_matrix(dual)
         return oracle.min_distance(gen, inst.field, workers=workers).distance
     gen = code_core.generator_matrix(inst)
-    return oracle.min_distance_via_checks(gen, inst.field).distance
+    return oracle.min_distance_via_checks(gen, inst.field,
+                                          shift_invariant=True).distance
 
 
 def _bound_report(q: int, m: int, family: str, delta: int):

@@ -19,9 +19,10 @@ import numpy as np
 
 from . import code_core, cyclotomic
 from .cyclotomic import CYCLIC
-from .errors import EmptySet, TooManyCodewords
+from .errors import EmptySet, SearchBudgetExceeded, TooManyCodewords
 
 MIN_DISTANCE_CAP = 20_000_000
+MAX_CHECK_NODES = 50_000_000  # columns tried by min_distance_via_checks
 BLOCK_SYMBOLS = 1 << 16  # digits in one numpy step of the Gray walk
 _GAP_CHUNK = 1 << 12  # residues in one numpy step of GapProfile
 
@@ -298,7 +299,8 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
 
 
 def min_distance_via_checks(checks: np.ndarray, field,
-                            max_weight: int | None = None) -> DistanceResult:
+                            max_weight: int | None = None, *,
+                            shift_invariant: bool = False) -> DistanceResult:
     """Exact minimum distance of the null space of `checks`.
 
     Iterative deepening on the support size w: depth-first search over
@@ -306,9 +308,20 @@ def min_distance_via_checks(checks: np.ndarray, field,
     independent via incremental elimination.  The first dependent subset
     found is a minimum-weight support; the returned word is solved from
     it and re-verified against the checks.
+
+    shift_invariant asserts that the null space is closed under the
+    cyclic coordinate shift, up to one sign per coordinate (a cyclic or
+    negacyclic code in natural coordinate order).  A rotation of a word
+    is then a word of the same weight, and every support has a rotation
+    {0 = s_0 < ... < s_{w-1}} whose wrap gap n - s_{w-1} is at least
+    every inner gap s_{j+1} - s_j: rotate the element after a largest
+    cyclic gap to 0.  The search visits only these canonical supports.
+    The caller must know the symmetry; nothing here checks it.
+
+    The search visits at most MAX_CHECK_NODES columns in total and
+    raises SearchBudgetExceeded beyond that.
     """
     rows, n = checks.shape
-    p, kf = field.p, field.k
     cols = [[int(checks[i][j]) for i in range(rows)] for j in range(n)]
     limit = max_weight if max_weight is not None else n
     nodes = 0
@@ -316,11 +329,28 @@ def min_distance_via_checks(checks: np.ndarray, field,
         pivots: list[tuple[int, list[int]]] = []
         support: list[int] = []
 
-        def dfs(lo: int) -> list[int] | None:
+        def dfs(lo: int, gap: int) -> list[int] | None:
+            # gap: the largest inner gap of the support so far
             nonlocal nodes
             depth = len(support)
-            for idx in range(lo, n - (w - depth) + 1):
+            rem = w - depth - 1  # columns still to choose after this one
+            stop = n - rem
+            if shift_invariant:
+                if depth == 0:
+                    stop = min(stop, 1)
+                else:
+                    prev = support[-1]
+                    # the wrap gap n - s_{w-1} <= n - idx - rem must reach
+                    # both the largest gap so far and idx - prev
+                    stop = min(stop, n - rem - gap + 1,
+                               (n + prev - rem) // 2 + 1)
+            for idx in range(lo, stop):
                 nodes += 1
+                if nodes > MAX_CHECK_NODES:
+                    raise SearchBudgetExceeded(
+                        f"check-matrix search visited {nodes} nodes, over "
+                        f"MAX_CHECK_NODES = {MAX_CHECK_NODES}, at support "
+                        f"size w = {w} (of at most {limit})")
                 col = _reduce_col(cols[idx], pivots, field)
                 lead = next((i for i, c in enumerate(col) if c), None)
                 if lead is None:
@@ -330,15 +360,16 @@ def min_distance_via_checks(checks: np.ndarray, field,
                     inv = field.inv(col[lead])
                     norm = [field.mul(inv, c) for c in col]
                     pivots.append((lead, norm))
+                    new_gap = max(gap, idx - support[-1]) if support else 0
                     support.append(idx)
-                    found = dfs(idx + 1)
+                    found = dfs(idx + 1, new_gap)
                     if found is not None:
                         return found
                     support.pop()
                     pivots.pop()
             return None
 
-        found = dfs(0)
+        found = dfs(0, 0)
         if found is not None:
             word = _dependency_word(found, cols, field, n)
             prod = [0] * rows

@@ -173,3 +173,25 @@ def test_dual_defining_set():
     # 3-coset {1,3,9} mod 13 is not closed under negation
     with pytest.raises(AsymmetricSet):
         cy.dual_defining_set(DefiningSet(3, 13, 1, frozenset({1, 3, 9})))
+
+
+def test_defining_set_matches_naive_coset_union():
+    # defining_set skips exponents already in T; the naive union calls
+    # coset for every one of b, b + r, ..., b + r(delta - 2)
+    for q, m, family in [(3, 2, CYCLIC), (5, 2, CYCLIC), (3, 3, CYCLIC),
+                         (9, 2, CYCLIC), (3, 3, NEGACYCLIC),
+                         (3, 4, NEGACYCLIC), (7, 2, NEGACYCLIC),
+                         (11, 2, NEGACYCLIC)]:
+        n, r, rn = cy.family_parameters(q, m, family)
+        offsets = [None, 1, 3, 5, rn - 1]
+        if family == CYCLIC:
+            offsets += [0, 2, 7]
+        for b in offsets:
+            for delta in sorted({2, 3, 4, 5, 8, n // 3, n // 2, n - 1, n}):
+                naive = set()
+                for i in range(delta - 1):
+                    naive.update(cy.coset((1 if b is None else b) + r * i,
+                                          q, rn))
+                got = cy.defining_set(q, m, family, delta, b)
+                assert got.residues == frozenset(naive), (q, m, family, b,
+                                                          delta)

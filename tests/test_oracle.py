@@ -6,22 +6,25 @@ counterexample certificates.
 """
 
 import ast
+import json
 import random
 
 import numpy as np
 import pytest
 
+from bchlab import cli
 from bchlab import closed_forms as cf
 from bchlab import code_core as cc
 from bchlab import cyclotomic as cy
+from bchlab import examples
 from bchlab import finite_field as ff
 from bchlab import oracle as orc
 from bchlab import poly_linalg as pl
 from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
-from bchlab.errors import EmptySet, TooManyCodewords
+from bchlab.errors import EmptySet, SearchBudgetExceeded, TooManyCodewords
 
 import reference as ref
-from grid_utils import profile, realized
+from grid_utils import STRUCTURAL_INSTANCES, profile, realized
 
 
 def tperp_of(q, m, family, delta, b=None):
@@ -346,6 +349,76 @@ def test_via_checks_cross_validates_enumeration():
             orc.min_distance_via_checks(cc.generator_matrix(dual),
                                         inst.field,
                                         max_weight=via.distance - 1)
+
+
+# sides of STRUCTURAL_INSTANCES whose distance (9 to 22) is out of reach
+# of the plain check-matrix search; every other side takes it under 130k
+# nodes.  "primal" is the code's own distance, "dual" its dual's.
+PLAIN_SEARCH_TOO_SLOW = {
+    ((5, 2, CYCLIC, 2), "dual"), ((5, 2, CYCLIC, 8), "primal"),
+    ((3, 3, CYCLIC, 2), "dual"), ((9, 2, CYCLIC, 2), "dual"),
+    ((11, 2, CYCLIC, 2), "dual"), ((3, 4, NEGACYCLIC, 2), "dual"),
+    ((3, 4, NEGACYCLIC, 7), "primal"), ((7, 2, NEGACYCLIC, 2), "dual"),
+    ((7, 2, NEGACYCLIC, 6), "primal"), ((7, 3, NEGACYCLIC, 2), "dual"),
+    ((11, 2, NEGACYCLIC, 2), "dual"),
+}
+
+
+def test_shift_normalised_search_matches_plain():
+    cases = [(spec, side) for spec in STRUCTURAL_INSTANCES
+             for side in ("primal", "dual")
+             if (spec, side) not in PLAIN_SEARCH_TOO_SLOW]
+    cases.append(((9, 2, CYCLIC, 32), "dual"))  # F_9, distance 4
+    plain_nodes = normalised_nodes = 0
+    for spec, side in cases:
+        inst = realized(*spec)
+        dual = cc.dual_code(inst)
+        code, other = (inst, dual) if side == "primal" else (dual, inst)
+        checks = cc.generator_matrix(other)
+        fld = inst.field
+        plain = orc.min_distance_via_checks(checks, fld)
+        got = orc.min_distance_via_checks(checks, fld, shift_invariant=True)
+        d = got.distance
+        assert d == plain.distance, (spec, side)
+        assert weight(got.word) == d and got.word[0] != 0, (spec, side)
+        for row in checks.tolist():
+            acc = 0
+            for c, x in zip(row, got.word):
+                acc = fld.add(acc, fld.mul(c, x))
+            assert acc == 0, (spec, side)
+        if fld.order ** code.dim <= 60_000:
+            rows = cc.generator_matrix(code).tolist()
+            walk = ref.gray_walk_reference(fld, rows, 1, fld.order ** code.dim)
+            assert walk[0] == d, (spec, side)
+        with pytest.raises(EmptySet):
+            orc.min_distance_via_checks(checks, fld, max_weight=d - 1,
+                                        shift_invariant=True)
+        plain_nodes += plain.enumerated
+        normalised_nodes += got.enumerated
+    assert len(cases) == 20
+    assert {s[2] for s, _ in cases} == {CYCLIC, NEGACYCLIC}
+    # the normalisation is in force: about 20x fewer nodes over these cases
+    assert normalised_nodes * 10 < plain_nodes
+
+
+def test_check_search_budget(monkeypatch, capsys):
+    inst = realized(5, 2, CYCLIC, 8)
+    checks = cc.generator_matrix(inst)  # its dual has distance 4 (173 nodes)
+    monkeypatch.setattr(orc, "MAX_CHECK_NODES", 100)
+    with pytest.raises(SearchBudgetExceeded,
+                       match=r"visited 101 nodes.* w = 3 "):
+        orc.min_distance_via_checks(checks, inst.field, shift_invariant=True)
+    # verify turns the error into one failed claim, and the CLI exits 1
+    # with a JSON report instead of a traceback
+    report = examples.verify_example("cyclic-q5-m2")
+    assert not report.passed
+    assert [c.name for c in report.claims] == ["computable"]
+    assert report.claims[0].computed.startswith("SearchBudgetExceeded: ")
+    assert cli.main(["verify", "cyclic-q5-m2"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["examples"][0]["claims"][0]["name"] == \
+        "computable"
+    assert "Traceback" not in err
 
 
 def test_check_bound_report_defect_override():
