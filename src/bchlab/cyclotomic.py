@@ -18,10 +18,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from .errors import (
     AsymmetricSet,
     BadDelta,
     BadFamilyParams,
+    ClassTooLarge,
     EmptySet,
     NotCoprime,
     NotEnoughCosets,
@@ -30,6 +33,9 @@ from .errors import (
 CYCLIC = "cyclic"
 NEGACYCLIC = "negacyclic"
 FAMILIES = (CYCLIC, NEGACYCLIC)
+# residues in one leader map: keeps x * q^s (both below the modulus)
+# inside int64 and the arrays in memory
+MAX_CLASS_RESIDUES = 1 << 26
 
 
 def ord_mod(a: int, n: int) -> int:
@@ -66,34 +72,41 @@ def coset(x: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def leader_map(q: int, n: int, odd_only: bool = False) -> dict[int, int]:
-    """Map each residue of the class to its coset leader, one O(n) sweep.
+def leader_map(q: int, n: int, odd_only: bool = False) -> np.ndarray:
+    """Coset leader of each residue of the class, as an int64 array.
 
-    odd_only restricts to the class 1 + 2 Z_n (n must then be even).
+    Position p holds the leader of residue p, or of 1 + 2p when odd_only
+    (the class 1 + 2 Z_n; n must then be even).  With M_s(x) the least
+    of x, x q, ..., x q^(s-1), each step M_2s(x) = min(M_s(x), M_s(x q^s))
+    is one gather.  A step that changes nothing closes the chain
+    M_s(x) <= M_s(x q^s) <= ... around the orbit, so M_s is then the
+    orbit minimum; no multiplicative order is needed.
     """
     _check_coprime(q, n)
     if odd_only and n % 2:
         raise BadFamilyParams("odd residue class needs an even modulus")
-    leaders: dict[int, int] = {}
-    start, step = (1, 2) if odd_only else (0, 1)
-    for x in range(start, n, step):
-        if x in leaders:
-            continue
-        orbit = [x]
-        y = x * q % n
-        while y != x:
-            orbit.append(y)
-            y = y * q % n
-        lead = min(orbit)
-        for y in orbit:
-            leaders[y] = lead
-    return leaders
+    size = n // 2 if odd_only else n
+    if size > MAX_CLASS_RESIDUES:
+        raise ClassTooLarge(f"the {'odd ' if odd_only else ''}class mod {n} "
+                            f"has {size} residues, above the cap of "
+                            f"{MAX_CLASS_RESIDUES}")
+    residues = np.arange(1, n, 2) if odd_only else np.arange(n)
+    lead, mult = residues, q % n
+    while True:
+        step = residues * mult % n  # x q^s at the position of x
+        if odd_only:
+            step >>= 1  # residue 1 + 2p sits at position p
+        np.minimum(lead, lead[step], out=step)
+        if np.array_equal(step, lead):
+            return lead
+        lead, mult = step, mult * mult % n
 
 
 def coset_leaders(q: int, n: int, odd_only: bool = False) -> list[int]:
     """Sorted leaders of all q-cyclotomic cosets of the residue class."""
-    lm = leader_map(q, n, odd_only)
-    return sorted(set(lm.values()))
+    lead = leader_map(q, n, odd_only)
+    residues = np.arange(1, n, 2) if odd_only else np.arange(n)
+    return lead[lead == residues].tolist()
 
 
 def kth_largest_leader(q: int, n: int, k: int, odd_only: bool = False) -> int:

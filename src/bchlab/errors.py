@@ -42,6 +42,10 @@ class ExtensionTooLarge(BCHLabError):
     """Required extension degree exceeds the configured cap."""
 
 
+class ClassTooLarge(BCHLabError):
+    """A leader map would hold more residues than cyclotomic's cap."""
+
+
 class DivisionByZero(BCHLabError):
     """Field or polynomial division by zero."""
 

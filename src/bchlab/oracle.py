@@ -13,27 +13,21 @@ from __future__ import annotations
 import concurrent.futures
 import os
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from . import code_core, cyclotomic
 from .cyclotomic import CYCLIC
-from .errors import EmptySet, SearchBudgetExceeded, TooManyCodewords
+from .errors import (
+    BadFamilyParams,
+    EmptySet,
+    SearchBudgetExceeded,
+    TooManyCodewords,
+)
 
 MIN_DISTANCE_CAP = 20_000_000
 MAX_CHECK_NODES = 50_000_000  # columns tried by min_distance_via_checks
 BLOCK_SYMBOLS = 1 << 16  # digits in one numpy step of the Gray walk
-_GAP_CHUNK = 1 << 12  # residues in one numpy step of GapProfile
-
-_LEADER_CACHE: dict[tuple[int, int, bool], dict[int, int]] = {}
-
-
-def _leaders(q: int, modulus: int, odd_only: bool) -> dict[int, int]:
-    key = (q, modulus, odd_only)
-    if key not in _LEADER_CACHE:
-        _LEADER_CACHE[key] = cyclotomic.leader_map(q, modulus, odd_only)
-    return _LEADER_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +47,8 @@ class GapProfile:
 
     def __init__(self, q: int, m: int, family: str):
         n, r, rn = cyclotomic.family_parameters(q, m, family)
-        lm = _leaders(q, rn, r == 2)
-        anchor = max(lm.values())
+        lead = cyclotomic.leader_map(q, rn, r == 2)
+        anchor = int(lead.max())
         self.q, self.m, self.family = q, m, family
         self.n, self.r, self.rn = n, r, rn
         self.anchor = anchor
@@ -65,18 +59,13 @@ class GapProfile:
         size = self.max_delta + 2
         low = np.full(size, -1, dtype=np.int64)
         high = np.full(size, rn + 1, dtype=np.int64)
-        # the leader map's keys are exactly the class residues; read them
-        # in chunks to bound the temporary arrays
-        residues, leaders = iter(lm), iter(lm.values())
-        for _ in range(0, len(lm), _GAP_CHUNK):
-            x = np.fromiter(islice(residues, _GAP_CHUNK), dtype=np.int64)
-            lead = np.fromiter(islice(leaders, _GAP_CHUNK), dtype=np.int64)
-            d = lead + 1 if family == CYCLIC else (lead + 3) // 2
-            keep = (lead != 0) & (lead != anchor) & (d < size)
-            below = keep & (x < anchor)
-            np.maximum.at(low, d[below], x[below])
-            above = keep & (x > anchor)
-            np.minimum.at(high, d[above], x[above])
+        x = np.arange(r - 1, rn, r)  # the class residue at each position
+        d = lead + 1 if family == CYCLIC else (lead + 3) // 2
+        keep = (lead != 0) & (lead != anchor) & (d < size)
+        below = keep & (x < anchor)
+        np.maximum.at(low, d[below], x[below])
+        above = keep & (x > anchor)
+        np.minimum.at(high, d[above], x[above])
         self._low = np.maximum.accumulate(low)
         self._high = np.minimum.accumulate(high)
 
@@ -101,60 +90,42 @@ def dually_sweep(q: int, m: int, family: str, deltas: list[int],
                  even_like: bool = False) -> list[bool]:
     """Oracle dually-BCH verdicts for many deltas, sharing one leader map.
 
-    The defining set grows one coset per delta step, and each verdict is
-    a single coverage pass over the runs of its complement.  even_like
-    additionally seeds the coset of 0 (the even-like cyclic subcode).
+    A class residue x lies in T(delta) = C_1 u C_{1+r} u ... u
+    C_{1+r(delta-2)} exactly when 1 <= leader(x) <= 1 + r(delta - 2);
+    even_like also admits leader 0 (the even-like cyclic subcode).  Each
+    verdict is one coverage pass over the runs of the complement.
     """
-    n, r, rn = cyclotomic.family_parameters(q, m, family)
-    lm = _leaders(q, rn, r == 2)
-    start = 1 if r == 2 else 0
-    k_total = len({lm[x] for x in range(start, rn, r)})
-    in_t = [False] * n  # position p <-> residue start + r*p
-    t_leaders: set[int] = set()
-
-    def add_coset(exponent: int) -> None:
-        lead = lm[exponent % rn]
-        if lead in t_leaders:
-            return
-        t_leaders.add(lead)
-        x = lead
-        while True:
-            in_t[(x - start) // r] = True
-            x = x * q % rn
-            if x == lead:
-                break
-
-    if even_like:
-        add_coset(0)
-    grown = 0  # narrow-sense cosets C_{1+r*i} with i < grown are in
-    out: dict[int, bool] = {}
-    for delta in sorted(set(deltas)):
-        while grown < delta - 1:
-            add_coset(1 + r * grown)
-            grown += 1
-        out[delta] = _coverage_verdict(in_t, lm, k_total - len(t_leaders),
-                                       start, r, n)
-    return [out[d] for d in deltas]
+    _, r, rn = cyclotomic.family_parameters(q, m, family)
+    if even_like and r == 2:
+        raise BadFamilyParams("even_like applies to the cyclic family only")
+    lead = cyclotomic.leader_map(q, rn, r == 2)
+    is_leader = lead == np.arange(r - 1, rn, r)
+    out = []
+    for delta in deltas:
+        # the exponents 1, ..., delta - 1 reach 0 mod rn once delta > rn
+        lo = 0 if even_like or delta > rn else 1
+        hi = 1 + r * (delta - 2)
+        out.append(_coverage_verdict(lead, is_leader, (lead >= lo) &
+                                     (lead <= hi), rn))
+    return out
 
 
-def _coverage_verdict(in_t: list[bool], lm: dict[int, int], k: int,
-                      start: int, r: int, n: int) -> bool:
+def _coverage_verdict(lead: np.ndarray, is_leader: np.ndarray,
+                      in_t: np.ndarray, rn: int) -> bool:
+    """Does one circular run of positions outside T meet every coset there?"""
+    outside = ~in_t
+    k = int(np.count_nonzero(is_leader & outside))
     if k == 0:
         raise EmptySet("dual defining set is empty at this delta")
-    if True not in in_t:
+    members = len(in_t) - int(np.count_nonzero(outside))
+    if members == 0:
         return True  # dual is the whole class: one run covers everything
-    off = in_t.index(True)
-    cur: set[int] = set()
-    for i in range(n):
-        p = (off + i) % n
-        if in_t[p]:
-            if len(cur) == k:
-                return True
-            if cur:
-                cur = set()
-        else:
-            cur.add(lm[start + r * p])
-    return len(cur) == k
+    # label each run by the T positions before it; the tail wraps to run 0
+    run = np.cumsum(in_t) % members
+    pairs = np.sort(run[outside] * rn + lead[outside])
+    first = np.ones(len(pairs), dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    return int(np.bincount(pairs[first] // rn).max()) == k
 
 
 # ---------------------------------------------------------------------------

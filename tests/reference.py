@@ -6,11 +6,13 @@ Gray walk of `_distance_block` for minimum distances.  The functions here
 answer the same questions the slow, obvious way: directly on one dual
 defining set, with certificates (the witness window (b, delta') or an
 uncovered counterexample residue), or one codeword per step of the Gray
-walk.  They deliberately share no code with `bchlab.oracle`; only the
-coset combinatorics of `bchlab.cyclotomic` and the field arithmetic of
-`bchlab.finite_field` are common.  `field_tables_reference` builds, one
-polynomial multiplication per element, the exp/log tables that `FieldCtx`
-fills by doubling.
+walk.  They deliberately share no code with `bchlab.oracle`, nor with the
+array leader map of `bchlab.cyclotomic`: `leader_map_reference` walks
+each orbit once into a dict, and the references read that.  Only the
+coset combinatorics and `DefiningSet` of `bchlab.cyclotomic` and the field
+arithmetic of `bchlab.finite_field` are common.  `field_tables_reference`
+builds, one polynomial multiplication per element, the exp/log tables
+that `FieldCtx` fills by doubling.
 """
 
 from __future__ import annotations
@@ -21,11 +23,40 @@ import numpy as np
 
 from bchlab import cyclotomic
 from bchlab.cyclotomic import DefiningSet
-from bchlab.errors import EmptySet
+from bchlab.errors import BadFamilyParams, EmptySet
 
 
 class AnchorNotInDual(ValueError):
     """Gap scan anchor residue is not in the dual defining set."""
+
+
+# ---------------------------------------------------------------------------
+# leader maps, one orbit walk per coset
+
+
+def leader_map_reference(q: int, n: int,
+                         odd_only: bool = False) -> dict[int, int]:
+    """Map each residue of the class to its coset leader, one O(n) sweep.
+
+    odd_only restricts to the class 1 + 2 Z_n (n must then be even).
+    """
+    cyclotomic._check_coprime(q, n)
+    if odd_only and n % 2:
+        raise BadFamilyParams("odd residue class needs an even modulus")
+    leaders: dict[int, int] = {}
+    start, step = (1, 2) if odd_only else (0, 1)
+    for x in range(start, n, step):
+        if x in leaders:
+            continue
+        orbit = [x]
+        y = x * q % n
+        while y != x:
+            orbit.append(y)
+            y = y * q % n
+        lead = min(orbit)
+        for y in orbit:
+            leaders[y] = lead
+    return leaders
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +74,8 @@ def gap_scan(tperp: DefiningSet, anchor: int | None = None,
     two_sided.  AnchorNotInDual if the anchor is not in T_perp.
     """
     if anchor is None:
-        anchor = max(cyclotomic.leader_map(tperp.q, tperp.modulus,
-                                           tperp.r == 2).values())
+        anchor = max(leader_map_reference(tperp.q, tperp.modulus,
+                                          tperp.r == 2).values())
     if anchor not in tperp.residues:
         raise AnchorNotInDual(f"anchor {anchor} is not in the dual set")
     rn, r = tperp.modulus, tperp.r
@@ -97,7 +128,7 @@ def dually_bch_oracle(tperp: DefiningSet) -> DuallyVerdict:
     """
     if not tperp.residues:
         raise EmptySet("dually-BCH search needs a nonempty dual set")
-    lm = cyclotomic.leader_map(tperp.q, tperp.modulus, tperp.r == 2)
+    lm = leader_map_reference(tperp.q, tperp.modulus, tperp.r == 2)
     in_set = tperp.residues
     k = len({lm[x] for x in in_set})
     rn, r = tperp.modulus, tperp.r

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -11,9 +13,9 @@ import pytest
 from bchlab import cli
 
 
-def run_cli(*args):
+def run_cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "bchlab.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, **kwargs)
 
 
 def run_json(*args, expect_code=0):
@@ -49,6 +51,21 @@ def test_cosets_noncoprime_is_an_error():
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "NotCoprime"
         assert proc.stdout == ""
+
+
+def _limit_address_space():
+    # a size guard that stopped working then fails fast with a MemoryError
+    # instead of filling the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+
+def test_large_class_is_a_json_error():
+    for args in [("cosets", "3", "1000000000000"), ("leaders", "3", "30"),
+                 ("sweep", "3", "30", "negacyclic")]:
+        proc = run_cli(*args, timeout=120, preexec_fn=_limit_address_space)
+        assert proc.returncode == 1, args
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"]["type"] == "ClassTooLarge"
 
 
 def test_leaders_agreement_and_unsupported():
@@ -236,6 +253,22 @@ def test_sweep_csv():
     c32 = [r for r in rows if r["family"] == "cyclic" and r["m"] == "2"]
     assert [(r["delta"], r["formula_bound"]) for r in c32] == \
         [("2", "4"), ("3", "2"), ("4", "2"), ("5", "2")]
+
+
+RECORDED = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "reference.json")
+
+
+def test_sweep_matches_recorded_reference(capsys):
+    # the benchmark's sweep jobs, against the stdout recorded on the seed
+    # commit (the file is only read)
+    with open(RECORDED, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    for job, args in [("sweep-grid", ("3,5,7,11", "2,3,4,5", "both")),
+                      ("sweep-q3-m10-11", ("3", "10,11", "both")),
+                      ("sweep-q7-m6", ("7", "6", "both"))]:
+        assert cli.main(["sweep", *args]) == recorded[job]["exit"] == 0
+        assert capsys.readouterr().out == recorded[job]["stdout"], job
 
 
 def test_sweep_skips_invalid_family_combo():

@@ -1,11 +1,15 @@
 """Cyclotomic cosets, leaders, and defining sets against hand-checked cases."""
 
+import numpy as np
 import pytest
 
 from bchlab import cyclotomic as cy
 from bchlab.cyclotomic import CYCLIC, NEGACYCLIC, DefiningSet
-from bchlab.errors import (AsymmetricSet, BadDelta, BadFamilyParams, EmptySet,
-                           NotCoprime, NotEnoughCosets)
+from bchlab.errors import (AsymmetricSet, BadDelta, BadFamilyParams,
+                           BCHLabError, ClassTooLarge, EmptySet, NotCoprime,
+                           NotEnoughCosets)
+
+import reference as ref
 
 # hand-checked: cosets of 3 mod 10 are {0}, {1,3,9,7}, {2,6,8,4}, {5}
 MOD10_LEADERS = [0, 1, 2, 5]
@@ -43,21 +47,56 @@ def test_coset_hand_values():
 
 
 def test_leader_map_matches_cosets():
+    # position p of the cyclic class holds the leader of residue p
     for q, n in [(3, 10), (3, 28), (5, 26), (7, 50)]:
         lm = cy.leader_map(q, n)
-        assert set(lm) == set(range(n))
+        assert lm.dtype == np.int64
+        assert len(lm) == n
         for x in range(n):
             assert lm[x] == min(cy.coset(x, q, n))
 
 
 def test_leader_map_odd_only():
+    # position p of the odd class holds the leader of residue 1 + 2p
     lm = cy.leader_map(3, 28, odd_only=True)
-    assert set(lm) == set(range(1, 28, 2))
+    assert len(lm) == 14
     for lead, orbit in ODD28.items():
         for x in orbit:
-            assert lm[x] == lead
+            assert lm[(x - 1) // 2] == lead
     with pytest.raises(BadFamilyParams):
         cy.leader_map(3, 13, odd_only=True)
+
+
+def test_leader_map_matches_reference():
+    cases = [(3, 10, False), (3, 28, True), (5, 26, False), (7, 50, False),
+             (3, 1, False), (3, 2, False), (1, 10, False), (2, 1001, False),
+             (10, 7, False)]
+    cases += [(q, q**m + 1, odd) for q, m in [(3, 5), (7, 3), (11, 3)]
+              for odd in (False, True)]
+    for q, n, odd in cases:
+        want = ref.leader_map_reference(q, n, odd)
+        residues = range(1, n, 2) if odd else range(n)
+        got = cy.leader_map(q, n, odd)
+        assert got.dtype == np.int64
+        assert len(got) == len(want) == len(residues), (q, n, odd)
+        for p, x in enumerate(residues):
+            assert got[p] == want[x], (q, n, odd, x)
+
+
+def test_class_too_large(monkeypatch):
+    # the cap is checked before any array is allocated
+    monkeypatch.setattr(cy, "MAX_CLASS_RESIDUES", 100)
+    assert len(cy.leader_map(3, 100)) == 100
+    assert len(cy.leader_map(3, 200, odd_only=True)) == 100
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(np, "arange", no_alloc)
+    for n, odd in [(101, False), (202, True)]:
+        with pytest.raises(ClassTooLarge, match="101 residues"):
+            cy.leader_map(3, n, odd)
+    assert issubclass(ClassTooLarge, BCHLabError)
 
 
 def test_coset_leaders_and_kth_largest():

@@ -21,7 +21,8 @@ from bchlab import finite_field as ff
 from bchlab import oracle as orc
 from bchlab import poly_linalg as pl
 from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
-from bchlab.errors import EmptySet, SearchBudgetExceeded, TooManyCodewords
+from bchlab.errors import (BadFamilyParams, EmptySet, SearchBudgetExceeded,
+                           TooManyCodewords)
 
 import reference as ref
 from grid_utils import STRUCTURAL_INSTANCES, profile, realized
@@ -158,6 +159,20 @@ def test_dually_sweep_matches_fast_engine():
 def test_dually_sweep_empty_dual():
     with pytest.raises(EmptySet):
         orc.dually_sweep(3, 2, CYCLIC, [10], even_like=True)
+
+
+def test_coverage_verdict_wraps_the_tail_run():
+    # T is position 2 alone, so positions 3, 4, 0, 1 form one circular
+    # run; the sets built here are symmetric, so no sweep needs the wrap
+    lead = np.array([10, 11, 12, 13, 14])
+    in_t = np.arange(5) == 2
+    assert orc._coverage_verdict(lead, np.ones(5, dtype=bool), in_t, 15)
+
+
+def test_dually_sweep_even_like_is_cyclic_only():
+    # the odd class has no coset of 0 to add
+    with pytest.raises(BadFamilyParams):
+        orc.dually_sweep(3, 3, NEGACYCLIC, [2], even_like=True)
 
 
 def weight(word):
@@ -497,9 +512,13 @@ def test_check_bound_report_gaps_match_gap_scan():
 
 
 def test_reference_does_not_import_the_oracle():
+    # nor the production leader map: the references build their own
     with open(ref.__file__) as fh:
         tree = ast.parse(fh.read())
     for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "leader_map", ast.unparse(node)
+            continue
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -509,4 +528,5 @@ def test_reference_does_not_import_the_oracle():
             continue
         assert not any(name == "bchlab.oracle"
                        or name.startswith("bchlab.oracle.")
+                       or name == "bchlab.cyclotomic.leader_map"
                        for name in names), names
