@@ -10,8 +10,10 @@ from .closed_forms import (
     FormulaCase,
     GapPair,
     delta_leaders_formula,
+    dual_bound,
     dual_bound_cyclic,
     dual_bound_negacyclic,
+    dually_bch,
     dually_bch_even_like,
     dually_bch_negacyclic,
     i_delta_cyclic,

@@ -202,11 +202,8 @@ def _case_dict(case) -> dict:
 
 
 def _cmd_bound(args) -> int:
-    if args.family == CYCLIC:
-        report = closed_forms.dual_bound_cyclic(args.q, args.m, args.delta)
-    else:
-        report = closed_forms.dual_bound_negacyclic(args.q, args.m,
-                                                    args.delta)
+    report = closed_forms.dual_bound(args.q, args.m, args.family,
+                                     args.delta)
     if not args.no_oracle:
         oracle.check_bound_report(report)
     payload = {"schema": 1, "command": "bound", "q": args.q, "m": args.m,
@@ -254,12 +251,8 @@ def _cmd_dually(args) -> int:
     rows = []
     for idx, delta in enumerate(deltas):
         try:
-            if args.family == CYCLIC:
-                formula = closed_forms.dually_bch_even_like(args.q, args.m,
-                                                            delta)
-            else:
-                formula = closed_forms.dually_bch_negacyclic(args.q, args.m,
-                                                             delta)
+            formula = closed_forms.dually_bch(args.q, args.m, args.family,
+                                              delta)
         except (UnsupportedM, UnsupportedQ) as exc:
             formula = f"unsupported ({type(exc).__name__})"
         row = {"delta": str(delta), "formula": formula}
@@ -332,7 +325,8 @@ def _sweep_deltas(max_delta: int) -> tuple[list[int], str]:
     return picks, "sample"
 
 
-def _sweep_point(writer, q: int, m: int, family: str) -> None:
+def _sweep_point(q: int, m: int, family: str) -> list[list[str]]:
+    rows = []
     profile = oracle.gap_profile(q, m, family)
     deltas, mode = _sweep_deltas(profile.max_delta)
     dually = oracle.dually_sweep(q, m, family, deltas,
@@ -341,10 +335,7 @@ def _sweep_point(writer, q: int, m: int, family: str) -> None:
         cells = {"family": family, "q": q, "m": m, "delta": delta,
                  "n": profile.n, "mode": mode}
         try:
-            if family == CYCLIC:
-                report = closed_forms.dual_bound_cyclic(q, m, delta)
-            else:
-                report = closed_forms.dual_bound_negacyclic(q, m, delta)
+            report = closed_forms.dual_bound(q, m, family, delta)
             cells["formula_gap_low"] = report.gap_low
             cells["formula_gap_high"] = report.gap_high
             cells["formula_bound"] = report.lower_bound
@@ -359,16 +350,14 @@ def _sweep_point(writer, q: int, m: int, family: str) -> None:
             cells["gaps_agree"] = (report.gap_low == low
                                    and report.gap_high == high)
         try:
-            if family == CYCLIC:
-                formula = closed_forms.dually_bch_even_like(q, m, delta)
-            else:
-                formula = closed_forms.dually_bch_negacyclic(q, m, delta)
+            formula = closed_forms.dually_bch(q, m, family, delta)
             cells["dually_formula"] = formula
             cells["dually_agree"] = formula == dual_oracle
         except (UnsupportedM, UnsupportedQ):
             pass
         cells["dually_oracle"] = dual_oracle
-        writer.writerow([_csv_cell(cells.get(col)) for col in _SWEEP_COLUMNS])
+        rows.append([_csv_cell(cells.get(col)) for col in _SWEEP_COLUMNS])
+    return rows
 
 
 def _csv_cell(value):
@@ -383,8 +372,7 @@ def _csv_cell(value):
 
 def _cmd_sweep(args) -> int:
     families = [args.family] if args.family != "both" else list(FAMILIES)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(_SWEEP_COLUMNS)
+    rows = []  # all computed first: a failing cell leaves stdout empty
     for family in families:
         for q in args.q_list:
             for m in args.m_list:
@@ -392,7 +380,10 @@ def _cmd_sweep(args) -> int:
                     cyclotomic.family_parameters(q, m, family)
                 except BCHLabError:
                     continue  # family undefined at this point, e.g. q=5 odd
-                _sweep_point(writer, q, m, family)
+                rows.extend(_sweep_point(q, m, family))
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(_SWEEP_COLUMNS)
+    writer.writerows(rows)
     return 0
 
 

@@ -584,3 +584,22 @@ def dually_bch_negacyclic(q: int, m: int, delta: int) -> bool:
     if m == 2:
         return delta == 2 or (phi2 + 3) // 2 <= delta < hi
     return (phi2 + 3) // 2 <= delta < hi
+
+
+def dual_bound(q: int, m: int, family: str, delta: int) -> BoundReport:
+    """dual_bound_cyclic or dual_bound_negacyclic, by family."""
+    if family == CYCLIC:
+        return dual_bound_cyclic(q, m, delta)
+    if family == NEGACYCLIC:
+        return dual_bound_negacyclic(q, m, delta)
+    raise BadFamilyParams(f"unknown family {family!r}")
+
+
+def dually_bch(q: int, m: int, family: str, delta: int) -> bool:
+    """dually_bch_even_like (the cyclic closed form is for the even-like
+    subcode) or dually_bch_negacyclic, by family."""
+    if family == CYCLIC:
+        return dually_bch_even_like(q, m, delta)
+    if family == NEGACYCLIC:
+        return dually_bch_negacyclic(q, m, delta)
+    raise BadFamilyParams(f"unknown family {family!r}")

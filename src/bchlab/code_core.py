@@ -151,24 +151,23 @@ def dual_code(inst: CodeInstance) -> CodeInstance:
 
 
 def _check_orthogonal(a: CodeInstance, b: CodeInstance) -> None:
+    """Assert that every row of a's generator matrix is orthogonal to b's.
+
+    With e_t = p^t (the basis element x^t) and y = sum_t y_t e_t by
+    base-p digits, x*y = sum_t y_t (x e_t).  So digit plane s of an
+    inner product is sum_t <digit_s(row_a * e_t), digit_t(row_b)> mod p:
+    table lookups, then one integer matrix product per pair of planes.
+    """
     ga, gb = generator_matrix(a), generator_matrix(b)
-    ctx = a.field
-    if ctx.k == 1:
-        prod = ga @ gb.T % ctx.p
-        ok = not prod.any()
-    else:
-        ok = True
-        for ra in ga:
-            for rb in gb:
-                acc = 0
-                for x, y in zip(ra.tolist(), rb.tolist()):
-                    acc = ctx.add(acc, ctx.mul(x, y))
-                if acc:
-                    ok = False
-                    break
-            if not ok:
-                break
-    assert ok, "generator matrices of code and dual are not orthogonal"
+    p, kf = a.field.p, a.field.k
+    mul = a.field.symbol_tables()[1]
+    places = [p ** t for t in range(kf)]
+    gb_digits = [gb // e % p for e in places]
+    for s in places:
+        digit = mul // s % p  # digit plane s of every product
+        plane = sum(digit[ga, e] @ bt.T for e, bt in zip(places, gb_digits))
+        assert not (plane % p).any(), \
+            "generator matrices of code and dual are not orthogonal"
 
 
 def bch_bound(t: DefiningSet) -> int:

@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from .errors import (
+    BCHLabError,
     DivisionByZero,
     FactorizationTooLarge,
     OrderNotDividing,
@@ -126,6 +127,7 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over F_p (int coefficient lists, ascending)
+# not merged into poly_linalg: on get_field(p, 1) that doubled _find_generator
 
 
 def _pmod_trim(a: list[int]) -> list[int]:
@@ -231,8 +233,7 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldCtx:
     """Arithmetic context for F_{p^k} with int-coded elements."""
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None,
-                 table_cap: int = TABLE_CAP):
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None):
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if k < 1:
@@ -250,8 +251,9 @@ class FieldCtx:
         self.modulus = modulus
         self.exp: list[int] | None = None
         self.log: list[int | None] | None = None
+        self._symbols: tuple[np.ndarray, ...] | None = None
         self.generator = self._find_generator()
-        if self.order <= table_cap:
+        if self.order <= TABLE_CAP:
             self._build_tables()
 
     # -- representation ----------------------------------------------------
@@ -342,6 +344,35 @@ class FieldCtx:
             b = self._mul_poly(b, b)
             e >>= 1
         return result
+
+    def symbol_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     np.ndarray]:
+        """(add, mul, neg, inv) as read-only int64 code arrays, built once.
+
+        add and mul are q x q tables, neg and inv vectors of length q
+        (inv[0] = 0).  They are meant for the symbol field of a code:
+        raises BCHLabError, before allocating, when q^2 > TABLE_CAP.
+        """
+        if self._symbols is None:
+            q, p = self.order, self.p
+            if q * q > TABLE_CAP:
+                raise BCHLabError(
+                    f"symbol tables of F_{q} would hold {q * q} entries, "
+                    f"over TABLE_CAP = {TABLE_CAP}")
+            place = p ** np.arange(self.k, dtype=np.int64)
+            digits = np.arange(q, dtype=np.int64)[:, None] // place % p
+            add = (digits[:, None] + digits[None, :]) % p @ place
+            neg = (-digits % p) @ place
+            exp = np.array(self.exp, dtype=np.int64)
+            log = np.array([0] + self.log[1:], dtype=np.int64)
+            mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+            mul[0, :] = mul[:, 0] = 0
+            inv = exp[-log % (q - 1)]
+            inv[0] = 0
+            for table in (add, mul, neg, inv):
+                table.flags.writeable = False
+            self._symbols = (add, mul, neg, inv)
+        return self._symbols
 
     # -- construction helpers ----------------------------------------------
 

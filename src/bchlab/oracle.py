@@ -139,20 +139,14 @@ class DistanceResult:
     enumerated: int
 
 
-def _mul_table(field) -> np.ndarray:
-    """q x q table of field.mul, for the field the code is over."""
-    q = field.order
-    return np.array([[field.mul(c, x) for x in range(q)] for c in range(q)])
-
-
 def _distance_block(p: int, kf: int, mul: np.ndarray, rows: list[list[int]],
                     start: int, stop: int) -> tuple[int, int, list[int]]:
     """Best (weight, index, word) over Gray positions [start, stop).
 
     Position i has base-q digits d_0, d_1, ... and message digits
     g_j = (d_j - d_{j+1}) mod q, taken as integer codes: digit c
-    contributes the field multiple mul[c, row_j], from the _mul_table of
-    the code's own field (whatever its modulus).  Words are held as
+    contributes the field multiple mul[c, row_j], from the symbol tables
+    of the code's own field (whatever its modulus).  Words are held as
     base-p digit vectors (kf digit planes of length n), on which field
     addition is digit-wise addition mod p.
 
@@ -250,7 +244,7 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
             f"{total} codewords exceeds cap {cap}; "
             "enumerate the dual side instead")
     rows = [[int(c) for c in row] for row in gen]
-    mul = _mul_table(field)
+    mul = field.symbol_tables()[1]
     blocks = _walk_split(total, workers)
     if len(blocks) == 1:
         results = [_distance_block(field.p, field.k, mul, rows, *blocks[0])]
@@ -294,6 +288,7 @@ def min_distance_via_checks(checks: np.ndarray, field,
     """
     rows, n = checks.shape
     cols = [[int(checks[i][j]) for i in range(rows)] for j in range(n)]
+    add, mul, neg, inv = (t.tolist() for t in field.symbol_tables())
     limit = max_weight if max_weight is not None else n
     nodes = 0
     for w in range(1, limit + 1):
@@ -322,15 +317,14 @@ def min_distance_via_checks(checks: np.ndarray, field,
                         f"check-matrix search visited {nodes} nodes, over "
                         f"MAX_CHECK_NODES = {MAX_CHECK_NODES}, at support "
                         f"size w = {w} (of at most {limit})")
-                col = _reduce_col(cols[idx], pivots, field)
+                col = _reduce_col(cols[idx], pivots, add, mul, neg)
                 lead = next((i for i, c in enumerate(col) if c), None)
                 if lead is None:
                     support.append(idx)
                     return list(support)
                 if depth + 1 < w:
-                    inv = field.inv(col[lead])
-                    norm = [field.mul(inv, c) for c in col]
-                    pivots.append((lead, norm))
+                    scale = mul[inv[col[lead]]]
+                    pivots.append((lead, [scale[c] for c in col]))
                     new_gap = max(gap, idx - support[-1]) if support else 0
                     support.append(idx)
                     found = dfs(idx + 1, new_gap)
@@ -342,38 +336,35 @@ def min_distance_via_checks(checks: np.ndarray, field,
 
         found = dfs(0, 0)
         if found is not None:
-            word = _dependency_word(found, cols, field, n)
+            word = _dependency_word(found, cols, (add, mul, neg, inv), n)
             prod = [0] * rows
             for j in found:
-                for i in range(rows):
-                    prod[i] = field.add(prod[i],
-                                        field.mul(cols[j][i], word[j]))
+                scale = mul[word[j]]
+                prod = [add[a][scale[c]] for a, c in zip(prod, cols[j])]
             assert not any(prod), "reconstructed word fails the checks"
             return DistanceResult(w, tuple(word), nodes)
     raise EmptySet(f"no dependent column subset of size <= {limit}")
 
 
 def _reduce_col(col: list[int], pivots: list[tuple[int, list[int]]],
-                field) -> list[int]:
-    out = list(col)
-    if field.k == 1:
-        p = field.p
-        for lead, piv in pivots:
-            f = out[lead]
-            if f:
-                out = [(a - f * b) % p for a, b in zip(out, piv)]
-    else:
-        for lead, piv in pivots:
-            f = out[lead]
-            if f:
-                out = [field.sub(a, field.mul(f, b))
-                       for a, b in zip(out, piv)]
-    return out
+                add: list[list[int]], mul: list[list[int]],
+                neg: list[int]) -> list[int]:
+    """col minus its pivot-row multiples, by symbol-table lookups."""
+    for lead, piv in pivots:
+        f = col[lead]
+        if f:
+            scale = mul[neg[f]]
+            col = [add[a][scale[b]] for a, b in zip(col, piv)]
+    return col
 
 
-def _dependency_word(support: list[int], cols: list[list[int]], field,
+def _dependency_word(support: list[int], cols: list[list[int]], tables,
                      n: int) -> list[int]:
-    """Solve for coefficients putting the support columns in dependence."""
+    """Solve for coefficients putting the support columns in dependence.
+
+    tables are the field's symbol tables (add, mul, neg, inv) as lists.
+    """
+    add, mul, neg, inv = tables
     w = len(support)
     rows = len(cols[0])
     mat = [[cols[j][i] for j in support] for i in range(rows)]
@@ -385,12 +376,12 @@ def _dependency_word(support: list[int], cols: list[list[int]], field,
         if sel is None:
             continue
         mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = field.inv(mat[rank][j])
-        mat[rank] = [field.mul(inv, c) for c in mat[rank]]
+        scale = mul[inv[mat[rank][j]]]
+        mat[rank] = [scale[c] for c in mat[rank]]
         for i in range(rows):
             if i != rank and mat[i][j]:
-                f = mat[i][j]
-                mat[i] = [field.sub(a, field.mul(f, b))
+                scale = mul[neg[mat[i][j]]]
+                mat[i] = [add[a][scale[b]]
                           for a, b in zip(mat[i], mat[rank])]
         pivots.append(j)
         rank += 1
@@ -398,7 +389,7 @@ def _dependency_word(support: list[int], cols: list[list[int]], field,
     coeff = [0] * w
     coeff[free] = 1
     for i, j in enumerate(pivots):
-        coeff[j] = field.neg(mat[i][free])
+        coeff[j] = neg[mat[i][free]]
     word = [0] * n
     for j, c in zip(support, coeff):
         word[j] = c

@@ -106,53 +106,27 @@ def minimal_polynomial(elem: int, big: FieldCtx, small: FieldCtx) -> list[int]:
 
 
 def rank(matrix, ctx: FieldCtx) -> int:
-    """Rank over the field; vectorized for prime fields."""
-    rows = [list(map(int, row)) for row in matrix]
-    if not rows:
+    """Rank over the field, by row reduction on its symbol tables."""
+    add, mul, neg, inv = ctx.symbol_tables()
+    a = np.array(matrix, dtype=np.int64)
+    if a.size == 0:
         return 0
-    if ctx.k == 1:
-        return _rank_prime(np.array(rows, dtype=np.int64), ctx.p)
-    return _rank_generic(rows, ctx)
-
-
-def _rank_prime(a: np.ndarray, p: int) -> int:
-    a = a % p
+    if a.min() < 0 or a.max() >= ctx.order:
+        raise ValueError(f"matrix entries must be codes in [0, {ctx.order})")
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
-        col = a[r + 1:, c]
-        hot = np.nonzero(col)[0]
+        a[r] = mul[inv[a[r, c]], a[r]]
+        hot = r + 1 + np.flatnonzero(a[r + 1:, c])
         if hot.size:
-            a[r + 1 + hot] = (a[r + 1 + hot] - np.outer(col[hot], a[r])) % p
-        r += 1
-    return r
-
-
-def _rank_generic(rows: list[list[int]], ctx: FieldCtx) -> int:
-    nrows, ncols = len(rows), len(rows[0])
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ctx.inv(rows[r][c])
-        rows[r] = [ctx.mul(inv, v) for v in rows[r]]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if f:
-                rows[i] = [ctx.sub(vi, ctx.mul(f, vr))
-                           for vi, vr in zip(rows[i], rows[r])]
+            a[hot] = add[a[hot], mul[neg[a[hot, c]][:, None], a[r]]]
         r += 1
     return r

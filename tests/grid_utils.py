@@ -2,10 +2,12 @@
 
 Heavy artifacts (gap profiles, verification reports, distance computations)
 are cached at module level so the grid tests and the acceptance suite can
-consume the same results without recomputing them.
+consume the same results without recomputing them.  `checkout_env` is the
+environment for CLI subprocesses.
 """
 
 import functools
+import os
 
 from bchlab import closed_forms, code_core, cyclotomic, examples, oracle
 from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
@@ -29,6 +31,21 @@ STRUCTURAL_INSTANCES = (
     (7, 2, NEGACYCLIC, 2), (7, 2, NEGACYCLIC, 6),
     (7, 3, NEGACYCLIC, 2), (11, 2, NEGACYCLIC, 2),
 )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def checkout_env() -> dict[str, str]:
+    """The caller's environment with this checkout's src first on PYTHONPATH.
+
+    A `python -m bchlab.cli` subprocess then runs the code under test,
+    not whatever bchlab the caller's environment would import.
+    """
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,8 @@ each orbit once into a dict, and the references read that.  Only the
 coset combinatorics and `DefiningSet` of `bchlab.cyclotomic` and the field
 arithmetic of `bchlab.finite_field` are common.  `field_tables_reference`
 builds, one polynomial multiplication per element, the exp/log tables
-that `FieldCtx` fills by doubling.
+that `FieldCtx` fills by doubling, and `rank_reference` reduces rows
+with the scalar `FieldCtx` calls instead of the symbol tables.
 """
 
 from __future__ import annotations
@@ -277,3 +278,28 @@ def field_tables_reference(ctx) -> tuple[list[int], list[int | None]]:
         x = ctx._mul_poly(x, ctx.generator) if ctx.k > 1 \
             else x * ctx.generator % ctx.p
     return exp, log
+
+
+# ---------------------------------------------------------------------------
+# rank, one scalar field operation per entry
+
+
+def rank_reference(rows: list[list[int]], ctx) -> int:
+    nrows, ncols = len(rows), len(rows[0])
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ctx.inv(rows[r][c])
+        rows[r] = [ctx.mul(inv, v) for v in rows[r]]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f:
+                rows[i] = [ctx.sub(vi, ctx.mul(f, vr))
+                           for vi, vr in zip(rows[i], rows[r])]
+        r += 1
+    return r

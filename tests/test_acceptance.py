@@ -220,10 +220,11 @@ def test_criterion_6_structural_invariants():
 
 def test_criterion_7_determinism():
     base = [sys.executable, "-m", "bchlab.cli", "verify", "--all"]
-    first = subprocess.run(base, capture_output=True, text=True)
-    second = subprocess.run(base, capture_output=True, text=True)
+    env = grid_utils.checkout_env()
+    first = subprocess.run(base, capture_output=True, text=True, env=env)
+    second = subprocess.run(base, capture_output=True, text=True, env=env)
     third = subprocess.run(base + ["--workers", "2"],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, env=env)
     errors = []
     if first.stdout != second.stdout:
         errors.append("two identical runs differ")

@@ -12,10 +12,13 @@ import pytest
 
 from bchlab import cli
 
+from grid_utils import checkout_env
+
 
 def run_cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "bchlab.cli", *args],
-                          capture_output=True, text=True, **kwargs)
+                          capture_output=True, text=True, env=checkout_env(),
+                          **kwargs)
 
 
 def run_json(*args, expect_code=0):
@@ -66,6 +69,7 @@ def test_large_class_is_a_json_error():
         assert proc.returncode == 1, args
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["error"]["type"] == "ClassTooLarge"
+        assert proc.stdout == "", args  # no header-only CSV from sweep
 
 
 def test_leaders_agreement_and_unsupported():

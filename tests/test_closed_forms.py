@@ -9,7 +9,9 @@ is caught with an exact diff).
 import pytest
 
 from bchlab import closed_forms as cf
-from bchlab.errors import DeltaOutOfRange, Phi3Unavailable, UnsupportedM
+from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
+from bchlab.errors import (BadFamilyParams, DeltaOutOfRange, Phi3Unavailable,
+                           UnsupportedM)
 
 
 def expand(runs):
@@ -91,6 +93,10 @@ def test_dual_bound_cyclic():
     assert cf.dual_bound_cyclic(3, 2, 3).lower_bound == 2
     assert cf.dual_bound_cyclic(5, 2, 2).lower_bound == 16
     assert cf.dual_bound_cyclic(5, 2, 8).lower_bound == 4
+    assert cf.dual_bound(5, 2, CYCLIC, 8) == cf.dual_bound_cyclic(5, 2, 8)
+    for fn in (cf.dual_bound, cf.dually_bch):
+        with pytest.raises(BadFamilyParams):
+            fn(3, 2, "quasicyclic", 2)
 
 
 # negacyclic gap/bound vectors: (low runs, high runs, bound runs); a None
@@ -134,6 +140,7 @@ def test_neg_gaps_vectors():
             rep = cf.dual_bound_negacyclic(q, m, d)
             assert rep.lower_bound == want_bound[d], (q, m, d)
             assert (rep.gap_low, rep.gap_high) == (pair.low.value, got_high)
+            assert cf.dual_bound(q, m, NEGACYCLIC, d) == rep
         top = max(want_low)
         with pytest.raises(DeltaOutOfRange):
             cf.neg_gaps(q, m, top + 1)
@@ -185,6 +192,7 @@ def test_dually_bch_even_like():
                 for d in range(2, delta1 + 1)}
         got = {d: cf.dually_bch_even_like(q, m, d) for d in want}
         assert got == want, (q, m)
+        assert {d: cf.dually_bch(q, m, CYCLIC, d) for d in want} == want
         with pytest.raises(DeltaOutOfRange):
             cf.dually_bch_even_like(q, m, delta1 + 1)
     with pytest.raises(UnsupportedM):
@@ -199,6 +207,7 @@ def test_dually_bch_negacyclic():
                 for d in range(2, top + 1)}
         got = {d: cf.dually_bch_negacyclic(q, m, d) for d in want}
         assert got == want, (q, m)
+        assert {d: cf.dually_bch(q, m, NEGACYCLIC, d) for d in want} == want
         with pytest.raises(DeltaOutOfRange):
             cf.dually_bch_negacyclic(q, m, top + 1)
     # q^m < 25: the predicate needs phi3, which does not exist

@@ -154,6 +154,31 @@ def test_dual_code_orthogonality():
         assert matrix_product_is_zero(g, h, inst.field)
 
 
+@pytest.mark.parametrize("q,m,fam,d", [(7, 2, NEGACYCLIC, 3),
+                                       (9, 2, CYCLIC, 3)])
+def test_dual_code_rejects_a_perturbed_dual(monkeypatch, q, m, fam, d):
+    inst = realized(q, m, fam, d)
+    fld = inst.field
+    cc.dual_code(inst)
+    # column 0 of G holds only g_0 (row 0), so adding e to entry (0, 0)
+    # of the dual's matrix changes one inner product, by g_0 * e = t:
+    # t = p^s touches digit plane s alone
+    g0 = int(cc.generator_matrix(inst)[0, 0])
+    real = cc.generator_matrix
+    for s in range(fld.k):
+        e = fld.mul(fld.inv(g0), fld.p ** s)
+
+        def perturbed(code):
+            mat = real(code)
+            if code.spec is None:
+                mat[0, 0] = fld.add(int(mat[0, 0]), e)
+            return mat
+
+        monkeypatch.setattr(cc, "generator_matrix", perturbed)
+        with pytest.raises(AssertionError, match="not orthogonal"):
+            cc.dual_code(inst)
+
+
 def test_dual_code_has_no_spec():
     # the dual's defining set is a complement, not a (delta, b) window
     for q, m, fam, d in [(3, 3, NEGACYCLIC, 2), (9, 2, CYCLIC, 2),

@@ -2,10 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from bchlab import finite_field as ff
-from bchlab.errors import DivisionByZero, OrderNotDividing
+from bchlab.errors import BCHLabError, DivisionByZero, OrderNotDividing
 
 import reference as ref
 
@@ -125,6 +126,38 @@ def test_tables_match_reference(p, k, modulus):
         else ff.FieldCtx(p, k, modulus=modulus)
     assert modulus is None or ctx.modulus != ff.find_irreducible(p, k)
     assert (ctx.exp, ctx.log) == ref.field_tables_reference(ctx)
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (3, 1, None), (7, 1, None), (3, 2, None), (3, 2, (2, 2, 1)),
+    (5, 2, None), (3, 3, None), (7, 2, None)])
+def test_symbol_tables_match_scalar_arithmetic(p, k, modulus):
+    ctx = ff.FieldCtx(p, k, modulus=modulus)
+    tables = ctx.symbol_tables()
+    assert ctx.symbol_tables() is tables
+    add, mul, neg, inv = (t.tolist() for t in tables)
+    q = ctx.order
+    for t in tables:
+        assert t.dtype == np.int64 and not t.flags.writeable
+    assert (len(add), len(add[0]), len(neg), len(inv)) == (q, q, q, q)
+    for a in range(q):
+        assert neg[a] == ctx.neg(a)
+        assert inv[a] == (ctx.inv(a) if a else 0)
+        for b in range(q):
+            assert add[a][b] == ctx.add(a, b)
+            assert mul[a][b] == ctx.mul(a, b) == ctx._mul_poly(a, b)
+
+
+def test_symbol_tables_size_guard(monkeypatch):
+    ctx = ff.get_field(3, 7)  # q^2 = 4.8 M > TABLE_CAP
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(np, "arange", no_alloc)
+    monkeypatch.setattr(np, "array", no_alloc)
+    with pytest.raises(BCHLabError, match="TABLE_CAP"):
+        ctx.symbol_tables()
 
 
 def test_get_field_caches():

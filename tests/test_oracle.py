@@ -289,7 +289,7 @@ def test_block_walk_matches_reference(monkeypatch):
     one_block = 0
     for fld, rows in cases:
         end = fld.order ** len(rows)
-        mul = orc._mul_table(fld)
+        mul = fld.symbol_tables()[1]
         ranges = [(1, end)]
         for _ in range(3):
             lo = rng.randrange(1, end)
@@ -306,7 +306,7 @@ def test_block_walk_matches_reference(monkeypatch):
     for fld, rows in cases:
         end = fld.order ** len(rows)
         if end <= 20_000:
-            got = orc._distance_block(fld.p, fld.k, orc._mul_table(fld),
+            got = orc._distance_block(fld.p, fld.k, fld.symbol_tables()[1],
                                       rows, 1, end)
             assert got == ref.gray_walk_reference(fld, rows, 1, end)
 

@@ -9,6 +9,8 @@ from bchlab import finite_field as ff
 from bchlab import poly_linalg as pl
 from bchlab.errors import DivisionByZero
 
+import reference as ref
+
 
 def rand_poly(rng, ctx, max_deg):
     return pl.ptrim([rng.randrange(ctx.order)
@@ -131,3 +133,33 @@ def test_rank_extension_field():
     g2 = ctx.mul(g, g)
     assert pl.rank(np.array([[1, g], [g, g2]]), ctx) == 1
     assert pl.rank(np.array([[1, g], [0, 1]]), ctx) == 2
+
+
+@pytest.mark.parametrize("p,k,modulus", [(3, 1, None), (7, 1, None),
+                                         (3, 2, None), (3, 2, (2, 2, 1)),
+                                         (3, 3, None)])
+def test_rank_matches_reference(p, k, modulus):
+    ctx = ff.FieldCtx(p, k, modulus=modulus)
+    q = ctx.order
+    rng = random.Random(100 * p + k + len(modulus or ()))
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 9)
+        rand = [[rng.randrange(q) for _ in range(ncols)]
+                for _ in range(nrows)]
+        # every row a random combination of the first r rows
+        r = rng.randrange(min(nrows, ncols) + 1)
+        deficient = []
+        for _ in range(nrows):
+            row = [0] * ncols
+            for base in rand[:r]:
+                c = rng.randrange(q)
+                row = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(row, base)]
+            deficient.append(row)
+        for rows in (rand, deficient):
+            want = ref.rank_reference([row[:] for row in rows], ctx)
+            assert pl.rank(np.array(rows), ctx) == want
+            assert pl.rank(rows, ctx) == want
+        assert pl.rank(deficient, ctx) <= r
+    for bad in ([[q]], [[0, -1]]):
+        with pytest.raises(ValueError):
+            pl.rank(bad, ctx)
