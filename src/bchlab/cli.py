@@ -19,6 +19,7 @@ from . import closed_forms, code_core, cyclotomic, examples, oracle
 from .cyclotomic import CYCLIC, FAMILIES, NEGACYCLIC
 from .errors import (
     BCHLabError,
+    DeltaOutOfRange,
     ExtensionTooLarge,
     Phi3Unavailable,
     UnsupportedM,
@@ -246,20 +247,27 @@ def _cmd_dually(args) -> int:
     deltas = list(range(lo, hi + 1))
     verdicts = None
     if not args.no_oracle:
-        verdicts = oracle.dually_sweep(args.q, args.m, args.family, deltas,
-                                       even_like=even_like)
+        # past max_delta the dual defining set is empty: no verdict there
+        max_delta = oracle.gap_profile(args.q, args.m, args.family).max_delta
+        swept = [d for d in deltas if d <= max_delta]
+        verdicts = dict(zip(swept, oracle.dually_sweep(
+            args.q, args.m, args.family, swept, even_like=even_like)))
     rows = []
-    for idx, delta in enumerate(deltas):
+    for delta in deltas:
         try:
             formula = closed_forms.dually_bch(args.q, args.m, args.family,
                                               delta)
         except (UnsupportedM, UnsupportedQ) as exc:
             formula = f"unsupported ({type(exc).__name__})"
+        except DeltaOutOfRange:
+            formula = "undefined (DeltaOutOfRange)"
         row = {"delta": str(delta), "formula": formula}
         if verdicts is not None:
-            row["oracle"] = verdicts[idx]
-            row["agree"] = (formula == verdicts[idx]
-                            if isinstance(formula, bool) else None)
+            verdict = verdicts.get(delta, "undefined (EmptySet)")
+            row["oracle"] = verdict
+            row["agree"] = (formula == verdict
+                            if isinstance(formula, bool)
+                            and isinstance(verdict, bool) else None)
         rows.append(row)
     payload = {"schema": 1, "command": "dually", "q": args.q, "m": args.m,
                "family": args.family, "even_like": even_like, "rows": rows}

@@ -274,6 +274,15 @@ def min_distance_via_checks(checks: np.ndarray, field,
     found is a minimum-weight support; the returned word is solved from
     it and re-verified against the checks.
 
+    Each level holds the later columns already reduced against its
+    pivots, so a column is reduced once per level, not once per node.
+    The last two levels are settled by hashing: with r(j) column j
+    reduced against the support, {support, i, j} is dependent exactly
+    when r(j) = 0 or r(j) is a multiple of r(i), so columns scaled to a
+    unit leading entry are compared as keys, and each i costs O(1).
+    Their leaves are counted, not walked: `enumerated` is the number of
+    nodes a one-column-at-a-time search visits.
+
     shift_invariant asserts that the null space is closed under the
     cyclic coordinate shift, up to one sign per coordinate (a cyclic or
     negacyclic code in natural coordinate order).  A rotation of a word
@@ -292,12 +301,20 @@ def min_distance_via_checks(checks: np.ndarray, field,
     limit = max_weight if max_weight is not None else n
     nodes = 0
     for w in range(1, limit + 1):
-        pivots: list[tuple[int, list[int]]] = []
         support: list[int] = []
 
-        def dfs(lo: int, gap: int) -> list[int] | None:
-            # gap: the largest inner gap of the support so far
+        def visit(count: int) -> None:
             nonlocal nodes
+            if nodes + count > MAX_CHECK_NODES:
+                raise SearchBudgetExceeded(
+                    f"check-matrix search visited {MAX_CHECK_NODES + 1} "
+                    f"nodes, over MAX_CHECK_NODES = {MAX_CHECK_NODES}, at "
+                    f"support size w = {w} (of at most {limit})")
+            nodes += count
+
+        def dfs(lo: int, gap: int, red: list[list[int]]) -> list[int] | None:
+            # gap: the largest inner gap of the support so far;
+            # red[j - lo]: column j reduced against the support's pivots
             depth = len(support)
             rem = w - depth - 1  # columns still to choose after this one
             stop = n - rem
@@ -310,31 +327,82 @@ def min_distance_via_checks(checks: np.ndarray, field,
                     # both the largest gap so far and idx - prev
                     stop = min(stop, n - rem - gap + 1,
                                (n + prev - rem) // 2 + 1)
+            if rem == 1:
+                return pairs(lo, stop, gap, red)
             for idx in range(lo, stop):
-                nodes += 1
-                if nodes > MAX_CHECK_NODES:
-                    raise SearchBudgetExceeded(
-                        f"check-matrix search visited {nodes} nodes, over "
-                        f"MAX_CHECK_NODES = {MAX_CHECK_NODES}, at support "
-                        f"size w = {w} (of at most {limit})")
-                col = _reduce_col(cols[idx], pivots, add, mul, neg)
-                lead = next((i for i, c in enumerate(col) if c), None)
-                if lead is None:
+                visit(1)
+                col = red[idx - lo]
+                f = next(filter(None, col), 0)  # the leading entry
+                if not f:
                     support.append(idx)
                     return list(support)
-                if depth + 1 < w:
-                    scale = mul[inv[col[lead]]]
-                    pivots.append((lead, [scale[c] for c in col]))
+                if rem:
+                    lead = col.index(f)
+                    scale = mul[inv[f]]
+                    piv = [scale[c] for c in col]
                     new_gap = max(gap, idx - support[-1]) if support else 0
+                    # every deeper stop is at most n - new_gap + 1
+                    end = n - new_gap + 1 if shift_invariant else n
+                    child = []
+                    for col in red[idx + 1 - lo:end - lo]:
+                        if col[lead]:
+                            s = mul[neg[col[lead]]]
+                            col = [add[a][s[b]] for a, b in zip(col, piv)]
+                        child.append(col)
                     support.append(idx)
-                    found = dfs(idx + 1, new_gap)
+                    found = dfs(idx + 1, new_gap, child)
                     if found is not None:
                         return found
                     support.pop()
-                    pivots.pop()
             return None
 
-        found = dfs(0, 0)
+        def pairs(lo: int, stop: int, gap: int,
+                  red: list[list[int]]) -> list[int] | None:
+            # the last two columns i < j; keys[p] is red[p] scaled to a
+            # unit leading entry (None if zero), next_same[p] the next
+            # index with the same key and next_zero[p] the first zero
+            # column at index >= lo + p
+            if stop <= lo:
+                return None
+            if shift_invariant:  # no leaf index reaches (n + stop + 1) // 2
+                red = red[:(n + stop + 1) // 2 - lo]
+            keys: list[tuple[int, ...] | None] = []
+            for col in red:
+                lead = next(filter(None, col), 0)
+                keys.append(tuple(map(mul[inv[lead]].__getitem__, col))
+                            if lead else None)
+            next_same = [n] * len(red)
+            next_zero = [n] * (len(red) + 1)
+            seen: dict[tuple[int, ...], int] = {}
+            for p in range(len(red) - 1, -1, -1):
+                key = keys[p]
+                if key is None:
+                    next_zero[p] = lo + p
+                else:
+                    next_zero[p] = next_zero[p + 1]
+                    next_same[p] = seen.get(key, n)
+                    seen[key] = lo + p
+            prev = support[-1] if support else None
+            for i in range(lo, stop):
+                p = i - lo
+                if keys[p] is None:
+                    visit(1)
+                    support.append(i)
+                    return list(support)
+                # node i and its leaves i + 1, ..., j (on a hit) or
+                # i + 1, ..., leaf_stop - 1, the leaf level's loop range
+                leaf_stop = n
+                if shift_invariant:
+                    g = max(gap, i - prev) if support else 0
+                    leaf_stop = min(n - g + 1, (n + i) // 2 + 1)
+                j = min(next_same[p], next_zero[p + 1])
+                if j < leaf_stop:
+                    visit(1 + j - i)
+                    return support + [i, j]
+                visit(max(leaf_stop - i, 1))
+            return None
+
+        found = dfs(0, 0, cols)
         if found is not None:
             word = _dependency_word(found, cols, (add, mul, neg, inv), n)
             prod = [0] * rows
@@ -344,18 +412,6 @@ def min_distance_via_checks(checks: np.ndarray, field,
             assert not any(prod), "reconstructed word fails the checks"
             return DistanceResult(w, tuple(word), nodes)
     raise EmptySet(f"no dependent column subset of size <= {limit}")
-
-
-def _reduce_col(col: list[int], pivots: list[tuple[int, list[int]]],
-                add: list[list[int]], mul: list[list[int]],
-                neg: list[int]) -> list[int]:
-    """col minus its pivot-row multiples, by symbol-table lookups."""
-    for lead, piv in pivots:
-        f = col[lead]
-        if f:
-            scale = mul[neg[f]]
-            col = [add[a][scale[b]] for a, b in zip(col, piv)]
-    return col
 
 
 def _dependency_word(support: list[int], cols: list[list[int]], tables,

@@ -14,6 +14,10 @@ arithmetic of `bchlab.finite_field` are common.  `field_tables_reference`
 builds, one polynomial multiplication per element, the exp/log tables
 that `FieldCtx` fills by doubling, and `rank_reference` reduces rows
 with the scalar `FieldCtx` calls instead of the symbol tables.
+`check_search_reference` is the check-matrix search with every node
+reducing its column against every pivot and every leaf walked, where
+`min_distance_via_checks` reduces each column once per level and settles
+the last two levels by hashing.
 """
 
 from __future__ import annotations
@@ -303,3 +307,126 @@ def rank_reference(rows: list[list[int]], ctx) -> int:
                            for vi, vr in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+# ---------------------------------------------------------------------------
+# check-matrix search, every node reducing its column against every pivot
+
+
+def check_search_reference(checks: np.ndarray, field,
+                           max_weight: int | None = None, *,
+                           shift_invariant: bool = False) \
+        -> tuple[int, tuple[int, ...], int]:
+    """(distance, word, nodes) of the null space of `checks`, one node at
+    a time.
+
+    The same iterative deepening over index-increasing column subsets, with
+    the same shift-normalised loop bounds, as
+    `oracle.min_distance_via_checks`, but each node reduces its column from
+    scratch against every pivot above it and each leaf is walked.  The
+    production search must visit the same nodes in the same order, so the
+    three values agree exactly.  There is no node budget.
+    """
+    rows, n = checks.shape
+    cols = [[int(checks[i][j]) for i in range(rows)] for j in range(n)]
+    add, mul, neg, inv = (t.tolist() for t in field.symbol_tables())
+    limit = max_weight if max_weight is not None else n
+    nodes = 0
+    for w in range(1, limit + 1):
+        pivots: list[tuple[int, list[int]]] = []
+        support: list[int] = []
+
+        def dfs(lo: int, gap: int) -> list[int] | None:
+            # gap: the largest inner gap of the support so far
+            nonlocal nodes
+            depth = len(support)
+            rem = w - depth - 1  # columns still to choose after this one
+            stop = n - rem
+            if shift_invariant:
+                if depth == 0:
+                    stop = min(stop, 1)
+                else:
+                    prev = support[-1]
+                    # the wrap gap n - s_{w-1} <= n - idx - rem must reach
+                    # both the largest gap so far and idx - prev
+                    stop = min(stop, n - rem - gap + 1,
+                               (n + prev - rem) // 2 + 1)
+            for idx in range(lo, stop):
+                nodes += 1
+                col = _reduce_col(cols[idx], pivots, add, mul, neg)
+                lead = next((i for i, c in enumerate(col) if c), None)
+                if lead is None:
+                    support.append(idx)
+                    return list(support)
+                if depth + 1 < w:
+                    scale = mul[inv[col[lead]]]
+                    pivots.append((lead, [scale[c] for c in col]))
+                    new_gap = max(gap, idx - support[-1]) if support else 0
+                    support.append(idx)
+                    found = dfs(idx + 1, new_gap)
+                    if found is not None:
+                        return found
+                    support.pop()
+                    pivots.pop()
+            return None
+
+        found = dfs(0, 0)
+        if found is not None:
+            word = _dependency_word(found, cols, (add, mul, neg, inv), n)
+            prod = [0] * rows
+            for j in found:
+                scale = mul[word[j]]
+                prod = [add[a][scale[c]] for a, c in zip(prod, cols[j])]
+            assert not any(prod), "reconstructed word fails the checks"
+            return w, tuple(word), nodes
+    raise EmptySet(f"no dependent column subset of size <= {limit}")
+
+
+def _reduce_col(col: list[int], pivots: list[tuple[int, list[int]]],
+                add: list[list[int]], mul: list[list[int]],
+                neg: list[int]) -> list[int]:
+    """col minus its pivot-row multiples, by symbol-table lookups."""
+    for lead, piv in pivots:
+        f = col[lead]
+        if f:
+            scale = mul[neg[f]]
+            col = [add[a][scale[b]] for a, b in zip(col, piv)]
+    return col
+
+
+def _dependency_word(support: list[int], cols: list[list[int]], tables,
+                     n: int) -> list[int]:
+    """Solve for coefficients putting the support columns in dependence.
+
+    tables are the field's symbol tables (add, mul, neg, inv) as lists.
+    """
+    add, mul, neg, inv = tables
+    w = len(support)
+    rows = len(cols[0])
+    mat = [[cols[j][i] for j in support] for i in range(rows)]
+    # eliminate to row echelon, tracking pivot columns
+    pivots: list[int] = []
+    rank = 0
+    for j in range(w):
+        sel = next((i for i in range(rank, rows) if mat[i][j]), None)
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        scale = mul[inv[mat[rank][j]]]
+        mat[rank] = [scale[c] for c in mat[rank]]
+        for i in range(rows):
+            if i != rank and mat[i][j]:
+                scale = mul[neg[mat[i][j]]]
+                mat[i] = [add[a][scale[b]]
+                          for a, b in zip(mat[i], mat[rank])]
+        pivots.append(j)
+        rank += 1
+    free = next(j for j in range(w) if j not in pivots)
+    coeff = [0] * w
+    coeff[free] = 1
+    for i, j in enumerate(pivots):
+        coeff[j] = neg[mat[i][free]]
+    word = [0] * n
+    for j, c in zip(support, coeff):
+        word[j] = c
+    return word

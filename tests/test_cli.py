@@ -187,6 +187,32 @@ def test_dually_even_like_flags():
     assert json.loads(proc.stderr)["error"]["type"] == "BCHLabError"
 
 
+def test_dually_rows_outside_the_domain(capsys):
+    # an undefined delta gets a row of its own instead of aborting the range
+    inside = run_json("dually", "7", "2", "negacyclic",
+                      "--delta-range", "2..13")["rows"]
+    rows = run_json("dually", "7", "2", "negacyclic",
+                    "--delta-range", "1..14")["rows"]
+    assert rows[1:-1] == inside
+    assert rows[0] == {"delta": "1", "formula": "undefined (DeltaOutOfRange)",
+                       "oracle": True, "agree": None}
+    assert rows[-1] == {"delta": "14",
+                        "formula": "undefined (DeltaOutOfRange)",
+                        "oracle": "undefined (EmptySet)", "agree": None}
+    assert cli.main(["dually", "7", "2", "negacyclic", "--delta-range",
+                     "2..20", "--no-oracle", "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 20
+    assert lines[-1] == "  delta=    20  formula=undefined (DeltaOutOfRange)"
+    # cyclic: the dual is empty past delta1 = 14 at (3, 3)
+    assert cli.main(["dually", "3", "3", "cyclic", "--delta-range",
+                     "14..15", "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  delta=    14  formula=True  oracle=True  agree=True",
+        "  delta=    15  formula=undefined (DeltaOutOfRange)  "
+        "oracle=undefined (EmptySet)  agree=None"]
+
+
 def test_dually_requires_delta_range():
     assert run_cli("dually", "3", "2", "negacyclic").returncode == 2
     assert run_cli("dually", "3", "2", "negacyclic",

@@ -379,18 +379,27 @@ PLAIN_SEARCH_TOO_SLOW = {
 }
 
 
-def test_shift_normalised_search_matches_plain():
+def plain_search_cases():
     cases = [(spec, side) for spec in STRUCTURAL_INSTANCES
              for side in ("primal", "dual")
              if (spec, side) not in PLAIN_SEARCH_TOO_SLOW]
     cases.append(((9, 2, CYCLIC, 32), "dual"))  # F_9, distance 4
+    return cases
+
+
+def side_and_checks(spec, side):
+    """The code on `side` of spec, its check matrix and its field."""
+    inst = realized(*spec)
+    dual = cc.dual_code(inst)
+    code, other = (inst, dual) if side == "primal" else (dual, inst)
+    return code, cc.generator_matrix(other), inst.field
+
+
+def test_shift_normalised_search_matches_plain():
+    cases = plain_search_cases()
     plain_nodes = normalised_nodes = 0
     for spec, side in cases:
-        inst = realized(*spec)
-        dual = cc.dual_code(inst)
-        code, other = (inst, dual) if side == "primal" else (dual, inst)
-        checks = cc.generator_matrix(other)
-        fld = inst.field
+        code, checks, fld = side_and_checks(spec, side)
         plain = orc.min_distance_via_checks(checks, fld)
         got = orc.min_distance_via_checks(checks, fld, shift_invariant=True)
         d = got.distance
@@ -416,6 +425,31 @@ def test_shift_normalised_search_matches_plain():
     assert normalised_nodes * 10 < plain_nodes
 
 
+def test_check_search_matches_reference():
+    # the same nodes in the same order as the one-node-at-a-time search:
+    # the same distance, word and node count
+    searches = {(spec, side): side_and_checks(spec, side)[1:]
+                for spec, side in plain_search_cases()}
+    fld = ff.FieldCtx(3, 2, modulus=(2, 2, 1))
+    custom = cc.realize(cc.CodeSpec(9, 2, CYCLIC, 32), field=fld)
+    searches["F_3[x]/(x^2 + 2x + 2)", "dual"] = (
+        cc.generator_matrix(custom), fld)
+    big = ((7, 2, NEGACYCLIC, 4), "primal")  # [25, 13, 9]
+    searches[big] = side_and_checks(*big)[1:]
+    nodes = {}
+    for key, (checks, field) in searches.items():
+        # the plain search of `big` takes 2.5 M nodes
+        for si in (True,) if key == big else (False, True):
+            got = orc.min_distance_via_checks(checks, field,
+                                              shift_invariant=si)
+            want = ref.check_search_reference(checks, field,
+                                              shift_invariant=si)
+            assert (got.distance, got.word, got.enumerated) == want, key
+            nodes[key, si] = got.enumerated
+    assert nodes[big, True] == 119_303
+    assert nodes[((9, 2, CYCLIC, 32), "dual"), True] == 1_456
+
+
 def test_check_search_budget(monkeypatch, capsys):
     inst = realized(5, 2, CYCLIC, 8)
     checks = cc.generator_matrix(inst)  # its dual has distance 4 (173 nodes)
@@ -423,6 +457,15 @@ def test_check_search_budget(monkeypatch, capsys):
     with pytest.raises(SearchBudgetExceeded,
                        match=r"visited 101 nodes.* w = 3 "):
         orc.min_distance_via_checks(checks, inst.field, shift_invariant=True)
+    # leaves counted in bulk neither overshoot nor undershoot the budget
+    monkeypatch.setattr(orc, "MAX_CHECK_NODES", 173)
+    got = orc.min_distance_via_checks(checks, inst.field, shift_invariant=True)
+    assert (got.distance, got.enumerated) == (4, 173)
+    monkeypatch.setattr(orc, "MAX_CHECK_NODES", 172)
+    with pytest.raises(SearchBudgetExceeded,
+                       match=r"visited 173 nodes.* w = 4 "):
+        orc.min_distance_via_checks(checks, inst.field, shift_invariant=True)
+    monkeypatch.setattr(orc, "MAX_CHECK_NODES", 100)
     # verify turns the error into one failed claim, and the CLI exits 1
     # with a JSON report instead of a traceback
     report = examples.verify_example("cyclic-q5-m2")
@@ -511,22 +554,55 @@ def test_check_bound_report_gaps_match_gap_scan():
                 (q, m, family, d)
 
 
-def test_reference_does_not_import_the_oracle():
-    # nor the production leader map: the references build their own
-    with open(ref.__file__) as fh:
-        tree = ast.parse(fh.read())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            assert node.attr != "leader_map", ast.unparse(node)
-            continue
+def oracle_imports(source: str) -> list[str]:
+    """Every way `source` reaches bchlab.oracle or the production leader
+    map: import statements (a relative one read as inside bchlab),
+    attribute access, and names given as strings (importlib, __import__,
+    sys.modules, getattr)."""
+    modules = ("bchlab.oracle", "bchlab.cyclotomic.leader_map")
+    attrs = ("oracle", "leader_map")
+    found = []
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
+            if node.level:
+                base = ".".join(filter(None, ["bchlab", node.module]))
             names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            found += [ast.unparse(node)] if node.attr in attrs else []
+            continue
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += [node.value] if node.value in attrs else []
+            names = [node.value]
         else:
             continue
-        assert not any(name == "bchlab.oracle"
-                       or name.startswith("bchlab.oracle.")
-                       or name == "bchlab.cyclotomic.leader_map"
-                       for name in names), names
+        found += [name for name in names
+                  if any(name == m or name.startswith(m + ".")
+                         for m in modules)]
+    return found
+
+
+def test_oracle_import_guard_catches_every_form():
+    for bad in ("import bchlab.oracle", "import bchlab.oracle as o",
+                "from bchlab import oracle", "from bchlab import oracle as o",
+                "from bchlab.oracle import GapProfile",
+                "from . import oracle", "from .oracle import dually_sweep",
+                "import bchlab\nbchlab.oracle.gap_profile(3, 2, 'cyclic')",
+                "importlib.import_module('bchlab.oracle')",
+                "__import__('bchlab.oracle')", "sys.modules['bchlab.oracle']",
+                "import bchlab as b\nb.oracle", "getattr(bchlab, 'oracle')",
+                "from bchlab.cyclotomic import leader_map",
+                "cyclotomic.leader_map(3, 8)"):
+        assert oracle_imports(bad), bad
+    for good in ("from bchlab import cyclotomic", "import bchlab.errors",
+                 "from bchlab.finite_field import FieldCtx",
+                 "'the slow twin of `bchlab.oracle` searches'"):
+        assert not oracle_imports(good), good
+
+
+def test_reference_does_not_import_the_oracle():
+    # nor the production leader map: the references build their own
+    with open(ref.__file__) as fh:
+        assert oracle_imports(fh.read()) == []
