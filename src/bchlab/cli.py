@@ -106,7 +106,8 @@ def _cmd_cosets(args) -> int:
 def _cmd_leaders(args) -> int:
     family = NEGACYCLIC if args.odd else CYCLIC
     _, _, rn = cyclotomic.family_parameters(args.q, args.m, family)
-    count = args.count if args.count else (3 if args.odd else 2)
+    count = args.count or (3 if args.odd else 2)
+    leaders = cyclotomic.coset_leaders(args.q, rn, odd_only=args.odd)
     rows = []
     for k in range(1, count + 1):
         formula: str | None = None
@@ -124,8 +125,7 @@ def _cmd_leaders(args) -> int:
                         args.q, args.m, count=k)[k - 1])
                 except UnsupportedM:
                     formula = "unsupported (m % 4 == 0)"
-        sweep = cyclotomic.kth_largest_leader(args.q, rn, k,
-                                              odd_only=args.odd)
+        sweep = cyclotomic.kth_largest_leader(leaders, k)
         agree = (formula == str(sweep)) if (formula is not None
                                             and formula.isdigit()) else None
         rows.append({"k": k, "formula": formula, "sweep": str(sweep),
@@ -247,11 +247,11 @@ def _cmd_dually(args) -> int:
     deltas = list(range(lo, hi + 1))
     verdicts = None
     if not args.no_oracle:
-        # past max_delta the dual defining set is empty: no verdict there
-        max_delta = oracle.gap_profile(args.q, args.m, args.family).max_delta
-        swept = [d for d in deltas if d <= max_delta]
+        # T(delta) starts at delta = 2 and T_perp ends at max_delta
+        profile = oracle.gap_profile(args.q, args.m, args.family)
+        swept = [d for d in deltas if 2 <= d <= profile.max_delta]
         verdicts = dict(zip(swept, oracle.dually_sweep(
-            args.q, args.m, args.family, swept, even_like=even_like)))
+            profile, swept, even_like=even_like)))
     rows = []
     for delta in deltas:
         try:
@@ -263,7 +263,8 @@ def _cmd_dually(args) -> int:
             formula = "undefined (DeltaOutOfRange)"
         row = {"delta": str(delta), "formula": formula}
         if verdicts is not None:
-            verdict = verdicts.get(delta, "undefined (EmptySet)")
+            verdict = verdicts.get(delta, "undefined (BadDelta)" if delta < 2
+                                   else "undefined (EmptySet)")
             row["oracle"] = verdict
             row["agree"] = (formula == verdict
                             if isinstance(formula, bool)
@@ -337,8 +338,7 @@ def _sweep_point(q: int, m: int, family: str) -> list[list[str]]:
     rows = []
     profile = oracle.gap_profile(q, m, family)
     deltas, mode = _sweep_deltas(profile.max_delta)
-    dually = oracle.dually_sweep(q, m, family, deltas,
-                                 even_like=family == CYCLIC)
+    dually = oracle.dually_sweep(profile, deltas, even_like=family == CYCLIC)
     for delta, dual_oracle in zip(deltas, dually):
         cells = {"family": family, "q": q, "m": m, "delta": delta,
                  "n": profile.n, "mode": mode}
@@ -424,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("--odd", action="store_true",
                    help="odd class mod q^m+1 (negacyclic view)")
-    p.add_argument("--count", type=int, default=0,
-                   help="how many leaders (default 2, or 3 with --odd)")
+    p.add_argument("--count", type=_positive_int, default=None,
+                   help="how many leaders, at least 1 (default 2, or 3 "
+                        "with --odd)")
     add_format(p)
     p.set_defaults(func=_cmd_leaders)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cyclotomic import CYCLIC, NEGACYCLIC
+from .cyclotomic import CYCLIC, NEGACYCLIC, check_qm
 from .errors import (
     BadFamilyParams,
     DeltaOutOfRange,
@@ -80,13 +80,6 @@ class BoundReport:
     warning: str | None = None
 
 
-def _check_qm(q: int, m: int) -> None:
-    if q < 3 or q % 2 == 0:
-        raise BadFamilyParams(f"q must be an odd prime power >= 3, got {q}")
-    if m < 2:
-        raise BadFamilyParams(f"m must be >= 2, got {m}")
-
-
 def _div(a: int, b: int) -> int:
     assert a % b == 0, f"non-integer formula value {a}/{b}"
     return a // b
@@ -102,7 +95,7 @@ def delta_leaders_formula(q: int, m: int, count: int = 2) -> tuple[int, ...]:
     delta1 = (q^m+1)/2 for every m; delta2 depends on m mod 4 and has no
     closed form when m = 0 (mod 4) (UnsupportedM).
     """
-    _check_qm(q, m)
+    check_qm(q, m)
     if count not in (1, 2):
         raise ValueError(f"count must be 1 or 2, got {count}")
     n = q**m + 1
@@ -125,7 +118,7 @@ def phi_leaders_formula(q: int, m: int, count: int = 3) -> tuple[int, ...]:
     Requires q = 3 (mod 4) (UnsupportedQ).  The third leader formula only
     exists for q^m >= 25 (Phi3Unavailable).
     """
-    _check_qm(q, m)
+    check_qm(q, m)
     if q % 4 != 3:
         raise UnsupportedQ(f"odd-leader formulas need q = 3 (mod 4), got {q}")
     if count not in (1, 2, 3):
@@ -175,7 +168,7 @@ def i_delta_cyclic(q: int, m: int, delta: int) -> FormulaCase:
     Defined for 2 <= delta <= delta1; the four-row table partitions that
     window for every odd prime power q and m >= 2.
     """
-    _check_qm(q, m)
+    check_qm(q, m)
     n = q**m + 1
     delta1 = n // 2
     if not 2 <= delta <= delta1:
@@ -459,7 +452,7 @@ def neg_gaps(q: int, m: int, delta: int) -> GapPair:
     dual defining set is exactly the extreme coset, handled by the
     analytic phi1-window row.
     """
-    _check_qm(q, m)
+    check_qm(q, m)
     if q % 4 != 3:
         raise UnsupportedQ(f"negacyclic gap formulas need q = 3 (mod 4), "
                            f"got {q}")
@@ -565,7 +558,7 @@ def dually_bch_negacyclic(q: int, m: int, delta: int) -> bool:
     odd m; (phi3+3)/2 for q = 3 with even m (UnsupportedM at m = 2 where
     no third odd leader exists).
     """
-    _check_qm(q, m)
+    check_qm(q, m)
     if q % 4 != 3:
         raise UnsupportedQ(f"negacyclic dually-BCH needs q = 3 (mod 4), "
                            f"got {q}")

@@ -171,23 +171,22 @@ def _check_orthogonal(a: CodeInstance, b: CodeInstance) -> None:
 
 
 def bch_bound(t: DefiningSet) -> int:
-    """1 + the longest run of consecutive class residues in T, capped at n.
+    """1 + the longest run of consecutive class residues in T, capped at n."""
+    return run_bound(sorted(x // t.r for x in t.residues), t.n)
 
-    Runs step by r and wrap around the class; a full class returns n.
-    The runs are read off the sorted class positions of T, so the cost
-    grows with |T|, not with n.
+
+def run_bound(positions, n: int) -> int:
+    """bch_bound of sorted class positions (residue x sits at x // r).
+
+    Runs wrap around the class, and a full class gives n.  The cost grows
+    with the number of positions, not with n.
     """
-    start = 1 if t.r == 2 else 0
-    positions = sorted((x - start) // t.r for x in t.residues)
-    runs: list[int] = []  # lengths of the maximal runs, in class order
-    for i, pos in enumerate(positions):
-        if i and pos == positions[i - 1] + 1:
-            runs[-1] += 1
-        else:
-            runs.append(1)
-    if len(runs) > 1 and positions[0] == 0 and positions[-1] == t.n - 1:
-        runs[0] += runs.pop()  # the last run wraps into the first
-    return min(max(runs, default=0) + 1, t.n)
+    pos = np.asarray(positions, dtype=np.int64)
+    ends = np.flatnonzero(np.diff(pos) != 1)  # last index of each run
+    runs = np.diff(ends, prepend=-1, append=len(pos) - 1)  # [0] if empty
+    if len(runs) > 1 and pos[0] == 0 and pos[-1] == n - 1:
+        runs[0] += runs[-1]  # the last run wraps into the first
+    return min(int(runs.max()) + 1, n)
 
 
 def is_lcd(inst: CodeInstance) -> bool:

@@ -29,6 +29,7 @@ from .errors import (
     NotCoprime,
     NotEnoughCosets,
 )
+from .finite_field import factorize
 
 CYCLIC = "cyclic"
 NEGACYCLIC = "negacyclic"
@@ -109,11 +110,11 @@ def coset_leaders(q: int, n: int, odd_only: bool = False) -> list[int]:
     return lead[lead == residues].tolist()
 
 
-def kth_largest_leader(q: int, n: int, k: int, odd_only: bool = False) -> int:
-    """The k-th largest coset leader (k = 1 is the largest)."""
+def kth_largest_leader(leaders: list[int], k: int) -> int:
+    """The k-th largest (k = 1: the largest) of sorted coset leaders, as
+    coset_leaders returns them."""
     if k < 1:
         raise NotEnoughCosets(f"k must be >= 1, got {k}")
-    leaders = coset_leaders(q, n, odd_only)
     if k > len(leaders):
         raise NotEnoughCosets(f"only {len(leaders)} cosets, asked for k={k}")
     return leaders[-k]
@@ -197,13 +198,18 @@ class DefiningSet:
         return out
 
 
-def _check_family_params(q: int, m: int, family: str) -> None:
-    if family not in FAMILIES:
-        raise BadFamilyParams(f"family must be one of {FAMILIES}, got {family!r}")
-    if q < 3 or q % 2 == 0:
+def check_qm(q: int, m: int) -> None:
+    """Both families need q an odd prime power >= 3 and m >= 2."""
+    if q < 3 or q % 2 == 0 or len(factorize(q)) != 1:
         raise BadFamilyParams(f"q must be an odd prime power >= 3, got {q}")
     if m < 2:
         raise BadFamilyParams(f"m must be >= 2, got {m}")
+
+
+def _check_family_params(q: int, m: int, family: str) -> None:
+    if family not in FAMILIES:
+        raise BadFamilyParams(f"family must be one of {FAMILIES}, got {family!r}")
+    check_qm(q, m)
     if family == NEGACYCLIC and q % 4 != 3:
         raise BadFamilyParams(
             f"negacyclic family needs q = 3 (mod 4), got q = {q}")

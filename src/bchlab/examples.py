@@ -187,7 +187,8 @@ def _verify_dually(example_id: str) -> ExampleReport:
     claims.append(Claim("formula-range", want, got_str, got_str == want))
     check = (_spot_deltas(domain_hi, ranges) if spot
              else list(range(2, domain_hi + 1)))
-    verdicts = oracle.dually_sweep(q, m, family, check, even_like=even_like)
+    verdicts = oracle.dually_sweep(oracle.gap_profile(q, m, family), check,
+                                   even_like=even_like)
     claimed = set(_expand_ranges(ranges))
     bad = [d for d, v in zip(check, verdicts) if v != (d in claimed)]
     claims.append(Claim(

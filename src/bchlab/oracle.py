@@ -19,6 +19,7 @@ import numpy as np
 from . import code_core, cyclotomic
 from .cyclotomic import CYCLIC
 from .errors import (
+    BadDelta,
     BadFamilyParams,
     EmptySet,
     SearchBudgetExceeded,
@@ -35,39 +36,43 @@ BLOCK_SYMBOLS = 1 << 16  # digits in one numpy step of the Gray walk
 
 
 class GapProfile:
-    """All gap values for one (q, m, family), from a single leader sweep.
+    """T(delta) and its gap edges for one (q, m, family), from one leader map.
 
-    A class residue x joins the defining set T(delta) exactly when delta
-    exceeds a per-residue threshold computed from x's coset leader
-    (leader <= delta - 1 for the cyclic class; leader <= 2*delta - 3 for
-    the odd class).  gap_low(delta) is therefore the largest x below the
-    anchor whose threshold is met and gap_high(delta) the smallest one
-    above, so one bucketed prefix-extremum pass answers every delta.
+    A class position whose coset leader l is nonzero lies in T(delta) = C_1
+    u C_{1+r} u ... u C_{1+r(delta-2)} exactly when l <= 1 + r(delta - 2):
+    it enters at delta = 2 + ceil((l - 1) / r), its entry (int32, as n <=
+    MAX_CLASS_RESIDUES), and stays.  gap_low(delta) is the largest residue
+    below the anchor (the largest leader) in T(delta) and gap_high(delta)
+    the smallest one above: one prefix-extremum pass answers every delta.
     """
 
     def __init__(self, q: int, m: int, family: str):
         n, r, rn = cyclotomic.family_parameters(q, m, family)
-        lead = cyclotomic.leader_map(q, rn, r == 2)
-        anchor = int(lead.max())
         self.q, self.m, self.family = q, m, family
         self.n, self.r, self.rn = n, r, rn
-        self.anchor = anchor
-        if family == CYCLIC:
-            self.max_delta = anchor  # delta ranges over [2, delta1]
-        else:
-            self.max_delta = (anchor + 3) // 2 - 1
+        self.lead = cyclotomic.leader_map(q, rn, r == 2)
+        self.anchor = anchor = int(self.lead.max())
+        entry = (2 + (self.lead + r - 2) // r).astype(np.int32)
+        self.max_delta = int(entry.max()) - 1  # T_perp is empty beyond
+        entry[self.lead == 0] = n + 1  # {0} is in no narrow-sense T
+        self.entry = entry
         size = self.max_delta + 2
         low = np.full(size, -1, dtype=np.int64)
         high = np.full(size, rn + 1, dtype=np.int64)
         x = np.arange(r - 1, rn, r)  # the class residue at each position
-        d = lead + 1 if family == CYCLIC else (lead + 3) // 2
-        keep = (lead != 0) & (lead != anchor) & (d < size)
+        keep = (self.lead != anchor) & (entry < size)
         below = keep & (x < anchor)
-        np.maximum.at(low, d[below], x[below])
+        np.maximum.at(low, entry[below], x[below])
         above = keep & (x > anchor)
-        np.minimum.at(high, d[above], x[above])
+        np.minimum.at(high, entry[above], x[above])
         self._low = np.maximum.accumulate(low)
         self._high = np.minimum.accumulate(high)
+
+    def defining_mask(self, delta: int) -> np.ndarray:
+        """T(delta) over class positions; T_perp(delta) is the rest."""
+        if not 2 <= delta <= self.n:
+            raise BadDelta(f"delta must be in [2, {self.n}], got {delta}")
+        return self.entry <= delta
 
     def low(self, delta: int) -> int | None:
         v = int(self._low[min(delta, self.max_delta + 1)])
@@ -86,27 +91,24 @@ def gap_profile(q: int, m: int, family: str) -> GapProfile:
 # dually-BCH sweep
 
 
-def dually_sweep(q: int, m: int, family: str, deltas: list[int],
+def dually_sweep(profile: GapProfile, deltas: list[int],
                  even_like: bool = False) -> list[bool]:
-    """Oracle dually-BCH verdicts for many deltas, sharing one leader map.
+    """Oracle dually-BCH verdicts for many deltas of one profile.
 
-    A class residue x lies in T(delta) = C_1 u C_{1+r} u ... u
-    C_{1+r(delta-2)} exactly when 1 <= leader(x) <= 1 + r(delta - 2);
-    even_like also admits leader 0 (the even-like cyclic subcode).  Each
+    T(delta) is the profile's defining mask; even_like also puts the
+    coset {0} (position 0) in T, the even-like cyclic subcode.  Each
     verdict is one coverage pass over the runs of the complement.
+    Raises BadDelta outside 2 <= delta <= n.
     """
-    _, r, rn = cyclotomic.family_parameters(q, m, family)
-    if even_like and r == 2:
+    if even_like and profile.r == 2:
         raise BadFamilyParams("even_like applies to the cyclic family only")
-    lead = cyclotomic.leader_map(q, rn, r == 2)
+    lead, r, rn = profile.lead, profile.r, profile.rn
     is_leader = lead == np.arange(r - 1, rn, r)
     out = []
     for delta in deltas:
-        # the exponents 1, ..., delta - 1 reach 0 mod rn once delta > rn
-        lo = 0 if even_like or delta > rn else 1
-        hi = 1 + r * (delta - 2)
-        out.append(_coverage_verdict(lead, is_leader, (lead >= lo) &
-                                     (lead <= hi), rn))
+        in_t = profile.defining_mask(delta)
+        in_t[0] |= even_like
+        out.append(_coverage_verdict(lead, is_leader, in_t, rn))
     return out
 
 
@@ -461,12 +463,9 @@ def check_bound_report(report) -> None:
 
     The high edge is checked only in the two-sided case (negacyclic, odd
     m).  On disagreement the report keeps the formula values in its cases
-    but the lower_bound is replaced by the run bound computed directly on
-    T_perp, which is authoritative.
+    but the lower_bound is replaced by the run bound of T_perp, which is
+    authoritative.
     """
-    spec_set = cyclotomic.defining_set(report.q, report.m, report.family,
-                                       report.delta)
-    tperp = cyclotomic.dual_defining_set(spec_set)
     profile = gap_profile(report.q, report.m, report.family)
     low = profile.low(report.delta)
     high = None
@@ -474,7 +473,8 @@ def check_bound_report(report) -> None:
         high = profile.high(report.delta)
     report.oracle_gap_low = low
     report.oracle_gap_high = high
-    run_bound = code_core.bch_bound(tperp)
+    tperp = np.flatnonzero(~profile.defining_mask(report.delta))
+    run_bound = code_core.run_bound(tperp, profile.n)
     agrees = (low == report.gap_low and high == report.gap_high
               and report.lower_bound <= run_bound)
     report.agrees = agrees

@@ -85,7 +85,8 @@ def leader_discrepancies() -> tuple[str, ...]:
 
     for q, m in grid_points():
         rn = q**m + 1
-        sweep1 = cyclotomic.kth_largest_leader(q, rn, 1)
+        leaders = cyclotomic.coset_leaders(q, rn)
+        sweep1 = cyclotomic.kth_largest_leader(leaders, 1)
         check(f"delta1({q},{m})",
               closed_forms.delta_leaders_formula(q, m, count=1)[0], sweep1)
         if m % 4 == 0:
@@ -95,18 +96,18 @@ def leader_discrepancies() -> tuple[str, ...]:
             except UnsupportedM:
                 pass
         else:
-            sweep2 = cyclotomic.kth_largest_leader(q, rn, 2)
+            sweep2 = cyclotomic.kth_largest_leader(leaders, 2)
             check(f"delta12({q},{m})",
                   closed_forms.delta_leaders_formula(q, m), (sweep1, sweep2))
         if q % 4 != 3:
             continue
-        odd = tuple(cyclotomic.kth_largest_leader(q, rn, k, odd_only=True)
+        odd_leaders = cyclotomic.coset_leaders(q, rn, odd_only=True)
+        odd = tuple(cyclotomic.kth_largest_leader(odd_leaders, k)
                     for k in (1, 2))
         check(f"phi12({q},{m})",
               closed_forms.phi_leaders_formula(q, m, count=2), odd)
         if q**m >= 25:
-            odd3 = odd + (cyclotomic.kth_largest_leader(q, rn, 3,
-                                                        odd_only=True),)
+            odd3 = odd + (cyclotomic.kth_largest_leader(odd_leaders, 3),)
             check(f"phi123({q},{m})",
                   closed_forms.phi_leaders_formula(q, m), odd3)
         else:
@@ -201,7 +202,7 @@ def dually_discrepancies() -> tuple[str, ...]:
                 flips = [d for d in range(3, md + 1)
                          if want[d] != want[d - 1]]
                 deltas = _sampled_deltas(md, flips)
-            got = oracle.dually_sweep(q, m, family, deltas,
+            got = oracle.dually_sweep(prof, deltas,
                                       even_like=family == CYCLIC)
             for d, v in zip(deltas, got):
                 if v != want[d]:

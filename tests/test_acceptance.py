@@ -63,7 +63,8 @@ def test_criterion_2_cyclic_dually_ranges():
     for q, m, hi, truth in cases:
         deltas = list(range(2, hi + 1))
         formula = [cf.dually_bch_even_like(q, m, d) for d in deltas]
-        sweep = orc.dually_sweep(q, m, CYCLIC, deltas, even_like=True)
+        sweep = orc.dually_sweep(orc.gap_profile(q, m, CYCLIC), deltas,
+                                 even_like=True)
         for d, f, s in zip(deltas, formula, sweep):
             check(errors, f"formula({q},{m},delta={d})", f, d in truth)
             check(errors, f"oracle({q},{m},delta={d})", s, d in truth)
@@ -156,7 +157,7 @@ def test_criterion_4_negacyclic_dually_ranges():
     for q, m, hi, truth in full_cases:
         deltas = list(range(2, hi + 1))
         formula = [cf.dually_bch_negacyclic(q, m, d) for d in deltas]
-        sweep = orc.dually_sweep(q, m, NEGACYCLIC, deltas)
+        sweep = orc.dually_sweep(orc.gap_profile(q, m, NEGACYCLIC), deltas)
         for d, f, s in zip(deltas, formula, sweep):
             check(errors, f"formula({q},{m},delta={d})", f, d in truth)
             check(errors, f"oracle({q},{m},delta={d})", s, d in truth)
@@ -166,7 +167,7 @@ def test_criterion_4_negacyclic_dually_ranges():
     picks.update(range(2, 602, 30))
     deltas = sorted(picks)
     formula = [cf.dually_bch_negacyclic(7, 4, d) for d in deltas]
-    sweep = orc.dually_sweep(7, 4, NEGACYCLIC, deltas)
+    sweep = orc.dually_sweep(orc.gap_profile(7, 4, NEGACYCLIC), deltas)
     for d, f, s in zip(deltas, formula, sweep):
         check(errors, f"formula(7,4,delta={d})", f, d in truth)
         check(errors, f"oracle(7,4,delta={d})", s, d in truth)

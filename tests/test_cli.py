@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from bchlab import cli
+from bchlab import cyclotomic as cy
 
 from grid_utils import checkout_env
 
@@ -85,6 +86,68 @@ def test_leaders_agreement_and_unsupported():
     assert rows[2]["formula"].startswith("unsupported")
     assert rows[2]["sweep"] == "192"
     assert rows[2]["agree"] is None
+
+
+def test_leaders_count(capsys):
+    for count in ("0", "-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["leaders", "3", "2", "--count", count])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["leaders", "3", "3", "--count", "5"]) == 0
+    assert [r["sweep"] for r in json.loads(capsys.readouterr().out)["rows"]] \
+        == ["14", "7", "5", "4", "2"]
+    assert cli.main(["leaders", "3", "3", "--count", "40"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "NotEnoughCosets", "message": "only 7 cosets, asked for k=8"}
+
+
+def test_non_prime_power_q_is_a_json_error(capsys):
+    for argv in (["code-info", "15", "2", "cyclic", "2"],
+                 ["code-info", "21", "2", "cyclic", "3"],
+                 ["code-info", "35", "2", "negacyclic", "2"],
+                 ["code-info", "15", "3", "negacyclic", "2"],
+                 ["bound", "15", "2", "cyclic", "2"],
+                 ["dually", "15", "2", "cyclic", "--delta-range", "2..4"],
+                 ["dually", "15", "2", "cyclic", "--delta-range", "2..4",
+                  "--no-oracle"],
+                 ["leaders", "15", "2"], ["leaders", "15", "2", "--odd"]):
+        assert cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "BadFamilyParams",
+            "message": f"q must be an odd prime power >= 3, got {argv[1]}"}
+    # sweep skips the cell, as it skips an undefined family
+    assert cli.main(["sweep", "15,3,21", "2", "cyclic"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows and {r["q"] for r in rows} == {"3"}
+
+
+def test_one_leader_map_per_call(monkeypatch, capsys):
+    # gap edges, dually verdicts and the run bound all read one map
+    calls = []
+    leader_map = cy.leader_map
+
+    def counted(*args):
+        calls.append(args)
+        return leader_map(*args)
+
+    monkeypatch.setattr(cy, "leader_map", counted)
+    for argv, maps in [
+            (["dually", "3", "4", "negacyclic", "--delta-range", "1..30"], 1),
+            (["dually", "5", "2", "cyclic", "--delta-range", "2..3"], 1),
+            (["dually", "3", "4", "negacyclic", "--delta-range", "2..3",
+              "--no-oracle"], 0),
+            (["bound", "3", "5", "negacyclic", "8"], 1),
+            (["bound", "3", "2", "cyclic", "2"], 1),
+            (["leaders", "3", "4", "--odd", "--count", "5"], 1),
+            # one map per cell: 3 x 2 cyclic and 2 x 2 negacyclic cells
+            (["sweep", "3,5,7", "2,3", "both"], 10)]:
+        calls.clear()
+        assert cli.main(argv) == 0, argv
+        assert len(calls) == maps, argv
+    capsys.readouterr()
 
 
 def test_code_info_payload():
@@ -195,7 +258,7 @@ def test_dually_rows_outside_the_domain(capsys):
                     "--delta-range", "1..14")["rows"]
     assert rows[1:-1] == inside
     assert rows[0] == {"delta": "1", "formula": "undefined (DeltaOutOfRange)",
-                       "oracle": True, "agree": None}
+                       "oracle": "undefined (BadDelta)", "agree": None}
     assert rows[-1] == {"delta": "14",
                         "formula": "undefined (DeltaOutOfRange)",
                         "oracle": "undefined (EmptySet)", "agree": None}

@@ -102,13 +102,14 @@ def test_class_too_large(monkeypatch):
 def test_coset_leaders_and_kth_largest():
     assert cy.coset_leaders(3, 10) == MOD10_LEADERS
     assert cy.coset_leaders(3, 28, odd_only=True) == [1, 5, 7]
-    assert cy.kth_largest_leader(3, 10, 1) == 5
-    assert cy.kth_largest_leader(3, 10, 2) == 2
-    assert cy.kth_largest_leader(3, 10, 4) == 0
+    leaders = cy.coset_leaders(3, 10)
+    assert cy.kth_largest_leader(leaders, 1) == 5
+    assert cy.kth_largest_leader(leaders, 2) == 2
+    assert cy.kth_largest_leader(leaders, 4) == 0
     with pytest.raises(NotEnoughCosets):
-        cy.kth_largest_leader(3, 10, 5)
+        cy.kth_largest_leader(leaders, 5)
     with pytest.raises(NotEnoughCosets):
-        cy.kth_largest_leader(3, 10, 0)
+        cy.kth_largest_leader(leaders, 0)
 
 
 # pinned against the same sweep the grid test reruns; small enough to
@@ -125,13 +126,13 @@ ODD_LEADER_PINS = {
 
 def test_kth_largest_leader_pins():
     for (q, m), (k1, k2) in LEADER_PINS.items():
-        rn = q**m + 1
-        assert cy.kth_largest_leader(q, rn, 1) == k1
-        assert cy.kth_largest_leader(q, rn, 2) == k2
+        leaders = cy.coset_leaders(q, q**m + 1)
+        assert cy.kth_largest_leader(leaders, 1) == k1
+        assert cy.kth_largest_leader(leaders, 2) == k2
     for (q, m), (k1, k2) in ODD_LEADER_PINS.items():
-        rn = q**m + 1
-        assert cy.kth_largest_leader(q, rn, 1, odd_only=True) == k1
-        assert cy.kth_largest_leader(q, rn, 2, odd_only=True) == k2
+        leaders = cy.coset_leaders(q, q**m + 1, odd_only=True)
+        assert cy.kth_largest_leader(leaders, 1) == k1
+        assert cy.kth_largest_leader(leaders, 2) == k2
 
 
 def test_defining_set_validation():

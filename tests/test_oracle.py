@@ -21,8 +21,8 @@ from bchlab import finite_field as ff
 from bchlab import oracle as orc
 from bchlab import poly_linalg as pl
 from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
-from bchlab.errors import (BadFamilyParams, EmptySet, SearchBudgetExceeded,
-                           TooManyCodewords)
+from bchlab.errors import (BadDelta, BadFamilyParams, EmptySet,
+                           SearchBudgetExceeded, TooManyCodewords)
 
 import reference as ref
 from grid_utils import STRUCTURAL_INSTANCES, profile, realized
@@ -78,6 +78,56 @@ def test_gap_profile_fields():
     assert prof.anchor == 5 and prof.max_delta == 5
 
 
+# every (q, m, family) of q in {3, 5, 7, 9, 11}, m in 2..5 where the
+# family is defined
+MEMBERSHIP_GRID = [(q, m, family) for q in (3, 5, 7, 9, 11)
+                   for m in (2, 3, 4, 5) for family in (CYCLIC, NEGACYCLIC)
+                   if family == CYCLIC or q % 4 == 3]
+
+
+def membership_deltas(max_delta):
+    """Every delta in [2, max_delta] up to 200, else about ten spread."""
+    if max_delta <= 200:
+        return range(2, max_delta + 1)
+    return sorted({2, 3, max_delta - 1, max_delta}
+                  | set(range(2, max_delta, max_delta // 7)))
+
+
+def class_positions(t):
+    return np.array(sorted(x // t.r for x in t.residues), dtype=np.int64)
+
+
+def test_defining_mask_is_the_coset_union():
+    # the profile's one membership rule against the constructive coset
+    # union, and check_bound_report's run bound against bch_bound of the
+    # frozenset dual, on the whole grid
+    for q, m, family in MEMBERSHIP_GRID:
+        prof = profile(q, m, family)
+        for d in membership_deltas(prof.max_delta):
+            t = cy.defining_set(q, m, family, d)
+            tperp = cy.dual_defining_set(t)
+            mask = prof.defining_mask(d)
+            assert np.array_equal(np.flatnonzero(mask), class_positions(t)), \
+                (q, m, family, d)
+            assert np.array_equal(np.flatnonzero(~mask),
+                                  class_positions(tperp)), (q, m, family, d)
+            # a bound above n never agrees, so the report ends up holding
+            # the oracle's run bound
+            rep = cf.BoundReport(q, m, family, d, prof.n, prof.n + 1)
+            orc.check_bound_report(rep)
+            assert rep.lower_bound == cc.bch_bound(tperp), (q, m, family, d)
+
+
+def test_defining_mask_domain():
+    prof = profile(7, 2, NEGACYCLIC)
+    for d in (-2, 0, 1, prof.n + 1):
+        with pytest.raises(BadDelta):
+            prof.defining_mask(d)
+        with pytest.raises(BadDelta):
+            orc.dually_sweep(prof, [d])
+    assert prof.defining_mask(prof.n).all()
+
+
 # machine-verified verdicts; witness = (offset b, designed distance delta')
 # of the dual as a BCH code, counterexample = an uncovered dual coset leader
 DUALLY_PINS = [
@@ -115,15 +165,16 @@ def test_dually_engines_and_witnesses():
         assert (verdict.is_dually, verdict.witness, verdict.counterexample) \
             == (want, witness, cx), (q, m, fam, d)
         assert_witness_consistent(tp, verdict)
-        assert orc.dually_sweep(q, m, fam, [d]) == [want], (q, m, fam, d)
+        assert orc.dually_sweep(profile(q, m, fam), [d]) == [want], \
+            (q, m, fam, d)
     for q, m, d, want, witness, cx in DUALLY_EVEN_PINS:
         tp = even_like_tperp(q, m, d)
         verdict = ref.dually_bch_oracle(tp)
         assert (verdict.is_dually, verdict.witness, verdict.counterexample) \
             == (want, witness, cx), (q, m, d)
         assert_witness_consistent(tp, verdict)
-        assert orc.dually_sweep(q, m, CYCLIC, [d], even_like=True) == \
-            [want], (q, m, d)
+        assert orc.dually_sweep(profile(q, m, CYCLIC), [d],
+                                even_like=True) == [want], (q, m, d)
 
 
 def test_dually_engines_agree_exhaustively():
@@ -131,7 +182,7 @@ def test_dually_engines_agree_exhaustively():
     for q, m, family in [(3, 3, NEGACYCLIC), (3, 4, NEGACYCLIC),
                          (7, 2, NEGACYCLIC), (3, 3, CYCLIC)]:
         deltas = list(range(2, profile(q, m, family).max_delta + 1))
-        swept = orc.dually_sweep(q, m, family, deltas)
+        swept = orc.dually_sweep(profile(q, m, family), deltas)
         for d, got in zip(deltas, swept):
             tp = tperp_of(q, m, family, d)
             verdict = ref.dually_bch_oracle(tp)
@@ -143,22 +194,22 @@ def test_dually_sweep_matches_fast_engine():
     # one sweep over many deltas gives what one-delta sweeps give
     prof = profile(3, 4, NEGACYCLIC)
     deltas = list(range(2, prof.max_delta + 1))
-    swept = orc.dually_sweep(3, 4, NEGACYCLIC, deltas)
-    assert swept == [orc.dually_sweep(3, 4, NEGACYCLIC, [d])[0]
+    swept = orc.dually_sweep(prof, deltas)
+    assert swept == [orc.dually_sweep(prof, [d])[0]
                      for d in deltas]
     # even-like sets, against the per-set reference
     deltas = list(range(2, 14))
-    swept = orc.dually_sweep(5, 2, CYCLIC, deltas, even_like=True)
+    swept = orc.dually_sweep(profile(5, 2, CYCLIC), deltas, even_like=True)
     assert swept == [ref.dually_bch_oracle(even_like_tperp(5, 2, d)).is_dually
                      for d in deltas]
     # order of requested deltas must not matter
-    assert orc.dually_sweep(5, 2, CYCLIC, [13, 2, 8], even_like=True) == \
-        [swept[11], swept[0], swept[6]]
+    assert orc.dually_sweep(profile(5, 2, CYCLIC), [13, 2, 8],
+                            even_like=True) == [swept[11], swept[0], swept[6]]
 
 
 def test_dually_sweep_empty_dual():
     with pytest.raises(EmptySet):
-        orc.dually_sweep(3, 2, CYCLIC, [10], even_like=True)
+        orc.dually_sweep(profile(3, 2, CYCLIC), [10], even_like=True)
 
 
 def test_coverage_verdict_wraps_the_tail_run():
@@ -172,7 +223,7 @@ def test_coverage_verdict_wraps_the_tail_run():
 def test_dually_sweep_even_like_is_cyclic_only():
     # the odd class has no coset of 0 to add
     with pytest.raises(BadFamilyParams):
-        orc.dually_sweep(3, 3, NEGACYCLIC, [2], even_like=True)
+        orc.dually_sweep(profile(3, 3, NEGACYCLIC), [2], even_like=True)
 
 
 def weight(word):
