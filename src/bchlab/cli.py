@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import closed_forms, code_core, cyclotomic, examples, oracle
@@ -493,11 +494,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except BCHLabError as exc:
         err = {"schema": 1,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(err, indent=2), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left (`| head`): point stdout at devnull so the
+        # flush at exit cannot raise again, and exit 1 as on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import closed_forms, code_core, oracle
-from .cyclotomic import CYCLIC, NEGACYCLIC, defining_set, dual_defining_set
+from .cyclotomic import CYCLIC, NEGACYCLIC, defining_set
 from .errors import BCHLabError, UnknownExample
 
 _ENUM_CAP = 1_000_000
@@ -136,7 +136,7 @@ def dual_distance(spec: code_core.CodeSpec, workers: int = 1,
     dual is (nega)cyclic too, so that search is shift-normalised.
     """
     inst = code_core.realize(spec)
-    dual_dim = inst.n - len(dual_defining_set(inst.t))
+    dual_dim = inst.n - inst.dim
     if spec.q ** dual_dim <= enum_cap:
         dual = code_core.dual_code(inst)
         gen = code_core.generator_matrix(dual)

@@ -96,38 +96,57 @@ def dually_sweep(profile: GapProfile, deltas: list[int],
     """Oracle dually-BCH verdicts for many deltas of one profile.
 
     T(delta) is the profile's defining mask; even_like also puts the
-    coset {0} (position 0) in T, the even-like cyclic subcode.  Each
-    verdict is one coverage pass over the runs of the complement.
+    coset {0} (position 0) in T, the even-like cyclic subcode.  The dual
+    is BCH exactly when one circular run of positions outside T meets
+    all k(delta) cosets outside T.  T is a union of whole cosets, so
+    such a run meets every outside coset, in particular one chosen seed
+    coset: the anchor (largest leader) while delta <= max_delta, and
+    {0} beyond, where T_perp = {0} (cyclic, not even_like; otherwise
+    T_perp is empty).  Only the runs through the <= 2m seed positions
+    are checked, by counting their distinct coset ids.
     Raises BadDelta outside 2 <= delta <= n.
     """
     if even_like and profile.r == 2:
         raise BadFamilyParams("even_like applies to the cyclic family only")
-    lead, r, rn = profile.lead, profile.r, profile.rn
-    is_leader = lead == np.arange(r - 1, rn, r)
+    lead, r = profile.lead, profile.r
+    is_leader = lead == np.arange(r - 1, profile.rn, r)
+    # dense coset ids; the leader of residue x sits at position x // r
+    ids = (np.cumsum(is_leader, dtype=np.int32) - 1)[lead // r]
+    entries = np.sort(profile.entry[is_leader])  # one per coset
+    cosets = len(entries) - even_like
+    anchor = np.flatnonzero(lead == profile.anchor)
     out = []
     for delta in deltas:
         in_t = profile.defining_mask(delta)
         in_t[0] |= even_like
-        out.append(_coverage_verdict(lead, is_leader, in_t, rn))
+        k = cosets - int(np.searchsorted(entries, delta, side="right"))
+        if k == 0:
+            raise EmptySet("dual defining set is empty at this delta")
+        seeds = anchor if delta <= profile.max_delta else [0]
+        out.append(_seed_run_covers(ids, np.flatnonzero(in_t), seeds, k))
     return out
 
 
-def _coverage_verdict(lead: np.ndarray, is_leader: np.ndarray,
-                      in_t: np.ndarray, rn: int) -> bool:
-    """Does one circular run of positions outside T meet every coset there?"""
-    outside = ~in_t
-    k = int(np.count_nonzero(is_leader & outside))
-    if k == 0:
-        raise EmptySet("dual defining set is empty at this delta")
-    members = len(in_t) - int(np.count_nonzero(outside))
-    if members == 0:
-        return True  # dual is the whole class: one run covers everything
-    # label each run by the T positions before it; the tail wraps to run 0
-    run = np.cumsum(in_t) % members
-    pairs = np.sort(run[outside] * rn + lead[outside])
-    first = np.ones(len(pairs), dtype=bool)
-    first[1:] = pairs[1:] != pairs[:-1]
-    return int(np.bincount(pairs[first] // rn).max()) == k
+def _seed_run_covers(ids: np.ndarray, members: np.ndarray, seeds,
+                     k: int) -> bool:
+    """Does a run outside T through a seed position meet k cosets?
+
+    members are the sorted positions of T (never empty: T holds C_1).
+    The run through a seed lies strictly between its neighbours in
+    members; a seed before the first or after the last member lies on
+    the run that wraps through position 0.
+    """
+    n = len(ids)
+    for i in set((np.searchsorted(members, seeds) % len(members)).tolist()):
+        lo, hi = int(members[i - 1]) + 1, int(members[i])
+        if i == 0:
+            lo -= n  # from the last member through position 0
+        if hi - lo < k:
+            continue
+        run = ids[lo:hi] if lo >= 0 else np.concatenate((ids[lo:], ids[:hi]))
+        if np.count_nonzero(np.bincount(run)) == k:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ with the scalar `FieldCtx` calls instead of the symbol tables.
 reducing its column against every pivot and every leaf walked, where
 `min_distance_via_checks` reduces each column once per level and settles
 the last two levels by hashing.
+`coverage_verdict_reference` is the dually verdict as one sort over all
+runs outside T(delta), where `dually_sweep` counts the cosets of the few
+runs through one seed coset; the tests feed it a profile's leader map.
 """
 
 from __future__ import annotations
@@ -185,6 +188,28 @@ def _best_run_counterexample(tperp: DefiningSet, lm: dict[int, int]) -> int:
     missed = [x for x in sorted(tperp.residues) if lm[x] not in best_cover]
     assert missed, "counterexample requested for a coverable dual set"
     return missed[0]
+
+
+def coverage_verdict_reference(lead: np.ndarray, is_leader: np.ndarray,
+                               in_t: np.ndarray, rn: int) -> bool:
+    """Does one circular run of positions outside T meet every coset there?
+
+    The sort-based verdict over every run: lead is a class's leader per
+    position, is_leader marks the leaders, in_t the positions of T.
+    """
+    outside = ~in_t
+    k = int(np.count_nonzero(is_leader & outside))
+    if k == 0:
+        raise EmptySet("dual defining set is empty at this delta")
+    members = len(in_t) - int(np.count_nonzero(outside))
+    if members == 0:
+        return True  # dual is the whole class: one run covers everything
+    # label each run by the T positions before it; the tail wraps to run 0
+    run = np.cumsum(in_t) % members
+    pairs = np.sort(run[outside] * rn + lead[outside])
+    first = np.ones(len(pairs), dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    return int(np.bincount(pairs[first] // rn).max()) == k
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,30 @@ def test_sweep_skips_invalid_family_combo():
     assert rows and all(r["family"] == "cyclic" for r in rows)
 
 
+def test_closed_pipe_ends_without_a_traceback():
+    # the reader is gone before the first write, as after `| head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as sink:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bchlab.cli", "sweep", "3", "5,6,7",
+             "both"], stdout=sink, stderr=subprocess.PIPE, text=True,
+            env=checkout_env())
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+def test_python_dash_m_bchlab_is_the_cli():
+    for args, code in [(("cosets", "3", "10"), 0),
+                       (("bound", "4", "2", "cyclic", "2"), 1)]:
+        proc = subprocess.run([sys.executable, "-m", "bchlab", *args],
+                              capture_output=True, text=True,
+                              env=checkout_env())
+        want = run_cli(*args)
+        assert proc.returncode == want.returncode == code
+        assert (proc.stdout, proc.stderr) == (want.stdout, want.stderr)
+
+
 def test_byte_determinism_of_reports():
     for args in [("bound", "7", "3", "negacyclic", "9"),
                  ("cosets", "3", "28", "--odd"),

@@ -25,7 +25,8 @@ from bchlab.errors import (BadDelta, BadFamilyParams, EmptySet,
                            SearchBudgetExceeded, TooManyCodewords)
 
 import reference as ref
-from grid_utils import STRUCTURAL_INSTANCES, profile, realized
+from grid_utils import (DUALLY_EXHAUSTIVE_BUDGET, STRUCTURAL_INSTANCES,
+                        profile, realized)
 
 
 def tperp_of(q, m, family, delta, b=None):
@@ -217,7 +218,71 @@ def test_coverage_verdict_wraps_the_tail_run():
     # run; the sets built here are symmetric, so no sweep needs the wrap
     lead = np.array([10, 11, 12, 13, 14])
     in_t = np.arange(5) == 2
-    assert orc._coverage_verdict(lead, np.ones(5, dtype=bool), in_t, 15)
+    assert ref.coverage_verdict_reference(lead, np.ones(5, dtype=bool),
+                                          in_t, 15)
+
+
+def test_dually_sweep_joins_the_run_through_position_zero():
+    # narrow-sense T holds C_1, so positions 1 and n - 1 (cyclic) or 0
+    # and n - 1 (negacyclic), and no run of a real class wraps.  Here
+    # every residue of Z_5 is its own coset, T(2) = {2} and T(3) =
+    # {1, 2, 3}: the anchor 4 lies after the last member of T, so its
+    # run is 3, 4, 0, 1 (then 4, 0) and is read as two joined slices.
+    prof = object.__new__(orc.GapProfile)
+    prof.lead, prof.r, prof.rn, prof.n = np.arange(5), 1, 5, 5
+    prof.entry = np.array([6, 3, 2, 3, 4], dtype=np.int32)
+    prof.anchor, prof.max_delta = 4, 3
+    is_leader = np.ones(5, dtype=bool)
+    for even_like, want in [(False, [True, True]), (True, [False, True])]:
+        assert orc.dually_sweep(prof, [2, 3], even_like) == want
+        for d, verdict in zip([2, 3], want):
+            in_t = prof.defining_mask(d)
+            in_t[0] |= even_like
+            assert ref.coverage_verdict_reference(
+                prof.lead, is_leader, in_t, 5) == verdict
+
+
+def test_dually_sweep_at_the_lone_zero_coset():
+    # beyond max_delta the cyclic T_perp is {0}: a one-coset BCH set,
+    # and nothing at all for the even-like subcode
+    for q, m in [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]:
+        prof = profile(q, m, CYCLIC)
+        for d in (prof.max_delta + 1, prof.n):
+            assert ref.dually_bch_oracle(tperp_of(q, m, CYCLIC, d)) \
+                .is_dually
+            assert orc.dually_sweep(prof, [d]) == [True], (q, m, d)
+            with pytest.raises(EmptySet):
+                orc.dually_sweep(prof, [d], even_like=True)
+
+
+def sweep_deltas(prof, hi):
+    """Every delta in [2, hi] within the budget, else a spread with edges."""
+    if prof.rn * (hi - 1) <= DUALLY_EXHAUSTIVE_BUDGET:
+        return list(range(2, hi + 1))
+    edges = {2, 3, prof.max_delta, prof.max_delta + 1, hi}
+    spread = range(2, hi, (hi - 2) // 20 + 1)
+    return sorted(d for d in edges | set(spread) if d <= hi)
+
+
+def test_dually_sweep_matches_sort_reference():
+    # the seed-run verdicts against one sort over every run, on the
+    # grid: cyclic T_perp up to {0} at delta = n, even-like and
+    # negacyclic up to max_delta
+    for q, m, family in MEMBERSHIP_GRID:
+        prof = profile(q, m, family)
+        is_leader = prof.lead == np.arange(prof.r - 1, prof.rn, prof.r)
+        cases = [(False, prof.max_delta)]
+        if family == CYCLIC:
+            cases = [(False, prof.n), (True, prof.max_delta)]
+        for even_like, hi in cases:
+            deltas = sweep_deltas(prof, hi)
+            swept = orc.dually_sweep(prof, deltas, even_like)
+            for d, got in zip(deltas, swept):
+                in_t = prof.defining_mask(d)
+                in_t[0] |= even_like
+                want = ref.coverage_verdict_reference(prof.lead, is_leader,
+                                                      in_t, prof.rn)
+                assert got == want, (q, m, family, even_like, d)
 
 
 def test_dually_sweep_even_like_is_cyclic_only():
