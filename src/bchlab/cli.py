@@ -154,7 +154,7 @@ def _cmd_code_info(args) -> int:
     n, r, rn = cyclotomic.family_parameters(args.q, args.m, args.family)
     ext = cyclotomic.ord_mod(args.q, rn)
     cap = code_core.max_ext_degree(args.max_ext)
-    dim = code_core.dimension(spec)
+    dim = n - len(tset)
     designed = code_core.bch_bound(tset)
     realized = False
     gen: list[str] | None = None

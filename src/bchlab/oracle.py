@@ -231,7 +231,7 @@ def _distance_block(p: int, kf: int, mul: np.ndarray, rows: list[list[int]],
 
 
 def _walk_split(total: int, workers: int) -> list[tuple[int, int]]:
-    """Gray positions [1, total] as (lo, hi) ranges, one per process.
+    """Positions [1, total] as (lo, hi) ranges, one per process.
 
     Never more ranges than os.cpu_count(): extra processes would only
     queue for the same cores.
@@ -244,36 +244,46 @@ def _walk_split(total: int, workers: int) -> list[tuple[int, int]]:
             for lo in range(1, total + 1, per)]
 
 
+def _projective_ranges(q: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Positions [lo, hi) of [q^t, 2q^t), t = 0, 1, ... laid end to end."""
+    out, first, span = [], 1, 1  # [span, 2 span) starts at position first
+    while first < hi:
+        a, b = max(lo, first), min(hi, first + span)
+        if a < b:
+            out.append((span + a - first, span + b - first))
+        first, span = first + span, span * q
+    return out
+
+
 def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
                  workers: int = 1) -> DistanceResult:
-    """Exact minimum distance by enumerating all q^k - 1 nonzero words.
+    """Exact minimum distance, walking one word per scalar class.
 
-    The words are visited in reflected base-q Gray order, a block of
-    consecutive positions per numpy step (see _distance_block).  Ranges
-    of the walk are independent (each word is rebuilt from its index),
-    so workers > 1 splits the range across at most os.cpu_count()
-    processes; the merged result is deterministic, keyed by (weight,
-    first achieving index).
+    Gray positions [q^t, 2q^t) hold the messages whose last nonzero digit
+    is 1 (see the README); these (q^k - 1)/(q - 1) words, counted in
+    `enumerated`, are walked a block per numpy step (see _distance_block).
+    Ranges are independent, so workers > 1 splits them across at most
+    os.cpu_count() processes; the merged result, keyed by (weight, first
+    achieving index), is the first minimum of a walk of all q^k - 1 words.
     """
     k, _ = gen.shape
     if k == 0:
         raise EmptySet("zero code has no nonzero codewords")
     q = field.order
-    total = q ** k - 1
-    if total > cap:
+    if q ** k - 1 > cap:
         raise TooManyCodewords(
-            f"{total} codewords exceeds cap {cap}; "
+            f"{q ** k - 1} codewords exceeds cap {cap}; "
             "enumerate the dual side instead")
-    rows = [[int(c) for c in row] for row in gen]
-    mul = field.symbol_tables()[1]
-    blocks = _walk_split(total, workers)
-    if len(blocks) == 1:
-        results = [_distance_block(field.p, field.k, mul, rows, *blocks[0])]
+    total = (q ** k - 1) // (q - 1)
+    args = (field.p, field.k, field.symbol_tables()[1], gen.tolist())
+    pieces = _walk_split(total, workers)
+    ranges = [r for piece in pieces for r in _projective_ranges(q, *piece)]
+    if len(pieces) == 1:
+        results = [_distance_block(*args, lo, hi) for lo, hi in ranges]
     else:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=len(blocks)) as pool:
-            futures = [pool.submit(_distance_block, field.p, field.k, mul,
-                                   rows, lo, hi) for lo, hi in blocks]
+        with concurrent.futures.ProcessPoolExecutor(len(pieces)) as pool:
+            futures = [pool.submit(_distance_block, *args, lo, hi)
+                       for lo, hi in ranges]
             results = [f.result() for f in futures]
     best_w, best_i, best_word = min(results, key=lambda t: (t[0], t[1]))
     assert best_w > 0, "independent generator rows cannot hit zero"

@@ -165,6 +165,21 @@ def test_code_info_payload():
     assert payload["note"] is None
 
 
+def test_code_info_builds_the_defining_set_twice(monkeypatch, capsys):
+    # once for |T|, the dimension and the bound, once inside realize
+    calls = []
+    defining_set = cy.defining_set
+
+    def counted(*args):
+        calls.append(args)
+        return defining_set(*args)
+
+    monkeypatch.setattr(cy, "defining_set", counted)
+    assert cli.main(["code-info", "3", "3", "negacyclic", "4"]) == 0
+    assert len(calls) == 2
+    assert json.loads(capsys.readouterr().out)["dimension"] == "2"
+
+
 def test_code_info_extension_cap():
     proc = run_cli("code-info", "3", "5", "cyclic", "2", "--max-ext", "4")
     assert proc.returncode == 1

@@ -298,7 +298,7 @@ def weight(word):
 def test_min_distance_tiny_codes():
     f3 = ff.get_field(3, 1)
     rep = orc.min_distance(np.array([[1, 1, 1]]), f3)
-    assert rep.distance == 3 and rep.enumerated == 2
+    assert rep.distance == 3 and rep.enumerated == 1
     # sum-zero code over F3: minimum weight 2
     parity = np.array([[1, 0, 2], [0, 1, 2]])
     rep = orc.min_distance(parity, f3)
@@ -326,7 +326,7 @@ def test_min_distance_workers_deterministic():
     multi = orc.min_distance(gen, inst.field, workers=3)
     assert single.distance == multi.distance == 20
     assert single.word == multi.word
-    assert single.enumerated == multi.enumerated == 3**9 - 1
+    assert single.enumerated == multi.enumerated == (3**9 - 1) // 2
 
 
 def test_min_distance_extension_field_symbols():
@@ -464,6 +464,43 @@ def test_walk_split_is_capped_at_cpu_count(monkeypatch):
     assert len(blocks) == 3 and blocks[0][0] == 1
     assert blocks[-1][1] == 10**6 + 1
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    # the pieces, as Gray ranges, cover the projective positions
+    # [q^t, 2q^t), t < k, each once and in order
+    q, k = 5, 7
+    total = (q ** k - 1) // (q - 1)
+    for workers in (1, 3):
+        walked = [i for piece in orc._walk_split(total, workers)
+                  for lo, hi in orc._projective_ranges(q, *piece)
+                  for i in range(lo, hi)]
+        assert walked == [i for t in range(k)
+                          for i in range(q ** t, 2 * q ** t)], workers
+
+
+def test_projective_walk_is_the_full_walk():
+    # min_distance walks one word per scalar class and must return the
+    # first minimum of the full Gray walk, with or without workers
+    cases = []
+    for q, m, fam, d in STRUCTURAL_INSTANCES:
+        inst = realized(q, m, fam, d)
+        for code in (inst, cc.dual_code(inst)):
+            rows = cc.generator_matrix(code).tolist()
+            if q ** len(rows) <= 600_000:
+                cases.append((inst.field, rows))
+    # the F_9 = F_3[x]/(x^2 + 2x + 2) matrices of the modulus test
+    fld = ff.FieldCtx(3, 2, modulus=(2, 2, 1))
+    rng = random.Random(0)
+    for _ in range(60):
+        cases.append((fld, [[rng.randrange(9) for _ in range(6)]
+                            for _ in range(2)]))
+    cases.append((fld, [[0, 4, 1, 7, 0]]))  # k = 1
+    for fld, rows in cases:
+        q, k = fld.order, len(rows)
+        want_w, _, want_word = ref.gray_walk_reference(fld, rows, 1, q ** k)
+        for workers in (1, 2):
+            got = orc.min_distance(np.array(rows), fld, workers=workers)
+            assert (got.distance, list(got.word)) == (want_w, want_word), \
+                (q, k, workers)
+            assert got.enumerated == (q ** k - 1) // (q - 1)
 
 
 def test_via_checks_cross_validates_enumeration():
