@@ -18,9 +18,10 @@ import numpy as np
 
 from . import cyclotomic, poly_linalg
 from .cyclotomic import CYCLIC, NEGACYCLIC, DefiningSet
-from .errors import BadDelta, BCHLabError, ExtensionTooLarge
-from .finite_field import FieldCtx, get_field, prime_power_decomposition, \
-    root_of_unity
+from .errors import BadDelta, BCHLabError, CoefficientNotInSubfield, \
+    ExtensionTooLarge
+from .finite_field import FieldCtx, get_field, get_subfield_map, \
+    prime_power_decomposition, root_of_unity
 
 DEFAULT_MAX_EXT = 24
 ENV_MAX_EXT = "BCHLAB_MAX_EXT_DEGREE"
@@ -108,15 +109,63 @@ def realize(spec: CodeSpec, max_ext: int | None = None,
     if extension is None:
         extension = get_field(p, k * ell)
     beta = root_of_unity(extension, rn)
-    gen = [1]
-    for leader in t.leaders():
-        mp = poly_linalg.minimal_polynomial(extension.pow(beta, leader),
-                                            extension, field)
-        gen = poly_linalg.pmul(gen, mp, field)
+    gen = _generator_poly(t.leaders(), extension, field, beta, rn)
     assert len(gen) - 1 == len(t), "generator degree must equal |T|"
     return CodeInstance(spec=spec, n=n, t=t, field=field,
                         extension=extension, beta=beta, gen_poly=gen,
                         dim=n - len(t))
+
+
+def _generator_poly(leaders, extension: FieldCtx, field: FieldCtx,
+                    beta: int, rn: int) -> list[int]:
+    """Product over the leaders j of the minimal polynomial of beta^j.
+
+    The minimal polynomial of beta^j over F_q is prod (x - beta^e) over
+    the orbit e = j q^i mod rn.  All of this runs on digit vectors of the
+    extension: beta^e comes from the bits of e, one vmul by beta^(2^b)
+    per bit b, and the orbits of one size s multiply out their s linear
+    factors together, one batched step per factor.  The coefficients are
+    lifted into F_q (CoefficientNotInSubfield if one is not in it) and the
+    minimal polynomials multiplied over F_q.
+    """
+    q, p, kx = field.order, extension.p, extension.k
+    by_size: dict[int, list[int]] = {}  # orbit size -> orbits laid end to end
+    for j in leaders:
+        orbit, e = [j], j * q % rn
+        while e != j:
+            orbit.append(e)
+            e = e * q % rn
+        by_size.setdefault(len(orbit), []).extend(orbit)
+    lift = get_subfield_map(field, extension).lift_table
+    gen = [1]
+    for size, exps in sorted(by_size.items()):
+        exps = np.array(exps, dtype=np.int64)
+        step = extension.vdigits([beta])[0]  # beta^(2^bit)
+        roots = np.zeros((len(exps), kx), dtype=step.dtype)
+        roots[:, 0] = 1
+        for bit in range(rn.bit_length()):
+            odd = (exps >> bit) & 1 == 1
+            roots[odd] = extension.vmul(roots[odd], step)
+            step = extension.vmul(step, step)
+        roots = roots.reshape(-1, size, kx)
+        poly = np.zeros((len(roots), 1, kx), dtype=roots.dtype)
+        poly[:, 0, 0] = 1
+        for i in range(size):  # poly *= x - roots[:, i], orbit by orbit
+            nxt = np.zeros((len(poly), i + 2, kx), dtype=poly.dtype)
+            nxt[:, 1:] = poly
+            nxt[:, :-1] -= extension.vmul(poly, roots[:, i:i + 1])
+            poly = nxt % p
+        coeffs = extension.vundigits(poly)
+        try:
+            lifted = [lift[c] for c in coeffs]
+        except KeyError as err:
+            raise CoefficientNotInSubfield(
+                f"coefficient {err.args[0]} of an orbit product is outside "
+                f"F_{q}") from None
+        # pmul's outer loop runs over its first, short argument
+        for lo in range(0, len(lifted), size + 1):
+            gen = poly_linalg.pmul(lifted[lo:lo + size + 1], gen, field)
+    return gen
 
 
 def generator_matrix(inst: CodeInstance) -> np.ndarray:
@@ -136,13 +185,9 @@ def dual_code(inst: CodeInstance) -> CodeInstance:
     is recomputed from scratch and checked orthogonal to the primal.
     """
     tperp = cyclotomic.dual_defining_set(inst.t)
-    gen = [1]
     field = inst.field
-    for leader in tperp.leaders():
-        mp = poly_linalg.minimal_polynomial(inst.extension.pow(inst.beta,
-                                                               leader),
-                                            inst.extension, field)
-        gen = poly_linalg.pmul(gen, mp, field)
+    gen = _generator_poly(tperp.leaders(), inst.extension, field, inst.beta,
+                          tperp.modulus)
     dual = CodeInstance(spec=None, n=inst.n, t=tperp, field=field,
                         extension=inst.extension, beta=inst.beta,
                         gen_poly=gen, dim=inst.n - len(tperp))

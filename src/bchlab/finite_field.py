@@ -10,8 +10,14 @@ Determinism contract:
   degree k, comparing coefficient tuples (c_{k-1}, ..., c_0);
 * the multiplicative generator is the first element in code order whose
   order is p^k - 1 (checked against the prime factors of p^k - 1);
-* exp/log tables are built from that generator whenever the field is
-  small enough, so repeated constructions are bit-for-bit identical.
+* exp/log tables are built from that generator, on the first scalar
+  `mul`/`inv`/`pow` or `symbol_tables` call that needs them, whenever the
+  field is small enough, so repeated constructions are bit-for-bit
+  identical.
+
+Bulk work (the generator search, roots of unity, subfield embeddings and
+the minimal polynomials of `code_core`) runs on digit vectors instead:
+`vmul`/`vpow` multiply (..., k) arrays of base-p digits with no table.
 """
 
 from __future__ import annotations
@@ -126,8 +132,8 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (int coefficient lists, ascending)
-# not merged into poly_linalg: on get_field(p, 1) that doubled _find_generator
+# dense polynomial helpers over F_p (int coefficient lists, ascending), for
+# find_irreducible and the scalar _mul_poly
 
 
 def _pmod_trim(a: list[int]) -> list[int]:
@@ -243,18 +249,18 @@ class FieldCtx:
         self.order = p**k
         if modulus is None:
             modulus = find_irreducible(p, k)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {k}")
-        if not _is_irreducible(list(modulus), p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != k + 1 or modulus[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {k}")
+            if not _is_irreducible(list(modulus), p):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
+        self._w = self._product_matrix()
         self.exp: list[int] | None = None
         self.log: list[int | None] | None = None
         self._symbols: tuple[np.ndarray, ...] | None = None
         self.generator = self._find_generator()
-        if self.order <= TABLE_CAP:
-            self._build_tables()
 
     # -- representation ----------------------------------------------------
 
@@ -270,6 +276,58 @@ class FieldCtx:
         for d in reversed(ds):
             a = a * self.p + d % self.p
         return a
+
+    def vdigits(self, codes) -> np.ndarray:
+        """Digit rows, shape (len(codes), k), of int codes of any size."""
+        return np.array([self.digits(int(a)) for a in codes],
+                        dtype=self._w.dtype).reshape(-1, self.k)
+
+    def vundigits(self, rows: np.ndarray) -> list[int]:
+        """Int codes of the digit rows of a (..., k) array, flattened."""
+        return [self.undigits(r) for r in rows.reshape(-1, self.k).tolist()]
+
+    # -- digit-vector arithmetic -------------------------------------------
+
+    def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of digit vectors: a and b broadcast to (..., k).
+
+        The coefficients of the product polynomial are the outer product
+        of the two digit vectors, summed along anti-diagonals; row i*k + j
+        of W holds the digits of x^(i+j) mod the modulus, so the product
+        is outer.reshape(k^2) @ W mod p.  Operands of more than
+        _TABLE_CHUNK rows are multiplied _TABLE_CHUNK rows at a time.
+        """
+        k = self.k
+        if max(np.size(a), np.size(b)) <= _TABLE_CHUNK * k:
+            outer = a[..., :, None] * b[..., None, :]
+            return outer.reshape(outer.shape[:-2] + (k * k,)) @ self._w \
+                % self.p
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        rows = math.prod(shape[:-1])
+        a = np.broadcast_to(a, shape).reshape(rows, k)
+        b = np.broadcast_to(b, shape).reshape(rows, k)
+        return np.concatenate([self.vmul(a[lo:lo + _TABLE_CHUNK],
+                                         b[lo:lo + _TABLE_CHUNK])
+                               for lo in range(0, rows, _TABLE_CHUNK)]
+                              ).reshape(shape)
+
+    def vpow(self, a: np.ndarray, e) -> np.ndarray:
+        """a^e for a (..., k) digit array, by square-and-multiply.
+
+        e is an int >= 0, or ints broadcast against a.shape[:-1]; they
+        may exceed int64.
+        """
+        e = np.array(e, dtype=object)
+        shape = np.broadcast_shapes(np.shape(a), e.shape + (self.k,))
+        result = np.zeros(shape, dtype=self._w.dtype)
+        result[..., 0] = 1
+        for bit in range(max(e.flat, default=0).bit_length()):
+            if bit:
+                a = self.vmul(a, a)
+            odd = np.array([x >> bit & 1 for x in e.flat], dtype=bool)
+            result = np.where(odd.reshape(e.shape + (1,)),
+                              self.vmul(result, a), result)
+        return result
 
     # -- core arithmetic ---------------------------------------------------
 
@@ -311,7 +369,7 @@ class FieldCtx:
             return 0
         if self.k == 1:
             return a * b % self.p
-        if self.log is not None:
+        if self.tables():
             return self.exp[(self.log[a] + self.log[b]) % (self.order - 1)]
         return self._mul_poly(a, b)
 
@@ -320,7 +378,7 @@ class FieldCtx:
             raise DivisionByZero("inverse of 0")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        if self.log is not None:
+        if self.tables():
             return self.exp[(-self.log[a]) % (self.order - 1)]
         return self.pow(a, self.order - 2)
 
@@ -332,10 +390,10 @@ class FieldCtx:
                 raise DivisionByZero("0 to a negative power")
             return 0
         e %= self.order - 1
-        if self.log is not None and self.k > 1:
-            return self.exp[self.log[a] * e % (self.order - 1)]
         if self.k == 1:
             return pow(a, e, self.p)
+        if self.tables():
+            return self.exp[self.log[a] * e % (self.order - 1)]
         result = 1
         b = a
         while e:
@@ -344,6 +402,16 @@ class FieldCtx:
             b = self._mul_poly(b, b)
             e >>= 1
         return result
+
+    def tables(self) -> tuple[list[int], list[int | None]] | None:
+        """(exp, log) of the generator, built on first use.
+
+        None when the order is above TABLE_CAP; scalar arithmetic then
+        multiplies polynomials.
+        """
+        if self.exp is None and self.order <= TABLE_CAP:
+            self._build_tables()
+        return None if self.exp is None else (self.exp, self.log)
 
     def symbol_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray]:
@@ -363,6 +431,7 @@ class FieldCtx:
             digits = np.arange(q, dtype=np.int64)[:, None] // place % p
             add = (digits[:, None] + digits[None, :]) % p @ place
             neg = (-digits % p) @ place
+            self.tables()
             exp = np.array(self.exp, dtype=np.int64)
             log = np.array([0] + self.log[1:], dtype=np.int64)
             mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
@@ -376,17 +445,38 @@ class FieldCtx:
 
     # -- construction helpers ----------------------------------------------
 
+    def _product_matrix(self) -> np.ndarray:
+        """W of vmul: row i*k + j holds the digits of x^(i+j) mod f.
+
+        Object entries when an int64 matmul of k^2 products could wrap.
+        """
+        p, k, f = self.p, self.k, self.modulus
+        xpow = [[1] + [0] * (k - 1)]
+        for _ in range(2 * k - 2):
+            top, prev = xpow[-1][-1], xpow[-1]
+            xpow.append([(lo - top * c) % p
+                         for lo, c in zip([0] + prev[:-1], f)])
+        dtype = np.int64 if k * k * p ** 3 < 2 ** 63 else object
+        return np.array([xpow[i + j] for i in range(k) for j in range(k)],
+                        dtype=dtype)
+
     def _find_generator(self) -> int:
+        """First code of order p^k - 1, testing batches in code order.
+
+        Batches double from two candidates up to _TABLE_CHUNK; a candidate
+        passes when g^((p^k - 1)/rho) != 1 for every prime rho of p^k - 1.
+        """
         n1 = self.order - 1
-        primes = sorted(factorize(n1))
-        for g in range(1, self.order):
-            ok = True
-            for rho in primes:
-                if self.pow(g, n1 // rho) == 1:
-                    ok = False
-                    break
-            if ok:
-                return g
+        exps = [n1 // rho for rho in sorted(factorize(n1))]
+        one = self.vdigits([1])
+        lo, size = 1, 2
+        while lo <= n1:
+            codes = np.arange(lo, min(lo + size, n1 + 1))
+            powers = self.vpow(self.vdigits(codes)[:, None], exps)
+            ok = (powers != one).any(axis=2).all(axis=1)
+            if ok.any():
+                return int(codes[ok.argmax()])
+            lo, size = lo + size, min(2 * size, _TABLE_CHUNK)
         raise RuntimeError("unreachable: F_q* is cyclic")
 
     def _build_tables(self) -> None:
@@ -415,17 +505,17 @@ class FieldCtx:
         """
         p, k, n1 = self.p, self.k, self.order - 1
         place = p ** np.arange(k, dtype=np.int64)
+        cube = self._w.reshape(k, k, k)  # cube[i, j] = digits of x^(i+j)
         exp = np.empty(n1, dtype=np.int64)
         exp[0] = 1
-        s, h = 1, self.generator
+        s, h = 1, self.vdigits([self.generator])[0]
         while s < n1:
-            mat = np.array([self.digits(self._mul_poly(p ** j, h))
-                            for j in range(k)], dtype=np.int64)
+            mat = np.tensordot(h, cube, axes=1) % p  # row j: x^j * h
             for lo in range(0, min(s, n1 - s), _TABLE_CHUNK):
                 hi = min(lo + _TABLE_CHUNK, s, n1 - s)
                 digits = exp[lo:hi, None] // place % p
                 exp[s + lo:s + hi] = digits @ mat % p @ place
-            s, h = 2 * s, self._mul_poly(h, h)
+            s, h = 2 * s, self.vmul(h, h)
         return exp
 
     def __repr__(self):
@@ -452,7 +542,8 @@ def root_of_unity(ctx: FieldCtx, n: int) -> int:
         raise OrderNotDividing(
             f"no element of order {n} in F_{ctx.order} (group order "
             f"{ctx.order - 1})")
-    return ctx.pow(ctx.generator, (ctx.order - 1) // n)
+    g = ctx.vdigits([ctx.generator])
+    return ctx.vundigits(ctx.vpow(g, (ctx.order - 1) // n))[0]
 
 
 class SubfieldMap:
@@ -478,34 +569,29 @@ class SubfieldMap:
         if small.k == 1:
             return list(range(small.p))
         sub_order = small.order - 1
-        h = big.pow(big.generator, (big.order - 1) // sub_order)
-        candidates = [0]
-        x = 1
-        for _ in range(sub_order):
-            candidates.append(x)
-            x = big.mul(x, h)
-        roots = [c for c in candidates if self._eval_modulus(c) == 0]
+        g = big.vdigits([big.generator])
+        # h^0 .. h^(sub_order - 1) by doubling; 0 is no root of the modulus
+        cand = big.vdigits([1])
+        step = big.vpow(g, (big.order - 1) // sub_order)  # h
+        while len(cand) < sub_order:
+            cand = np.concatenate([cand, big.vmul(cand, step)])
+            step = big.vmul(step, step)
+        cand = cand[:sub_order]
+        acc = np.zeros_like(cand)
+        for c in reversed(small.modulus):
+            acc = big.vmul(acc, cand)
+            acc[:, 0] = (acc[:, 0] + c) % big.p
+        roots = big.vundigits(cand[~acc.any(axis=1)])
         if not roots:
             raise RuntimeError("unreachable: base modulus splits in the "
                                "extension")
-        rho = min(roots)
-        rho_pows = [1]
+        rho = big.vdigits([min(roots)])[0]
+        rho_pows = [big.vdigits([1])[0]]
         for _ in range(small.k - 1):
-            rho_pows.append(big.mul(rho_pows[-1], rho))
-        table = []
-        for a in range(small.order):
-            img = 0
-            for d, rp in zip(small.digits(a), rho_pows):
-                img = big.add(img, big.mul(d, rp))  # prime coeffs are coded alike
-            table.append(img)
-        return table
-
-    def _eval_modulus(self, x: int) -> int:
-        big = self.big
-        acc = 0
-        for c in reversed(self.small.modulus):
-            acc = big.add(big.mul(acc, x), c)
-        return acc
+            rho_pows.append(big.vmul(rho_pows[-1], rho))
+        # a = sum_j d_j x^j maps to sum_j d_j rho^j, d_j in F_p
+        images = small.vdigits(range(small.order)) @ np.array(rho_pows)
+        return big.vundigits(images % big.p)
 
     def embed(self, a: int) -> int:
         return self.embed_table[a]

@@ -161,8 +161,12 @@ class DistanceResult:
 
 
 def _distance_block(p: int, kf: int, mul: np.ndarray, rows: list[list[int]],
-                    start: int, stop: int) -> tuple[int, int, list[int]]:
-    """Best (weight, index, word) over Gray positions [start, stop).
+                    ranges: list[tuple[int, int]]
+                    ) -> tuple[int, int, list[int]]:
+    """Best (weight, index, word) over the Gray positions of ranges.
+
+    ranges holds [start, stop) pieces in increasing order; the tables
+    below are built once for all of them.
 
     Position i has base-q digits d_0, d_1, ... and message digits
     g_j = (d_j - d_{j+1}) mod q, taken as integer codes: digit c
@@ -208,25 +212,28 @@ def _distance_block(p: int, kf: int, mul: np.ndarray, rows: list[list[int]],
     powers = q ** np.arange(k - ell + 1)[:, None]
 
     best: tuple[int, int, list[int]] | None = None
-    for h0 in range(start // size, (stop - 1) // size + 1, per_step):
-        # hd[j, s] = digit d_{L+j} of the s-th block in this step
-        hd = np.arange(h0, h0 + per_step) // powers % q
-        high = scaled[high_rows, (hd[:-1] - hd[1:]) % q].sum(
-            axis=0, dtype=np.int64)
-        # boundary digit of sub-block v: (v - d_L) mod q times row L-1
-        boundary = scaled[ell - 1, (shift - hd[0][:, None]) % q]
-        offset = ((boundary + high[:, None, :]) % p).astype(sym)
-        block = add(low, offset[:, :, None, :]).reshape(per_step * size, -1)
-        a = max(start - h0 * size, 0)
-        b = min(stop - h0 * size, per_step * size)
-        nonzero = block[a:b, :n]
-        for i in range(1, kf):
-            nonzero = nonzero | block[a:b, i * n:(i + 1) * n]
-        weights = np.count_nonzero(nonzero, axis=1)
-        j = int(np.argmin(weights))
-        if best is None or weights[j] < best[0]:
-            word = block[a + j].reshape(kf, n).T @ p ** np.arange(kf)
-            best = (int(weights[j]), h0 * size + a + j, word.tolist())
+    for start, stop in ranges:
+        last = (stop - 1) // size + 1  # one past the last block
+        for h0 in range(start // size, last, per_step):
+            steps = min(per_step, last - h0)
+            # hd[j, s] = digit d_{L+j} of the s-th block in this step
+            hd = np.arange(h0, h0 + steps) // powers % q
+            high = scaled[high_rows, (hd[:-1] - hd[1:]) % q].sum(
+                axis=0, dtype=np.int64)
+            # boundary digit of sub-block v: (v - d_L) mod q times row L-1
+            boundary = scaled[ell - 1, (shift - hd[0][:, None]) % q]
+            offset = ((boundary + high[:, None, :]) % p).astype(sym)
+            block = add(low, offset[:, :, None, :]).reshape(steps * size, -1)
+            a = max(start - h0 * size, 0)
+            b = min(stop - h0 * size, steps * size)
+            nonzero = block[a:b, :n]
+            for i in range(1, kf):
+                nonzero = nonzero | block[a:b, i * n:(i + 1) * n]
+            weights = np.count_nonzero(nonzero, axis=1)
+            j = int(np.argmin(weights))
+            if best is None or weights[j] < best[0]:
+                word = block[a + j].reshape(kf, n).T @ p ** np.arange(kf)
+                best = (int(weights[j]), h0 * size + a + j, word.tolist())
     return best
 
 
@@ -276,14 +283,14 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
             "enumerate the dual side instead")
     total = (q ** k - 1) // (q - 1)
     args = (field.p, field.k, field.symbol_tables()[1], gen.tolist())
-    pieces = _walk_split(total, workers)
-    ranges = [r for piece in pieces for r in _projective_ranges(q, *piece)]
+    pieces = [_projective_ranges(q, *piece)
+              for piece in _walk_split(total, workers)]
     if len(pieces) == 1:
-        results = [_distance_block(*args, lo, hi) for lo, hi in ranges]
+        results = [_distance_block(*args, pieces[0])]
     else:
         with concurrent.futures.ProcessPoolExecutor(len(pieces)) as pool:
-            futures = [pool.submit(_distance_block, *args, lo, hi)
-                       for lo, hi in ranges]
+            futures = [pool.submit(_distance_block, *args, ranges)
+                       for ranges in pieces]
             results = [f.result() for f in futures]
     best_w, best_i, best_word = min(results, key=lambda t: (t[0], t[1]))
     assert best_w > 0, "independent generator rows cannot hit zero"

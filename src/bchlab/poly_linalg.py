@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CoefficientNotInSubfield, DivisionByZero
-from .finite_field import FieldCtx, get_subfield_map
+from .errors import DivisionByZero
+from .finite_field import FieldCtx
 
 
 def ptrim(a: list[int]) -> list[int]:
@@ -74,35 +74,6 @@ def x_pow_minus(n: int, const: int, ctx: FieldCtx) -> list[int]:
     out[0] = ctx.neg(const)
     out[n] = 1
     return out
-
-
-def minimal_polynomial(elem: int, big: FieldCtx, small: FieldCtx) -> list[int]:
-    """Minimal polynomial of elem (in big) over the subfield small.
-
-    Product of (x - e) over the Frobenius orbit e, e^q, e^{q^2}, ... with
-    q = small.order; coefficients are lifted back to small codes.  Raises
-    CoefficientNotInSubfield if a coefficient fails to lift (only possible
-    when small is not actually the intended base field).
-    """
-    q = small.order
-    orbit = [elem]
-    y = big.pow(elem, q)
-    while y != elem:
-        orbit.append(y)
-        y = big.pow(y, q)
-    poly = [1]
-    for e in orbit:
-        poly = pmul(poly, [big.neg(e), 1], big)
-    submap = get_subfield_map(small, big)
-    lifted = []
-    for c in poly:
-        try:
-            lifted.append(submap.lift(c))
-        except KeyError:
-            raise CoefficientNotInSubfield(
-                f"coefficient {c} of the orbit product is outside "
-                f"F_{small.order}") from None
-    return lifted
 
 
 def rank(matrix, ctx: FieldCtx) -> int:

@@ -12,7 +12,11 @@ each orbit once into a dict, and the references read that.  Only the
 coset combinatorics and `DefiningSet` of `bchlab.cyclotomic` and the field
 arithmetic of `bchlab.finite_field` are common.  `field_tables_reference`
 builds, one polynomial multiplication per element, the exp/log tables
-that `FieldCtx` fills by doubling, and `rank_reference` reduces rows
+that `FieldCtx` fills by doubling; `generator_reference`,
+`embed_table_reference` and `generator_poly_reference` find the
+generator, the subfield embedding and the generator polynomial of a code
+one scalar multiplication at a time, where `FieldCtx` and `code_core` work
+on batches of digit vectors.  `rank_reference` reduces rows
 with the scalar `FieldCtx` calls instead of the symbol tables.
 `check_search_reference` is the check-matrix search with every node
 reducing its column against every pivot and every leaf walked, where
@@ -29,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bchlab import cyclotomic
+from bchlab import cyclotomic, poly_linalg
 from bchlab.cyclotomic import DefiningSet
-from bchlab.errors import BadFamilyParams, EmptySet
+from bchlab.errors import BadFamilyParams, CoefficientNotInSubfield, EmptySet
+from bchlab.finite_field import factorize
 
 
 class AnchorNotInDual(ValueError):
@@ -307,6 +312,102 @@ def field_tables_reference(ctx) -> tuple[list[int], list[int | None]]:
         x = ctx._mul_poly(x, ctx.generator) if ctx.k > 1 \
             else x * ctx.generator % ctx.p
     return exp, log
+
+
+# ---------------------------------------------------------------------------
+# scalar field constructions, one polynomial multiplication per step: the
+# generator search, the subfield embedding and minimal polynomials that
+# `FieldCtx` and `code_core` compute on batches of digit vectors
+
+
+def mul_reference(ctx, a: int, b: int) -> int:
+    return ctx._mul_poly(a, b) if ctx.k > 1 else a * b % ctx.p
+
+
+def pow_reference(ctx, a: int, e: int) -> int:
+    """a^e, e >= 0, by square-and-multiply on mul_reference."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul_reference(ctx, result, a)
+        a = mul_reference(ctx, a, a)
+        e >>= 1
+    return result
+
+
+def generator_reference(ctx) -> int:
+    """First code in code order whose order is p^k - 1."""
+    n1 = ctx.order - 1
+    primes = sorted(factorize(n1))
+    for g in range(1, ctx.order):
+        if all(pow_reference(ctx, g, n1 // rho) != 1 for rho in primes):
+            return g
+    raise AssertionError("F_q* is cyclic")
+
+
+def embed_table_reference(small, big) -> list[int]:
+    """Codes of small's elements in big: x goes to the smallest root (in
+    code order) of small's modulus among the powers of g^((Q-1)/(q-1))."""
+    if small.k == 1:
+        return list(range(small.p))
+    sub_order = small.order - 1
+    h = pow_reference(big, big.generator, (big.order - 1) // sub_order)
+    roots = []
+    x = 1
+    for _ in range(sub_order):
+        acc = 0
+        for c in reversed(small.modulus):
+            acc = big.add(mul_reference(big, acc, x), c)
+        if acc == 0:
+            roots.append(x)
+        x = mul_reference(big, x, h)
+    rho_pows = [1]
+    for _ in range(small.k - 1):
+        rho_pows.append(mul_reference(big, rho_pows[-1], min(roots)))
+    table = []
+    for a in range(small.order):
+        img = 0
+        for d, rp in zip(small.digits(a), rho_pows):
+            img = big.add(img, mul_reference(big, d, rp))
+        table.append(img)
+    return table
+
+
+def minimal_polynomial_reference(elem: int, big, small) -> list[int]:
+    """Minimal polynomial of elem over small, as codes of small.
+
+    The product of (x - e) over the Frobenius orbit e, e^q, e^{q^2}, ...
+    (q = small.order), lifted through embed_table_reference; raises
+    CoefficientNotInSubfield when a coefficient is not in small.
+    """
+    q = small.order
+    orbit = [elem]
+    y = pow_reference(big, elem, q)
+    while y != elem:
+        orbit.append(y)
+        y = pow_reference(big, y, q)
+    poly = [1]
+    for e in orbit:  # poly *= x - e
+        shifted = [0] + poly
+        for i, c in enumerate(poly):
+            shifted[i] = big.sub(shifted[i], mul_reference(big, e, c))
+        poly = shifted
+    lift = {img: a for a, img in enumerate(embed_table_reference(small, big))}
+    if any(c not in lift for c in poly):
+        raise CoefficientNotInSubfield(
+            f"{poly} has a coefficient outside F_{q}")
+    return [lift[c] for c in poly]
+
+
+def generator_poly_reference(residues: DefiningSet, extension, field,
+                             beta: int) -> list[int]:
+    """Product over the leaders j of the minimal polynomial of beta^j."""
+    gen = [1]
+    for j in residues.leaders():
+        mp = minimal_polynomial_reference(pow_reference(extension, beta, j),
+                                          extension, field)
+        gen = poly_linalg.pmul(gen, mp, field)
+    return gen
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from bchlab import finite_field as ff
 from bchlab import oracle as orc
 from bchlab import poly_linalg as pl
 from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
-from bchlab.errors import BadDelta, ExtensionTooLarge
+from bchlab.errors import BadDelta, CoefficientNotInSubfield, \
+    ExtensionTooLarge
 
+import reference as ref
 from grid_utils import STRUCTURAL_INSTANCES, grid_points, profile, realized
 
 # (q, m, family, delta) -> (n, dim, bch_bound)
@@ -116,6 +118,58 @@ def test_generator_roots_are_exactly_t():
             val = pl.peval(lifted, inst.extension.pow(inst.beta, j),
                            inst.extension)
             assert (val == 0) == (j in inst.t)
+
+
+def next_irreducible(p, k):
+    """The second monic irreducible of degree k in find_irreducible's order."""
+    polys = (tuple((v // p ** j) % p for j in range(k)) + (1,)
+             for v in range(p ** k))
+    irreducible = (f for f in polys if ff._is_irreducible(list(f), p))
+    next(irreducible)
+    return next(irreducible)
+
+
+def test_generator_poly_matches_reference():
+    # the batched orbit products against one minimal polynomial at a time,
+    # on the default fields and with field= / extension= moduli of their own
+    insts = [realized(*spec) for spec in STRUCTURAL_INSTANCES]
+    f9 = ff.FieldCtx(3, 2, modulus=(2, 2, 1))
+    e81 = ff.FieldCtx(3, 4, modulus=next_irreducible(3, 4))
+    e38 = ff.FieldCtx(3, 8, modulus=next_irreducible(3, 8))
+    for spec, kw in [((9, 2, CYCLIC, 2), dict(field=f9)),
+                     ((9, 2, CYCLIC, 5), dict(field=f9, extension=e38)),
+                     ((9, 2, CYCLIC, 5), dict(extension=e38)),
+                     ((3, 2, CYCLIC, 3), dict(extension=e81)),
+                     ((3, 4, NEGACYCLIC, 2), dict(extension=e38))]:
+        insts.append(cc.realize(cc.CodeSpec(*spec), **kw))
+    assert f9.modulus != ff.get_field(3, 2).modulus
+    for e in (e81, e38):
+        assert e.modulus != ff.find_irreducible(3, e.k)
+    for inst in insts:
+        ext, fld, rn = inst.extension, inst.field, inst.t.modulus
+        assert inst.beta == ref.pow_reference(ext, ext.generator,
+                                              (ext.order - 1) // rn)
+        dual = cc.dual_code(inst)
+        for code in (inst, dual):
+            assert code.gen_poly == ref.generator_poly_reference(
+                code.t, ext, fld, inst.beta), (inst.spec, code is dual)
+
+
+def test_realize_builds_no_extension_tables(monkeypatch):
+    monkeypatch.setattr(ff, "_FIELD_CACHE", {})
+    monkeypatch.setattr(ff, "_SUBFIELD_CACHE", {})
+    inst = cc.realize(cc.CodeSpec(7, 3, NEGACYCLIC, 2))
+    cc.dual_code(inst)
+    assert inst.extension.order == 7 ** 6
+    assert inst.extension.exp is None
+
+
+def test_generator_poly_rejects_coefficients_outside_the_field():
+    # the orbit of 1 under 3 mod 10 is not the Frobenius orbit of an
+    # element of order 80, so the product leaves F_3
+    ext = ff.get_field(3, 4)
+    with pytest.raises(CoefficientNotInSubfield):
+        cc._generator_poly([1], ext, ff.get_field(3, 1), ext.generator, 10)
 
 
 def test_generator_matrix_shape_and_rank():

@@ -42,6 +42,24 @@ def test_find_irreducible_deterministic():
                 assert sum(c * x**i for i, c in enumerate(f)) % p != 0
 
 
+def test_modulus_is_checked_once(monkeypatch):
+    for bad in [(1, 0, 1), (1, 1, 2), (1, 1)]:  # x^2 + 1 = (x - 2)(x + 2)
+        with pytest.raises(ValueError):
+            ff.FieldCtx(5, 2, modulus=bad)
+    calls = []
+    real = ff._is_irreducible
+
+    def counted(f, p):
+        calls.append(tuple(f))
+        return real(f, p)
+
+    monkeypatch.setattr(ff, "_is_irreducible", counted)
+    ctx = ff.FieldCtx(3, 4)  # find_irreducible's test is the only one
+    assert calls.count(ctx.modulus) == 1
+    ff.FieldCtx(3, 4, modulus=ctx.modulus)
+    assert calls.count(ctx.modulus) == 2
+
+
 def field_sample(ctx, limit=12):
     order = ctx.order
     if order <= limit:
@@ -99,10 +117,10 @@ def test_pow_matches_repeated_mul():
 
 def test_tables_match_poly_path():
     ctx = ff.get_field(3, 2)
-    assert ctx.exp is not None  # small field: tables built
     for a in range(9):
         for b in range(9):
             assert ctx.mul(a, b) == ctx._mul_poly(a, b)
+    assert ctx.exp is not None  # small field: the first mul built tables
     # random pairs in F_{7^4} and in F_{5^3} = F_5[x]/(x^3 + 3x + 2), a
     # modulus other than the default x^3 + x + 1
     rng = random.Random(5)
@@ -125,7 +143,50 @@ def test_tables_match_reference(p, k, modulus):
     ctx = ff.get_field(p, k) if modulus is None \
         else ff.FieldCtx(p, k, modulus=modulus)
     assert modulus is None or ctx.modulus != ff.find_irreducible(p, k)
+    ctx.tables()  # built on first use
     assert (ctx.exp, ctx.log) == ref.field_tables_reference(ctx)
+
+
+def irreducibles(p, k):
+    """Every monic irreducible of degree k over F_p, ascending coefficients."""
+    polys = ([(v // p ** j) % p for j in range(k)] + [1]
+             for v in range(p ** k))
+    return [tuple(f) for f in polys if ff._is_irreducible(f, p)]
+
+
+def prime_powers(limit):
+    return [(p, k) for p in range(2, limit + 1) if ff._is_prime(p)
+            for k in range(1, 64) if p ** k <= limit]
+
+
+def test_generator_matches_reference():
+    # the batched search returns the first generator in code order, on
+    # every field up to 3^10 and on every modulus of F_9 and F_81
+    fields = [ff.FieldCtx(p, k) for p, k in prime_powers(3 ** 10)]
+    fields += [ff.FieldCtx(3, k, modulus=f) for k in (2, 4)
+               for f in irreducibles(3, k)]
+    assert len(fields) > 6000
+    assert (2, 2, 1) in [f.modulus for f in fields]
+    for ctx in fields:
+        assert ctx.exp is None  # no tables at construction
+        assert ctx.generator == ref.generator_reference(ctx), ctx
+
+
+@pytest.mark.parametrize("p,k,modulus", [(3, 1, None), (3, 2, (2, 2, 1)),
+                                         (2, 8, None), (7, 4, None),
+                                         (5, 3, (2, 3, 0, 1))])
+def test_digit_vectors_match_poly_path(p, k, modulus):
+    ctx = ff.FieldCtx(p, k, modulus=modulus)
+    rng = random.Random(p * k)
+    size = ff._TABLE_CHUNK + 300  # more rows than one chunk
+    a = [rng.randrange(ctx.order) for _ in range(size)]
+    b = [rng.randrange(ctx.order) for _ in range(size)]
+    got = ctx.vundigits(ctx.vmul(ctx.vdigits(a), ctx.vdigits(b)))
+    assert got == [ref.mul_reference(ctx, x, y) for x, y in zip(a, b)]
+    for e in (0, 1, 2, 7, ctx.order - 2, ctx.order, 10 ** 9 + 7):
+        got = ctx.vundigits(ctx.vpow(ctx.vdigits(a[:40]), e))
+        assert got == [ref.pow_reference(ctx, x, e) for x in a[:40]]
+    assert ctx.exp is None
 
 
 @pytest.mark.parametrize("p,k,modulus", [
@@ -183,6 +244,7 @@ def test_root_of_unity():
         assert ctx.pow(beta, e) != 1
     # deterministic construction
     assert beta == ff.root_of_unity(ctx, 10)
+    assert beta == ref.pow_reference(ctx, ctx.generator, 8)
     with pytest.raises(OrderNotDividing):
         ff.root_of_unity(ctx, 7)
 
@@ -199,6 +261,11 @@ def test_subfield_map_is_field_hom():
         for b in range(9):
             assert sm.embed(small.add(a, b)) == big.add(img[a], img[b])
             assert sm.embed(small.mul(a, b)) == big.mul(img[a], img[b])
+    for ext in (ff.get_field(3, 8), ff.FieldCtx(3, 4, (2, 0, 0, 1, 1))):
+        for sub in (ff.get_field(3, 2), ff.FieldCtx(3, 2, (2, 2, 1)),
+                    ff.get_field(3, 1)):
+            assert ff.SubfieldMap(sub, ext).embed_table == \
+                ref.embed_table_reference(sub, ext)
     with pytest.raises(ValueError):
         ff.get_subfield_map(small, ff.get_field(3, 3))
     with pytest.raises(ValueError):

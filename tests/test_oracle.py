@@ -411,9 +411,20 @@ def test_block_walk_matches_reference(monkeypatch):
             lo = rng.randrange(1, end)
             ranges.append((lo, min(end, lo + rng.randrange(1, 20_000))))
         for lo, hi in ranges:
-            got = orc._distance_block(fld.p, fld.k, mul, rows, lo, hi)
+            got = orc._distance_block(fld.p, fld.k, mul, rows, [(lo, hi)])
             want = ref.gray_walk_reference(fld, rows, lo, hi)
             assert got == want, (fld.order, len(rows), lo, hi)
+        if end > 4:  # two ranges in one call: the first minimum of both
+            a = rng.randrange(1, end - 3)
+            b = min(a + rng.randrange(1, 3000), end - 2)
+            c = rng.randrange(b, end - 1)
+            d = min(c + rng.randrange(1, 3000), end)
+            got = orc._distance_block(fld.p, fld.k, mul, rows, [(a, b),
+                                                                (c, d)])
+            want = min(ref.gray_walk_reference(fld, rows, a, b),
+                       ref.gray_walk_reference(fld, rows, c, d),
+                       key=lambda t: t[:2])
+            assert got == want, (fld.order, len(rows), a, b, c, d)
         one_block += end * len(rows[0]) * fld.k <= orc.BLOCK_SYMBOLS
     assert {len(rows) for _, rows in cases} >= {1, 2, 4, 6, 8, 12}
     assert one_block and one_block < len(cases)
@@ -423,7 +434,7 @@ def test_block_walk_matches_reference(monkeypatch):
         end = fld.order ** len(rows)
         if end <= 20_000:
             got = orc._distance_block(fld.p, fld.k, fld.symbol_tables()[1],
-                                      rows, 1, end)
+                                      rows, [(1, end)])
             assert got == ref.gray_walk_reference(fld, rows, 1, end)
 
 
