@@ -474,8 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("example_id", nargs="?", default=None)
     p.add_argument("--all", action="store_true")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="processes for codeword enumeration (at least 1; "
-                        "at most the CPU count are started)")
+                   help="processes for each level of the exact-distance "
+                        "word walk (at least 1; at most the CPU count are "
+                        "started)")
     p.add_argument("--verbose", action="store_true",
                    help="text format: show passing claims too")
     add_format(p)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from . import closed_forms, code_core, oracle
 from .cyclotomic import CYCLIC, NEGACYCLIC, defining_set
-from .errors import BCHLabError, UnknownExample
+from .errors import (BCHLabError, EmptySet, TooManyCodewords,
+                     UnknownExample)
 
 _ENUM_CAP = 1_000_000
 
@@ -111,39 +112,50 @@ def _expand_ranges(ranges: list[tuple[int, int]]) -> list[int]:
 
 def true_distance(inst: code_core.CodeInstance, workers: int = 1,
                   enum_cap: int = _ENUM_CAP) -> int:
-    """True minimum distance of a realized code, by the cheaper route.
+    """True minimum distance of a realized code.
 
-    Enumerates codewords when the dimension allows, otherwise searches
-    for a minimal dependent column subset of a parity-check matrix (a
-    generator matrix of the dual code).  The code is (nega)cyclic in
-    natural coordinate order, so that search is shift-normalised.
+    Walks the code's words by information weight on one cyclic
+    information set (`oracle.min_distance(..., shift_invariant=True)`),
+    at most enum_cap of them.  Past that budget the distance lies in
+    [low, best] of the walk, and a shift-normalised search for a
+    dependent column subset of a parity-check matrix (a generator matrix
+    of the dual code) looks for a word lighter than best.
     """
-    if inst.field.order ** inst.dim <= enum_cap:
-        gen = code_core.generator_matrix(inst)
-        return oracle.min_distance(gen, inst.field, workers=workers).distance
-    checks = code_core.generator_matrix(code_core.dual_code(inst))
-    return oracle.min_distance_via_checks(checks, inst.field,
-                                          shift_invariant=True).distance
+    return _distance(inst, lambda: code_core.dual_code(inst), workers,
+                     enum_cap)
 
 
 def dual_distance(spec: code_core.CodeSpec, workers: int = 1,
                   enum_cap: int = _ENUM_CAP) -> int:
-    """True minimum distance of the dual code, by the cheaper route.
+    """True minimum distance of the dual code, routed as true_distance.
 
-    Enumerates the dual's codewords when its dimension allows, otherwise
-    searches for a minimal dependent column subset of the primal
-    generator matrix (which is a parity-check matrix of the dual).  The
-    dual is (nega)cyclic too, so that search is shift-normalised.
+    The dual is (nega)cyclic too; past the word budget the search runs on
+    the primal generator matrix, which is a parity-check matrix of the
+    dual.
     """
     inst = code_core.realize(spec)
-    dual_dim = inst.n - inst.dim
-    if spec.q ** dual_dim <= enum_cap:
-        dual = code_core.dual_code(inst)
-        gen = code_core.generator_matrix(dual)
-        return oracle.min_distance(gen, inst.field, workers=workers).distance
-    gen = code_core.generator_matrix(inst)
-    return oracle.min_distance_via_checks(gen, inst.field,
-                                          shift_invariant=True).distance
+    return _distance(code_core.dual_code(inst), lambda: inst, workers,
+                     enum_cap)
+
+
+def _distance(code: code_core.CodeInstance, dual, workers: int,
+              enum_cap: int) -> int:
+    """The distance of code; dual() gives its dual, built only if needed."""
+    try:
+        return oracle.min_distance(code_core.generator_matrix(code),
+                                   code.field, cap=enum_cap, workers=workers,
+                                   shift_invariant=True).distance
+    except TooManyCodewords as exc:
+        best = exc.best
+    checks = code_core.generator_matrix(dual())
+    try:
+        return oracle.min_distance_via_checks(
+            checks, code.field, max_weight=None if best is None else best - 1,
+            shift_invariant=True).distance
+    except EmptySet:
+        if best is None:
+            raise
+        return best
 
 
 def _verify_bounds(example_id: str, workers: int) -> ExampleReport:

@@ -4,19 +4,20 @@ Nothing in this module evaluates a piecewise formula.  The oracles work
 directly from coset sweeps (gap profile, dually-BCH sweep) or from
 codeword enumeration (minimum distance), so agreement with closed_forms
 is meaningful evidence.  The tests compare the gap profile, the dually
-sweep and the block Gray walk with naive references in
-tests/reference.py.
+sweep, the block Gray walk and the information-set walk with naive
+references in tests/reference.py.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import code_core, cyclotomic
+from . import code_core, cyclotomic, poly_linalg
 from .cyclotomic import CYCLIC
 from .errors import (
     BadDelta,
@@ -28,7 +29,7 @@ from .errors import (
 
 MIN_DISTANCE_CAP = 20_000_000
 MAX_CHECK_NODES = 50_000_000  # columns tried by min_distance_via_checks
-BLOCK_SYMBOLS = 1 << 16  # digits in one numpy step of the Gray walk
+BLOCK_SYMBOLS = 1 << 16  # digits in one numpy step of either word walk
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +161,26 @@ class DistanceResult:
     enumerated: int
 
 
+def _digit_planes(p: int, kf: int, mul: np.ndarray, rows) -> np.ndarray:
+    """scaled[j, c]: the kf base-p digit planes of mul(c, rows[j]), end to end.
+
+    On these digits field addition is digit-wise addition mod p.
+    """
+    prod = mul[:, np.asarray(rows)].transpose(1, 0, 2)  # mul(c, row_j)
+    sym = np.min_scalar_type(2 * p - 2)
+    return np.concatenate([prod // p ** i % p for i in range(kf)],
+                          axis=2).astype(sym)
+
+
+def _digit_add(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Digit-wise (a + b) mod p on unsigned digits below p.
+
+    For s = a + b < 2p, s - p wraps to a value above s exactly when s < p.
+    """
+    s = a + b
+    return np.minimum(s, s - p, out=s)
+
+
 def _distance_block(p: int, kf: int, mul: np.ndarray, rows: list[list[int]],
                     ranges: list[tuple[int, int]]
                     ) -> tuple[int, int, list[int]]:
@@ -185,17 +206,8 @@ def _distance_block(p: int, kf: int, mul: np.ndarray, rows: list[list[int]],
     """
     q = p ** kf
     k, n = len(rows), len(rows[0])
-    sym = np.min_scalar_type(2 * p - 2)
-    prod = mul[:, np.array(rows)].transpose(1, 0, 2)  # mul(c, row_j)
-    scaled = np.concatenate([prod // p ** i % p for i in range(kf)],
-                            axis=2).astype(sym)
-
-    def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # digit-wise (a + b) mod p: for unsigned s = a + b < 2p, s - p
-        # wraps to a value above s exactly when s < p
-        s = a + b
-        return np.minimum(s, s - p, out=s)
-
+    scaled = _digit_planes(p, kf, mul, rows)
+    sym = scaled.dtype
     ell = 1
     while ell < k and q ** (ell + 1) * n * kf <= BLOCK_SYMBOLS:
         ell += 1
@@ -204,7 +216,7 @@ def _distance_block(p: int, kf: int, mul: np.ndarray, rows: list[list[int]],
     digits = [lo // q ** j % q for j in range(ell)]
     low = np.zeros((size, n * kf), dtype=sym)
     for j in range(ell - 1):
-        low = add(low, scaled[j, (digits[j] - digits[j + 1]) % q])
+        low = _digit_add(low, scaled[j, (digits[j] - digits[j + 1]) % q], p)
     low = low.reshape(q, size // q, n * kf)
     shift = np.arange(q)
     high_rows = np.arange(ell, k)[:, None]
@@ -223,7 +235,8 @@ def _distance_block(p: int, kf: int, mul: np.ndarray, rows: list[list[int]],
             # boundary digit of sub-block v: (v - d_L) mod q times row L-1
             boundary = scaled[ell - 1, (shift - hd[0][:, None]) % q]
             offset = ((boundary + high[:, None, :]) % p).astype(sym)
-            block = add(low, offset[:, :, None, :]).reshape(steps * size, -1)
+            block = _digit_add(low, offset[:, :, None, :], p).reshape(
+                steps * size, -1)
             a = max(start - h0 * size, 0)
             b = min(stop - h0 * size, steps * size)
             nonzero = block[a:b, :n]
@@ -263,7 +276,8 @@ def _projective_ranges(q: int, lo: int, hi: int) -> list[tuple[int, int]]:
 
 
 def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
-                 workers: int = 1) -> DistanceResult:
+                 workers: int = 1, *,
+                 shift_invariant: bool = False) -> DistanceResult:
     """Exact minimum distance, walking one word per scalar class.
 
     Gray positions [q^t, 2q^t) hold the messages whose last nonzero digit
@@ -272,10 +286,17 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
     Ranges are independent, so workers > 1 splits them across at most
     os.cpu_count() processes; the merged result, keyed by (weight, first
     achieving index), is the first minimum of a walk of all q^k - 1 words.
+
+    shift_invariant asserts, as in min_distance_via_checks, that the code
+    is cyclic or negacyclic in natural coordinate order, and that gen
+    holds the rows x^i g(x); the words are then walked by information
+    weight and cap counts the words walked (see _info_set_distance).
     """
     k, _ = gen.shape
     if k == 0:
         raise EmptySet("zero code has no nonzero codewords")
+    if shift_invariant:
+        return _info_set_distance(gen, field, cap, workers)
     q = field.order
     if q ** k - 1 > cap:
         raise TooManyCodewords(
@@ -295,6 +316,158 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
     best_w, best_i, best_word = min(results, key=lambda t: (t[0], t[1]))
     assert best_w > 0, "independent generator rows cannot hit zero"
     return DistanceResult(best_w, tuple(best_word), total)
+
+
+# ---------------------------------------------------------------------------
+# minimum distance on one cyclic information set
+
+
+def _systematic_parity(gen: np.ndarray, tables) -> np.ndarray:
+    """P of the systematic form [I | P] of gen, as symbol codes.
+
+    gen[:, :k] must be upper triangular with a nonzero diagonal, as the
+    rows x^i g(x) are (g_0 on the diagonal), so back-substitution from
+    the last row needs no pivot search.
+    """
+    add, mul, neg, inv = tables
+    k = len(gen)
+    head = gen[:, :k]
+    if np.any(np.tril(head, -1)) or not np.all(np.diagonal(head)):
+        raise ValueError("gen[:, :k] must be upper triangular with a "
+                         "nonzero diagonal, as the rows x^i g(x) are")
+    rows = np.array(gen, dtype=np.int64)
+    for i in range(k - 1, -1, -1):
+        row = mul[inv[rows[i, i]], rows[i]]
+        for c in i + 1 + np.flatnonzero(row[i + 1:k]):
+            row = add[row, mul[neg[row[c]], rows[c]]]
+        rows[i] = row
+    return rows[:, k:]
+
+
+def _unrank_supports(binom: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Supports of the given colex ranks, as (len(ranks), t) positions.
+
+    binom[i, x] = C(x, i) for i <= t and x < k; the support
+    {x_1 < ... < x_t} has rank sum_i C(x_i, i), and x_i is the largest x
+    with C(x, i) at most what is left of the rank.
+    """
+    t = len(binom) - 1
+    out = np.empty((len(ranks), t), dtype=np.int64)
+    for i in range(t, 0, -1):
+        out[:, i - 1] = x = np.searchsorted(binom[i], ranks, "right") - 1
+        ranks = ranks - binom[i, x]
+    return out
+
+
+def _info_set_block(p: int, kf: int, scaled: np.ndarray, binom: np.ndarray,
+                    lo: int, hi: int) -> tuple[int, int]:
+    """First (parity weight, index) of least parity weight in [lo, hi).
+
+    Word i of level t = len(binom) - 1 has the support of colex rank
+    i // (q-1)^(t-1) on the information positions, coefficient 1 at its
+    first position and, at the others, the base-(q-1) digits of
+    i % (q-1)^(t-1) plus 1: one word per scalar class.  scaled[j, c]
+    holds the digit planes of c times parity row j, so a word is t
+    additions on the planes of the n - k parity columns, and a chunk of
+    at most BLOCK_SYMBOLS digits takes one count_nonzero.
+    """
+    t = len(binom) - 1
+    _, q, width = scaled.shape
+    ncoef = (q - 1) ** (t - 1)
+    r = width // kf
+    flat = scaled.reshape(len(scaled) * q, width)  # row j q + c: [j, c]
+    step = max(1, BLOCK_SYMBOLS // max(1, width))
+    best = None
+    for a in range(lo, hi, step):
+        ranks, rest = np.divmod(np.arange(a, min(a + step, hi)), ncoef)
+        support = _unrank_supports(binom, ranks) * q
+        acc = np.take(flat, support[:, 0] + 1, axis=0)
+        for j in range(1, t):
+            rest, digit = np.divmod(rest, q - 1)
+            acc = _digit_add(acc, np.take(flat, support[:, j] + digit + 1,
+                                          axis=0), p)
+        nonzero = acc[:, :r]
+        for i in range(1, kf):
+            nonzero = nonzero | acc[:, i * r:(i + 1) * r]
+        weights = np.count_nonzero(nonzero, axis=1)
+        j = int(np.argmin(weights))
+        if best is None or weights[j] < best[0]:
+            best = (int(weights[j]), a + j)
+    return best
+
+
+def _info_set_distance(gen: np.ndarray, field, cap: int,
+                       workers: int) -> DistanceResult:
+    """Minimum distance by information weight on the coordinates [0, k).
+
+    In the systematic form [I | P] a word is its message u on [0, k)
+    plus u P; level t walks every u of weight t whose first nonzero
+    digit is 1, C(k, t) (q - 1)^(t - 1) words.  Stopping rule: the n
+    rotations of a word w put wt(w) k nonzeros into [0, k), so one of
+    them has at most floor(wt(w) k / n) there; a rotation is a word of
+    the same weight (a negacyclic one flips a sign).  Once every level
+    below t has been walked, any word not yet seen weighs at least
+    low = ceil(t n / k), and the walk stops when low reaches the best
+    weight found.  A level that would take the words walked past cap
+    raises TooManyCodewords with low and best instead.  workers > 1
+    splits each level's words as _walk_split does; the result, the
+    first minimum by (level, index), does not depend on the split.
+    """
+    k, n = gen.shape
+    q, p, kf = field.order, field.p, field.k
+    tables = field.symbol_tables()
+    add, mul = tables[0], tables[1]
+    parity = _systematic_parity(gen, tables)
+    scaled = _digit_planes(p, kf, mul, parity)
+    binom = np.ones((1, k), dtype=np.int64)  # binom[i, x] = C(x, i)
+    best_w, best_at = None, None  # best_at: (binom, index) of its level
+    walked = 0
+    pool = None
+    try:
+        for t in range(1, k + 1):
+            low = -(-t * n // k)
+            if best_w is not None and low >= best_w:
+                break
+            size = math.comb(k, t) * (q - 1) ** (t - 1)
+            if walked + size > cap:
+                raise TooManyCodewords(
+                    f"information weight {t} would take the words walked "
+                    f"to {walked + size}, over cap {cap}; the distance lies "
+                    f"in [{low}, {best_w or n}]", low=low, best=best_w)
+            row = np.zeros(k, dtype=np.int64)
+            np.cumsum(binom[-1, :-1], out=row[1:])
+            binom = np.vstack([binom, row])
+            pieces = [(p, kf, scaled, binom, lo - 1, hi - 1)
+                      for lo, hi in _walk_split(size, workers)]
+            if len(pieces) == 1:
+                results = [_info_set_block(*pieces[0])]
+            else:
+                if pool is None:
+                    pool = concurrent.futures.ProcessPoolExecutor(
+                        len(pieces))
+                futures = [pool.submit(_info_set_block, *piece)
+                           for piece in pieces]
+                results = [f.result() for f in futures]
+            weight, index = min(results)
+            if best_w is None or t + weight < best_w:
+                best_w, best_at = t + weight, (binom, index)
+            walked += size
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    binom, index = best_at
+    rank, rest = divmod(index, (q - 1) ** (len(binom) - 2))
+    word = np.zeros(n, dtype=np.int64)
+    coef = 1
+    for pos in _unrank_supports(binom, np.array([rank]))[0].tolist():
+        word[pos] = coef
+        word[k:] = add[word[k:], mul[coef, parity[pos]]]
+        rest, digit = divmod(rest, q - 1)
+        coef = digit + 1
+    assert np.count_nonzero(word) == best_w, "rebuilt word's weight differs"
+    assert poly_linalg.rank(np.vstack([gen, word]), field) == k, \
+        "rebuilt word is not in the span of the generator rows"
+    return DistanceResult(best_w, tuple(word.tolist()), walked)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ the last two levels by hashing.
 `coverage_verdict_reference` is the dually verdict as one sort over all
 runs outside T(delta), where `dually_sweep` counts the cosets of the few
 runs through one seed coset; the tests feed it a profile's leader map.
+`info_set_reference` multiplies out every message against the generator
+rows as they are, where the information-set walk of `min_distance` walks
+the systematic form by information weight and stops early.
 """
 
 from __future__ import annotations
@@ -294,6 +297,38 @@ def gray_walk_reference(ctx, rows: list[list[int]], start: int,
             best_i = idx
             best_word = cw.copy()
     return best_w, best_i, [int(c) for c in best_word]
+
+
+# ---------------------------------------------------------------------------
+# information weight, every message walked
+
+
+def info_set_reference(ctx, rows: list[list[int]]) -> list[int | None]:
+    """best[t]: least weight of a word with 1..t nonzeros on [0, k).
+
+    Every one of the q^k messages is multiplied out against the rows, as
+    they are (no systematic form), with q x q tables built from scalar
+    FieldCtx calls; a word's information weight is its number of nonzeros
+    on the first k coordinates.  best[0] is None, and best[k] is the
+    minimum distance.
+    """
+    q, k = ctx.order, len(rows)
+    add = np.array([[ctx.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[ctx.mul(a, b) for b in range(q)] for a in range(q)])
+    mat = np.array(rows)
+    best: list[int | None] = [None] * (k + 1)
+    for lo in range(1, q ** k, 4096):
+        msgs = np.arange(lo, min(lo + 4096, q ** k))
+        words = np.zeros((len(msgs), mat.shape[1]), dtype=np.int64)
+        for j in range(k):
+            words = add[words, mul[(msgs // q ** j % q)[:, None], mat[j]]]
+        info = np.count_nonzero(words[:, :k], axis=1)
+        weight = np.count_nonzero(words, axis=1)
+        for t in range(1, k + 1):
+            seen = weight[info <= t]
+            if seen.size and (best[t] is None or seen.min() < best[t]):
+                best[t] = int(seen.min())
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 import pytest
 
-from bchlab import examples
-from bchlab.errors import UnknownExample
+from bchlab import code_core, examples, oracle
+from bchlab.errors import TooManyCodewords, UnknownExample
 
 from grid_utils import verify_cached
 
@@ -90,3 +90,25 @@ def test_true_distance_routes_agree():
     by_enum = examples.true_distance(inst)
     by_checks = examples.true_distance(inst, enum_cap=1)
     assert by_enum == by_checks == 7
+
+
+def test_true_distance_searches_below_the_lightest_word(monkeypatch):
+    # (9, 2, cyclic, delta=4) is [82, 70, 6]: information weight 3 would
+    # walk 3.5 M words, past the budget, so the check-matrix search runs
+    # once, and only below the lightest word the walk found
+    inst = code_core.realize(code_core.CodeSpec(9, 2, "cyclic", 4))
+    with pytest.raises(TooManyCodewords) as caught:
+        oracle.min_distance(code_core.generator_matrix(inst), inst.field,
+                            cap=examples._ENUM_CAP, shift_invariant=True)
+    low, best = caught.value.low, caught.value.best
+    assert low <= 6 <= best
+    calls = []
+    search = oracle.min_distance_via_checks
+
+    def spy(checks, field, max_weight=None, **kwargs):
+        calls.append(max_weight)
+        return search(checks, field, max_weight, **kwargs)
+
+    monkeypatch.setattr(oracle, "min_distance_via_checks", spy)
+    assert examples.true_distance(inst) == 6
+    assert calls == [best - 1]

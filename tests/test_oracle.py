@@ -7,10 +7,13 @@ counterexample certificates.
 
 import ast
 import json
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bchlab import cli
 from bchlab import closed_forms as cf
@@ -631,7 +634,12 @@ def test_check_search_budget(monkeypatch, capsys):
         orc.min_distance_via_checks(checks, inst.field, shift_invariant=True)
     monkeypatch.setattr(orc, "MAX_CHECK_NODES", 100)
     # verify turns the error into one failed claim, and the CLI exits 1
-    # with a JSON report instead of a traceback
+    # with a JSON report instead of a traceback; a word budget of 1 sends
+    # every distance of the example to the check-matrix search
+    walk = orc.min_distance
+    monkeypatch.setattr(orc, "min_distance",
+                        lambda gen, field, cap, workers, **kw:
+                        walk(gen, field, 1, workers, **kw))
     report = examples.verify_example("cyclic-q5-m2")
     assert not report.passed
     assert [c.name for c in report.claims] == ["computable"]
@@ -641,6 +649,139 @@ def test_check_search_budget(monkeypatch, capsys):
     assert json.loads(out)["examples"][0]["claims"][0]["name"] == \
         "computable"
     assert "Traceback" not in err
+
+
+# the codes of perfbench's distance workload; with STRUCTURAL_INSTANCES
+# they give the sides the information-set route is checked on
+DISTANCE_WORKLOAD_CODES = ((7, 2, NEGACYCLIC, 4), (9, 2, CYCLIC, 32),
+                           (3, 5, NEGACYCLIC, 23))
+
+
+def info_set_sides():
+    """(spec, side) of both sides of every structural and workload code."""
+    return [(spec, side)
+            for spec in STRUCTURAL_INSTANCES + DISTANCE_WORKLOAD_CODES
+            for side in ("primal", "dual")]
+
+
+def level_caps(q, k):
+    """caps[t]: the words of information weight at most t, one per class."""
+    caps = [0]
+    for t in range(1, k + 1):
+        caps.append(caps[-1] + math.comb(k, t) * (q - 1) ** (t - 1))
+    return caps
+
+
+def assert_codeword(gen, fld, word, distance):
+    assert weight(word) == distance
+    assert pl.rank(np.vstack([gen, np.array(word)]), fld) == len(gen)
+
+
+def test_info_set_levels_match_reference():
+    # a word budget of caps[t] walks every information weight up to t and
+    # refuses t + 1, unless the stopping rule ends the walk first
+    cases = []
+    for spec, side in info_set_sides():
+        code, _, fld = side_and_checks(spec, side)
+        if fld.order ** code.dim <= 20_000:
+            cases.append((fld, cc.generator_matrix(code)))
+    fld = ff.FieldCtx(3, 2, modulus=(2, 2, 1))  # not the default F_9
+    custom = cc.realize(cc.CodeSpec(9, 2, CYCLIC, 2), field=fld)
+    cases.append((fld, cc.generator_matrix(cc.dual_code(custom))))
+    pruned = 0
+    for fld, gen in cases:
+        (k, n), q = gen.shape, fld.order
+        best = ref.info_set_reference(fld, gen.tolist())
+        caps = level_caps(q, k)
+        for t in range(1, k + 1):
+            try:
+                got = orc.min_distance(gen, fld, cap=caps[t],
+                                       shift_invariant=True)
+            except TooManyCodewords as exc:
+                low = -(-(t + 1) * n // k)
+                assert (exc.low, exc.best) == (low, best[t]), (q, k, t)
+                assert low < best[t] and low <= best[k], (q, k, t)
+                continue
+            assert got.distance == best[t] == best[k], (q, k, t)
+            assert got.enumerated in caps[1:t + 1], (q, k, t)
+            assert_codeword(gen, fld, got.word, got.distance)
+            pruned += got.enumerated < caps[k]
+            break
+    assert len(cases) == 17
+    assert pruned == len(cases)  # each walk stops before its last level
+
+
+def test_info_set_distance_matches_other_routes():
+    for spec, side in info_set_sides():
+        code, checks, fld = side_and_checks(spec, side)
+        gen = cc.generator_matrix(code)
+        got = orc.min_distance(gen, fld, cap=examples._ENUM_CAP,
+                               shift_invariant=True)
+        assert_codeword(gen, fld, got.word, got.distance)
+        words = fld.order ** code.dim
+        if words <= 5_000:
+            want = ref.gray_walk_reference(fld, gen.tolist(), 1, words)[0]
+        elif got.distance <= 10:
+            want = orc.min_distance_via_checks(checks, fld,
+                                               shift_invariant=True).distance
+        else:  # the Gray walk, itself checked against gray_walk_reference
+            want = orc.min_distance(gen, fld, cap=10 ** 8).distance
+        assert got.distance == want, (spec, side)
+
+
+def test_info_set_workers_deterministic(monkeypatch):
+    monkeypatch.setattr(orc.os, "cpu_count", lambda: 4)
+    for spec, side in (((7, 2, NEGACYCLIC, 4), "primal"),
+                       ((3, 5, NEGACYCLIC, 23), "primal"),
+                       ((9, 2, CYCLIC, 32), "dual")):
+        code, _, fld = side_and_checks(spec, side)
+        gen = cc.generator_matrix(code)
+        runs = [orc.min_distance(gen, fld, workers=workers,
+                                 shift_invariant=True)
+                for workers in (1, 2, 3)]
+        assert len({(r.distance, r.word, r.enumerated) for r in runs}) == 1
+
+
+def test_info_set_needs_the_shift_rows():
+    inst = realized(3, 3, NEGACYCLIC, 2)
+    gen = cc.generator_matrix(inst)
+    with pytest.raises(ValueError):
+        orc.min_distance(gen[::-1], inst.field, shift_invariant=True)
+
+
+SMALL_CLASSES = ((3, 2, CYCLIC), (3, 3, CYCLIC), (5, 2, CYCLIC),
+                 (3, 2, NEGACYCLIC), (3, 3, NEGACYCLIC), (7, 2, NEGACYCLIC))
+
+
+@st.composite
+def small_sides(draw):
+    q, m, family = draw(st.sampled_from(SMALL_CLASSES))
+    delta = draw(st.integers(2, cy.family_parameters(q, m, family)[0]))
+    return (q, m, family, delta), draw(st.sampled_from(["primal", "dual"]))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_sides())
+def test_distance_routes_agree(case):
+    # every route within its budget finds the same distance: the Gray
+    # walk up to 20,000 words, the check-matrix search up to 20,000 nodes
+    code, checks, fld = side_and_checks(*case)
+    assume(code.dim > 0)
+    gen = cc.generator_matrix(code)
+    got = orc.min_distance(gen, fld, shift_invariant=True)
+    assert_codeword(gen, fld, got.word, got.distance)
+    found = {"information set": got.distance}
+    if fld.order ** code.dim <= 20_000:
+        found["Gray walk"] = orc.min_distance(gen, fld).distance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orc, "MAX_CHECK_NODES", 20_000)
+        try:
+            found["checks"] = orc.min_distance_via_checks(
+                checks, fld, shift_invariant=True).distance
+        except SearchBudgetExceeded:
+            pass
+    assume(len(found) > 1)
+    assert len(set(found.values())) == 1, (case, found)
 
 
 def test_check_bound_report_defect_override():
