@@ -10,7 +10,9 @@ references in tests/reference.py.
 
 from __future__ import annotations
 
+import bisect
 import concurrent.futures
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -30,6 +32,10 @@ from .errors import (
 MIN_DISTANCE_CAP = 20_000_000
 MAX_CHECK_NODES = 50_000_000  # columns tried by min_distance_via_checks
 BLOCK_SYMBOLS = 1 << 16  # digits in one numpy step of either word walk
+# words below which a walk stays in one process: a pool of two takes about
+# 8-28 ms to start and stop, while the information-set walk covers about
+# 5-100 M words/s and the Gray walk 3-9 M, so a split pays only past this
+POOL_MIN_WORDS = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +263,7 @@ def _walk_split(total: int, workers: int) -> list[tuple[int, int]]:
     queue for the same cores.
     """
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or total < 4096:
+    if workers <= 1 or total < POOL_MIN_WORDS:
         return [(1, total + 1)]
     per = -(-total // workers)
     return [(lo, min(lo + per, total + 1))
@@ -283,9 +289,10 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
     Gray positions [q^t, 2q^t) hold the messages whose last nonzero digit
     is 1 (see the README); these (q^k - 1)/(q - 1) words, counted in
     `enumerated`, are walked a block per numpy step (see _distance_block).
-    Ranges are independent, so workers > 1 splits them across at most
-    os.cpu_count() processes; the merged result, keyed by (weight, first
-    achieving index), is the first minimum of a walk of all q^k - 1 words.
+    Ranges are independent, so workers > 1 splits a walk of at least
+    POOL_MIN_WORDS positions across at most os.cpu_count() processes;
+    the merged result, keyed by (weight, first achieving index), is the
+    first minimum of a walk of all q^k - 1 words.
 
     shift_invariant asserts, as in min_distance_via_checks, that the code
     is cyclic or negacyclic in natural coordinate order, and that gen
@@ -359,41 +366,140 @@ def _unrank_supports(binom: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _info_set_block(p: int, kf: int, scaled: np.ndarray, binom: np.ndarray,
-                    lo: int, hi: int) -> tuple[int, int]:
-    """First (parity weight, index) of least parity weight in [lo, hi).
+class _LevelWalk:
+    """The words of each information weight, digit-major, level by level.
 
-    Word i of level t = len(binom) - 1 has the support of colex rank
+    Word i of level t (its index) has the support of colex rank
     i // (q-1)^(t-1) on the information positions, coefficient 1 at its
     first position and, at the others, the base-(q-1) digits of
-    i % (q-1)^(t-1) plus 1: one word per scalar class.  scaled[j, c]
-    holds the digit planes of c times parity row j, so a word is t
-    additions on the planes of the n - k parity columns, and a chunk of
-    at most BLOCK_SYMBOLS digits takes one count_nonzero.
+    i % (q-1)^(t-1) plus 1: one word per scalar class.  Only its parity
+    part is held, as a column of width = kf (n - k) base-p digits (kf
+    planes of the n - k parity positions); a run of words is a (width,
+    words) array.
+
+    In colex order the level-t words whose largest position is c form
+    one block: each of the below[t][c] = C(c, t-1) (q-1)^(t-2) level-
+    (t-1) words under c plus each of the q-1 multiples of parity row c.
+    A block is laid out multiple-major, (q-1, below[t][c]), so it is
+    one broadcast addition of the parity columns of row c to one run of
+    the level below; index() maps a position back to the index.  Level
+    1 (the parity rows) is always kept, deeper levels only when they fit
+    in 4 BLOCK_SYMBOLS digits; a run of any other level is built from
+    the nearest kept level below, one addition per level, at most
+    BLOCK_SYMBOLS digits per numpy step.
     """
-    t = len(binom) - 1
-    _, q, width = scaled.shape
-    ncoef = (q - 1) ** (t - 1)
-    r = width // kf
-    flat = scaled.reshape(len(scaled) * q, width)  # row j q + c: [j, c]
-    step = max(1, BLOCK_SYMBOLS // max(1, width))
-    best = None
-    for a in range(lo, hi, step):
-        ranks, rest = np.divmod(np.arange(a, min(a + step, hi)), ncoef)
-        support = _unrank_supports(binom, ranks) * q
-        acc = np.take(flat, support[:, 0] + 1, axis=0)
-        for j in range(1, t):
-            rest, digit = np.divmod(rest, q - 1)
-            acc = _digit_add(acc, np.take(flat, support[:, j] + digit + 1,
-                                          axis=0), p)
-        nonzero = acc[:, :r]
-        for i in range(1, kf):
-            nonzero = nonzero | acc[:, i * r:(i + 1) * r]
-        weights = np.count_nonzero(nonzero, axis=1)
-        j = int(np.argmin(weights))
-        if best is None or weights[j] < best[0]:
-            best = (int(weights[j]), a + j)
-    return best
+
+    def __init__(self, p: int, kf: int, scaled: np.ndarray):
+        self.p, self.kf = p, kf
+        k, q, self.width = scaled.shape
+        self.q1 = q - 1
+        # mults[c] = the (width, q-1) digit columns of 1..q-1 times row c
+        self.mults = np.ascontiguousarray(scaled[:, 1:].transpose(0, 2, 1))
+        self.kept = {1: np.ascontiguousarray(scaled[:, 1].T)}
+        # block c of level t: positions [starts[t][c], starts[t][c + 1])
+        self.starts = {1: list(range(k + 1))}
+        self.below: dict[int, list[int]] = {}
+
+    def add_level(self, t: int) -> None:
+        """below[t] and starts[t] of a level t >= 2."""
+        per = self.q1 ** (t - 2)
+        below = [math.comb(c, t - 1) * per for c in range(len(self.mults))]
+        self.below[t] = below
+        self.starts[t] = [0, *itertools.accumulate(x * self.q1
+                                                   for x in below)]
+
+    def words(self, t: int, a: int, b: int) -> np.ndarray:
+        """The (width, b - a) digit columns at positions [a, b) of level t."""
+        kept = self.kept.get(t)
+        if kept is not None:
+            return kept[:, a:b]
+        starts, below = self.starts[t], self.below[t]
+        out = np.empty((self.width, b - a), dtype=self.mults.dtype)
+        c = bisect.bisect_right(starts, a) - 1
+        at = 0  # columns of out filled
+        while at < b - a:
+            while starts[c + 1] <= a + at:
+                c += 1
+            n = below[c]
+            m, x = divmod(a + at - starts[c], n)
+            mult = self.mults[c]
+            if x == 0 and b - a - at >= n:  # whole multiples m, m + 1, ...
+                cols = min(self.q1 - m, (b - a - at) // n)
+                dst = out[:, at:at + cols * n].reshape(self.width, cols, n)
+                np.add(self.words(t - 1, 0, n)[:, None, :],
+                       mult[:, m:m + cols, None], out=dst)
+                at += cols * n
+            else:
+                y = min(n, x + b - a - at)
+                np.add(self.words(t - 1, x, y), mult[:, m:m + 1],
+                       out=out[:, at:at + y - x])
+                at += y - x
+        return np.minimum(out, out - self.p, out=out)  # digits mod p
+
+    def index(self, t: int, pos: np.ndarray) -> np.ndarray:
+        """The colex index of the level-t words at positions pos.
+
+        Position starts[c] + m below[c] + x is the level-(t-1) word at x
+        plus m + 1 times row c.  With that word's index split as
+        (row, u) by (q-1)^(t-2), one row per support, the index is
+        starts[c] + (row (q-1) + m) (q-1)^(t-2) + u.
+        """
+        if t == 1:
+            return pos
+        starts = np.array(self.starts[t], dtype=np.int64)
+        below = np.array(self.below[t], dtype=np.int64)
+        c = np.searchsorted(starts, pos, "right") - 1
+        m, x = np.divmod(pos - starts[c], below[c])
+        per = self.q1 ** (t - 2)
+        row, u = np.divmod(self.index(t - 1, x), per)
+        return starts[c] + (row * self.q1 + m) * per + u
+
+    def walk(self, t: int, lo: int, hi: int,
+             keep: bool = False) -> tuple[int, int]:
+        """Least (parity weight, index) over the positions [lo, hi).
+
+        A chunk of at most BLOCK_SYMBOLS digits is weighed by one
+        add.reduce over the nonzero digits, after OR-ing the kf planes.
+        Blocks follow each other in index order, so a chunk can only
+        tie the best if that was found in the chunk's first block.
+        keep stores the level (walked whole) for the levels above it.
+        """
+        width, r = self.width, self.width // self.kf
+        step = max(1, BLOCK_SYMBOLS // max(1, width))
+        store = np.empty((width, hi - lo), dtype=self.mults.dtype) \
+            if keep else None
+        count = np.min_scalar_type(r)
+        starts = self.starts[t]
+        best = None
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            planes = self.words(t, a, b)
+            if keep:
+                store[:, a - lo:b - lo] = planes
+            nonzero = planes[:r]
+            for i in range(1, self.kf):
+                nonzero = nonzero | planes[i * r:(i + 1) * r]
+            weights = np.add.reduce(nonzero != 0, axis=0, dtype=count)
+            w = int(weights.min())
+            if best is not None:
+                first = starts[bisect.bisect_right(starts, a) - 1]
+                if w > best[0] or w == best[0] and best[1] < first:
+                    continue
+            hits = a + np.flatnonzero(weights == w)
+            best = min(best or (w, math.inf),
+                       (w, int(self.index(t, hits).min())))
+        if keep:
+            self.kept[t] = store
+        return best
+
+    def pieces(self, t: int, workers: int) -> list[tuple[int, int]]:
+        """Level t as [lo, hi) position ranges, one per process: the
+        ranges of _walk_split, each cut moved down to a block start."""
+        starts = self.starts[t]
+        cuts = sorted({0, starts[-1]} | {
+            starts[bisect.bisect_right(starts, hi - 1) - 1]
+            for _, hi in _walk_split(starts[-1], workers)[:-1]})
+        return list(zip(cuts, cuts[1:]))
 
 
 def _info_set_distance(gen: np.ndarray, field, cap: int,
@@ -402,25 +508,25 @@ def _info_set_distance(gen: np.ndarray, field, cap: int,
 
     In the systematic form [I | P] a word is its message u on [0, k)
     plus u P; level t walks every u of weight t whose first nonzero
-    digit is 1, C(k, t) (q - 1)^(t - 1) words.  Stopping rule: the n
-    rotations of a word w put wt(w) k nonzeros into [0, k), so one of
-    them has at most floor(wt(w) k / n) there; a rotation is a word of
-    the same weight (a negacyclic one flips a sign).  Once every level
-    below t has been walked, any word not yet seen weighs at least
-    low = ceil(t n / k), and the walk stops when low reaches the best
-    weight found.  A level that would take the words walked past cap
-    raises TooManyCodewords with low and best instead.  workers > 1
-    splits each level's words as _walk_split does; the result, the
-    first minimum by (level, index), does not depend on the split.
+    digit is 1, C(k, t) (q - 1)^(t - 1) words (see _LevelWalk).
+    Stopping rule: the n rotations of a word w put wt(w) k nonzeros
+    into [0, k), so one of them has at most floor(wt(w) k / n) there; a
+    rotation is a word of the same weight (a negacyclic one flips a
+    sign).  Once every level below t has been walked, any word not yet
+    seen weighs at least low = ceil(t n / k), and the walk stops when
+    low reaches the best weight found.  A level that would take the
+    words walked past cap raises TooManyCodewords with low and best
+    instead.  workers > 1 splits each level that is not kept by ranges
+    of the largest position; the result, the first minimum by (level,
+    index), does not depend on the split.
     """
     k, n = gen.shape
     q, p, kf = field.order, field.p, field.k
     tables = field.symbol_tables()
     add, mul = tables[0], tables[1]
     parity = _systematic_parity(gen, tables)
-    scaled = _digit_planes(p, kf, mul, parity)
-    binom = np.ones((1, k), dtype=np.int64)  # binom[i, x] = C(x, i)
-    best_w, best_at = None, None  # best_at: (binom, index) of its level
+    walk = _LevelWalk(p, kf, _digit_planes(p, kf, mul, parity))
+    best_w, best_at = None, None  # best_at: (level, index)
     walked = 0
     pool = None
     try:
@@ -434,29 +540,29 @@ def _info_set_distance(gen: np.ndarray, field, cap: int,
                     f"information weight {t} would take the words walked "
                     f"to {walked + size}, over cap {cap}; the distance lies "
                     f"in [{low}, {best_w or n}]", low=low, best=best_w)
-            row = np.zeros(k, dtype=np.int64)
-            np.cumsum(binom[-1, :-1], out=row[1:])
-            binom = np.vstack([binom, row])
-            pieces = [(p, kf, scaled, binom, lo - 1, hi - 1)
-                      for lo, hi in _walk_split(size, workers)]
+            keep = t > 1 and size * walk.width <= 4 * BLOCK_SYMBOLS
+            if t > 1:
+                walk.add_level(t)
+            pieces = [(0, size)] if keep else walk.pieces(t, workers)
             if len(pieces) == 1:
-                results = [_info_set_block(*pieces[0])]
+                weight, index = walk.walk(t, 0, size, keep)
             else:
                 if pool is None:
                     pool = concurrent.futures.ProcessPoolExecutor(
                         len(pieces))
-                futures = [pool.submit(_info_set_block, *piece)
-                           for piece in pieces]
-                results = [f.result() for f in futures]
-            weight, index = min(results)
+                futures = [pool.submit(walk.walk, t, lo, hi)
+                           for lo, hi in pieces]
+                weight, index = min(f.result() for f in futures)
             if best_w is None or t + weight < best_w:
-                best_w, best_at = t + weight, (binom, index)
+                best_w, best_at = t + weight, (t, index)
             walked += size
     finally:
         if pool is not None:
             pool.shutdown()
-    binom, index = best_at
-    rank, rest = divmod(index, (q - 1) ** (len(binom) - 2))
+    t, index = best_at
+    binom = np.array([[math.comb(x, i) for x in range(k)]
+                      for i in range(t + 1)], dtype=np.int64)
+    rank, rest = divmod(index, (q - 1) ** (t - 1))
     word = np.zeros(n, dtype=np.int64)
     coef = 1
     for pos in _unrank_supports(binom, np.array([rank]))[0].tolist():

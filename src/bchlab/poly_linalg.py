@@ -29,16 +29,25 @@ def padd(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
 
 
 def pmul(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
+    """a * b as one convolution on the symbol tables.
+
+    prod[i, j] = a_i b_j comes from the multiplication table; field
+    addition is digit-wise addition mod p, so each base-p digit plane of
+    prod is summed along its anti-diagonals i + j = s and reduced mod p.
+    Row i is shifted right by i by laying the rows out with one spare
+    column and reading them back len(a) + len(b) - 1 wide.
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
-    return ptrim(out)
+    p, rows, width = ctx.p, len(a), len(a) + len(b) - 1
+    prod = ctx.symbol_tables()[1][np.array(a)[:, None], np.array(b)]
+    shifted = np.zeros((rows, width + 1), dtype=np.int64)
+    out = np.zeros(width, dtype=np.int64)
+    for place in (p ** i for i in range(ctx.k)):
+        shifted[:, :len(b)] = prod // place % p
+        diagonals = shifted.ravel()[:rows * width].reshape(rows, width)
+        out += diagonals.sum(axis=0) % p * place
+    return ptrim(out.tolist())
 
 
 def pdivmod(a: list[int], b: list[int],

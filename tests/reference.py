@@ -17,7 +17,9 @@ that `FieldCtx` fills by doubling; `generator_reference`,
 generator, the subfield embedding and the generator polynomial of a code
 one scalar multiplication at a time, where `FieldCtx` and `code_core` work
 on batches of digit vectors.  `rank_reference` reduces rows
-with the scalar `FieldCtx` calls instead of the symbol tables.
+with the scalar `FieldCtx` calls instead of the symbol tables, and
+`pmul_reference` multiplies polynomials one scalar `mul` and `add` per
+coefficient pair, where `poly_linalg.pmul` is one convolution on them.
 `check_search_reference` is the check-matrix search with every node
 reducing its column against every pivot and every leaf walked, where
 `min_distance_via_checks` reduces each column once per level and settles
@@ -28,15 +30,20 @@ runs through one seed coset; the tests feed it a profile's leader map.
 `info_set_reference` multiplies out every message against the generator
 rows as they are, where the information-set walk of `min_distance` walks
 the systematic form by information weight and stops early.
+`info_set_walk_reference` is that walk one word per index, unranked from
+the index and summed from its parity rows, where `min_distance` builds
+each level from a kept lower level, a block of largest position at a
+time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from bchlab import cyclotomic, poly_linalg
+from bchlab import cyclotomic
 from bchlab.cyclotomic import DefiningSet
 from bchlab.errors import BadFamilyParams, CoefficientNotInSubfield, EmptySet
 from bchlab.finite_field import factorize
@@ -332,6 +339,113 @@ def info_set_reference(ctx, rows: list[list[int]]) -> list[int | None]:
 
 
 # ---------------------------------------------------------------------------
+# information weight, every word unranked from its index
+
+_BLOCK_SYMBOLS = 1 << 16  # digits in one numpy step of the unranking walk
+
+
+def _unrank_supports(binom: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Supports of the given colex ranks, as (len(ranks), t) positions.
+
+    binom[i, x] = C(x, i) for i <= t and x < k; the support
+    {x_1 < ... < x_t} has rank sum_i C(x_i, i), and x_i is the largest x
+    with C(x, i) at most what is left of the rank.
+    """
+    t = len(binom) - 1
+    out = np.empty((len(ranks), t), dtype=np.int64)
+    for i in range(t, 0, -1):
+        out[:, i - 1] = x = np.searchsorted(binom[i], ranks, "right") - 1
+        ranks = ranks - binom[i, x]
+    return out
+
+
+def _digit_add(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    s = a + b
+    return np.minimum(s, s - p, out=s)
+
+
+def _info_set_block(p: int, kf: int, scaled: np.ndarray, binom: np.ndarray,
+                    lo: int, hi: int) -> tuple[int, int]:
+    """First (parity weight, index) of least parity weight in [lo, hi).
+
+    Word i of level t = len(binom) - 1 has the support of colex rank
+    i // (q-1)^(t-1) on the information positions, coefficient 1 at its
+    first position and, at the others, the base-(q-1) digits of
+    i % (q-1)^(t-1) plus 1: one word per scalar class.  scaled[j, c]
+    holds the digit planes of c times parity row j, so a word is t
+    additions on the planes of the n - k parity columns, and a chunk of
+    at most BLOCK_SYMBOLS digits takes one count_nonzero.
+    """
+    t = len(binom) - 1
+    _, q, width = scaled.shape
+    ncoef = (q - 1) ** (t - 1)
+    r = width // kf
+    flat = scaled.reshape(len(scaled) * q, width)  # row j q + c: [j, c]
+    step = max(1, _BLOCK_SYMBOLS // max(1, width))
+    best = None
+    for a in range(lo, hi, step):
+        ranks, rest = np.divmod(np.arange(a, min(a + step, hi)), ncoef)
+        support = _unrank_supports(binom, ranks) * q
+        acc = np.take(flat, support[:, 0] + 1, axis=0)
+        for j in range(1, t):
+            rest, digit = np.divmod(rest, q - 1)
+            acc = _digit_add(acc, np.take(flat, support[:, j] + digit + 1,
+                                          axis=0), p)
+        nonzero = acc[:, :r]
+        for i in range(1, kf):
+            nonzero = nonzero | acc[:, i * r:(i + 1) * r]
+        weights = np.count_nonzero(nonzero, axis=1)
+        j = int(np.argmin(weights))
+        if best is None or weights[j] < best[0]:
+            best = (int(weights[j]), a + j)
+    return best
+
+
+def info_set_walk_reference(ctx, parity) -> tuple[int, tuple[int, ...], int]:
+    """(distance, word, words walked) of the walk by information weight.
+
+    parity is the P of the systematic form [I | P] on [0, k).  Level t
+    walks its C(k, t) (q - 1)^(t - 1) words in index order, each one
+    unranked from its index and summed from t scaled parity rows; the
+    walk stops as min_distance(..., shift_invariant=True) does, once
+    ceil(t n / k) reaches the best weight.  The word is rebuilt with
+    scalar FieldCtx calls.
+    """
+    p, kf, q = ctx.p, ctx.k, ctx.order
+    parity = np.asarray(parity, dtype=np.int64)
+    k, r = parity.shape
+    n = k + r
+    mul = np.array([[ctx.mul(a, b) for b in range(q)] for a in range(q)])
+    prod = mul[:, parity].transpose(1, 0, 2)  # [j, c]: c times row j
+    scaled = np.concatenate([prod // p ** i % p for i in range(kf)],
+                            axis=2).astype(np.uint8)
+    binom = np.ones((1, k), dtype=np.int64)  # binom[i, x] = C(x, i)
+    best, walked = None, 0
+    for t in range(1, k + 1):
+        if best is not None and -(-t * n // k) >= best[0]:
+            break
+        row = np.zeros(k, dtype=np.int64)
+        np.cumsum(binom[-1, :-1], out=row[1:])
+        binom = np.vstack([binom, row])
+        size = math.comb(k, t) * (q - 1) ** (t - 1)
+        weight, index = _info_set_block(p, kf, scaled, binom, 0, size)
+        if best is None or t + weight < best[0]:
+            best = (t + weight, binom, index)
+        walked += size
+    distance, binom, index = best
+    rank, rest = divmod(index, (q - 1) ** (len(binom) - 2))
+    word, coef = [0] * n, 1
+    for pos in _unrank_supports(binom, np.array([rank]))[0].tolist():
+        word[pos] = coef
+        for x in range(r):
+            word[k + x] = ctx.add(word[k + x],
+                                  ctx.mul(coef, int(parity[pos, x])))
+        rest, digit = divmod(rest, q - 1)
+        coef = digit + 1
+    return distance, tuple(word), walked
+
+
+# ---------------------------------------------------------------------------
 # exp/log tables, one field multiplication per element
 
 
@@ -441,12 +555,28 @@ def generator_poly_reference(residues: DefiningSet, extension, field,
     for j in residues.leaders():
         mp = minimal_polynomial_reference(pow_reference(extension, beta, j),
                                           extension, field)
-        gen = poly_linalg.pmul(gen, mp, field)
+        gen = pmul_reference(gen, mp, field)
     return gen
 
 
 # ---------------------------------------------------------------------------
 # rank, one scalar field operation per entry
+
+
+def pmul_reference(a: list[int], b: list[int], ctx) -> list[int]:
+    """a * b, one scalar FieldCtx mul and add per coefficient pair."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if bj:
+                out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def rank_reference(rows: list[list[int]], ctx) -> int:

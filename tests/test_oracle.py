@@ -322,7 +322,8 @@ def test_min_distance_word_is_a_codeword():
     assert pl.rank(stacked, inst.field) == inst.dim
 
 
-def test_min_distance_workers_deterministic():
+def test_min_distance_workers_deterministic(monkeypatch):
+    monkeypatch.setattr(orc, "POOL_MIN_WORDS", 4096)  # split small walks
     inst = realized(3, 4, NEGACYCLIC, 7)  # 3^9 - 1 words, multiple blocks
     gen = cc.generator_matrix(inst)
     single = orc.min_distance(gen, inst.field, workers=1)
@@ -490,9 +491,10 @@ def test_walk_split_is_capped_at_cpu_count(monkeypatch):
                           for i in range(q ** t, 2 * q ** t)], workers
 
 
-def test_projective_walk_is_the_full_walk():
+def test_projective_walk_is_the_full_walk(monkeypatch):
     # min_distance walks one word per scalar class and must return the
     # first minimum of the full Gray walk, with or without workers
+    monkeypatch.setattr(orc, "POOL_MIN_WORDS", 4096)  # split small walks
     cases = []
     for q, m, fam, d in STRUCTURAL_INSTANCES:
         inst = realized(q, m, fam, d)
@@ -731,6 +733,7 @@ def test_info_set_distance_matches_other_routes():
 
 def test_info_set_workers_deterministic(monkeypatch):
     monkeypatch.setattr(orc.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(orc, "POOL_MIN_WORDS", 4096)  # split small levels
     for spec, side in (((7, 2, NEGACYCLIC, 4), "primal"),
                        ((3, 5, NEGACYCLIC, 23), "primal"),
                        ((9, 2, CYCLIC, 32), "dual")):
@@ -740,6 +743,48 @@ def test_info_set_workers_deterministic(monkeypatch):
                                  shift_invariant=True)
                 for workers in (1, 2, 3)]
         assert len({(r.distance, r.word, r.enumerated) for r in runs}) == 1
+    # a level splits at block starts (largest positions), in order
+    walk = orc._LevelWalk(3, 1, np.zeros((12, 3, 5), dtype=np.uint8))
+    walk.add_level(5)
+    pieces = walk.pieces(5, 3)
+    assert len(pieces) == 3 and pieces[0][0] == 0
+    assert pieces[-1][1] == walk.starts[5][-1] == math.comb(12, 5) * 16
+    assert all(a[1] == b[0] in walk.starts[5] for a, b in
+               zip(pieces, pieces[1:]))
+
+
+def test_level_walk_matches_unranking_reference(monkeypatch):
+    # the level walk returns the first minimum of the unranking walk, its
+    # word and its word count, with the default block and with 2^8 digits,
+    # where chunks hold a few words and levels are built through two or
+    # more levels that are not kept
+    cases = []
+    for spec, side in info_set_sides():
+        code, _, fld = side_and_checks(spec, side)
+        gen = cc.generator_matrix(code)
+        parity = orc._systematic_parity(gen, fld.symbol_tables())
+        cases.append((gen, fld, ref.info_set_walk_reference(fld, parity)))
+    words = orc._LevelWalk.words
+    depth = [0, 0]  # levels not kept on the call chain: now, at most
+
+    def spy(self, t, a, b):
+        built = t not in self.kept
+        depth[0] += built
+        depth[1] = max(depth)
+        try:
+            return words(self, t, a, b)
+        finally:
+            depth[0] -= built
+
+    monkeypatch.setattr(orc._LevelWalk, "words", spy)
+    for block, nested in ((orc.BLOCK_SYMBOLS, 3), (1 << 8, 5)):
+        monkeypatch.setattr(orc, "BLOCK_SYMBOLS", block)
+        depth[1] = 0
+        for gen, fld, want in cases:
+            got = orc.min_distance(gen, fld, shift_invariant=True)
+            assert (got.distance, got.word, got.enumerated) == want, \
+                (fld.order, gen.shape, block)
+        assert depth[1] == nested, block
 
 
 def test_info_set_needs_the_shift_rows():

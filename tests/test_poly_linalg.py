@@ -40,6 +40,26 @@ def test_ring_identities():
                 assert len(pl.pmul(a, a, ctx)) == 2 * len(a) - 1
 
 
+def test_pmul_matches_scalar_reference():
+    # the table-driven convolution against one scalar mul and add per
+    # coefficient pair: a prime field, F_9 with a non-default modulus
+    # and F_81 (four digit planes); long and short factors, zeros inside
+    rng = random.Random(17)
+    fields = [ff.get_field(11, 1), ff.FieldCtx(3, 2, modulus=(2, 2, 1)),
+              ff.get_field(3, 4)]
+    assert fields[1].modulus != ff.get_field(3, 2).modulus
+    for ctx in fields:
+        for _ in range(60):
+            a = rand_poly(rng, ctx, rng.choice((1, 3, 9)))
+            b = rand_poly(rng, ctx, rng.choice((0, 5, 40)))
+            assert pl.pmul(a, b, ctx) == ref.pmul_reference(a, b, ctx), \
+                (ctx.order, a, b)
+        assert pl.pmul([], [1], ctx) == pl.pmul([2], [], ctx) == []
+        top = ctx.order - 1
+        assert pl.pmul([0, 0, top], [top], ctx) == \
+            [0, 0, ctx.mul(top, top)]
+
+
 def test_pdivmod_identity():
     rng = random.Random(11)
     ctx = ff.get_field(3, 2)
