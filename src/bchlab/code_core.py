@@ -235,14 +235,21 @@ def run_bound(positions, n: int) -> int:
 
 
 def is_lcd(inst: CodeInstance) -> bool:
-    """Linear complementary dual: rank of G stacked on G_dual equals n.
+    """Linear complementary dual: g g_dual is a scalar times x^n -+ 1.
 
-    Cross-checks the defining-set criterion: -T = T and T disjoint from
-    the dual defining set (both hold by construction at these lengths).
+    C meets its dual in the code generated by lcm(g, g_dual).  Both divide
+    x^n -+ 1, which is squarefree (gcd(n, q) = 1), and their degrees sum
+    to n, so C is LCD exactly when their product is a scalar multiple of
+    x^n -+ 1 (Yang-Massey 1994).  Cross-checks the defining-set
+    criterion: -T = T and T disjoint from the dual defining set (both
+    hold by construction at these lengths).
     """
     assert inst.t.is_symmetric(), "defining set must satisfy -T = T"
     dual = dual_code(inst)
     assert not (inst.t.residues & dual.t.residues), \
         "defining sets of code and dual must be disjoint"
-    stacked = np.vstack([generator_matrix(inst), generator_matrix(dual)])
-    return poly_linalg.rank(stacked, inst.field) == inst.n
+    field = inst.field
+    prod = poly_linalg.pmul(inst.gen_poly, dual.gen_poly, field)
+    sign = 1 if inst.t.family == CYCLIC else field.neg(1)  # x^n - 1, x^n + 1
+    target = poly_linalg.x_pow_minus(inst.n, sign, field)
+    return prod == [field.mul(prod[-1], c) for c in target]

@@ -125,8 +125,7 @@ class DefiningSet:
     """A union of q-cyclotomic cosets inside one residue class mod rn.
 
     r = 1 means the class is all of Z_rn (cyclic); r = 2 means the odd
-    class 1 + 2 Z_rn (negacyclic).  Set operations require both operands
-    to carry the same (q, rn, r) tag.
+    class 1 + 2 Z_rn (negacyclic).
     """
 
     q: int
@@ -158,23 +157,11 @@ class DefiningSet:
         start = 1 if self.r == 2 else 0
         return iter(range(start, self.modulus, self.r))
 
-    def _check_compatible(self, other: "DefiningSet") -> None:
-        if (self.q, self.modulus, self.r) != (other.q, other.modulus, other.r):
-            raise BadFamilyParams(
-                f"incompatible sets: ({self.q},{self.modulus},{self.r}) vs "
-                f"({other.q},{other.modulus},{other.r})"
-            )
-
     def __contains__(self, x: int) -> bool:
         return x % self.modulus in self.residues
 
     def __len__(self) -> int:
         return len(self.residues)
-
-    def union(self, other: "DefiningSet") -> "DefiningSet":
-        self._check_compatible(other)
-        return DefiningSet(self.q, self.modulus, self.r,
-                           self.residues | other.residues)
 
     def is_symmetric(self) -> bool:
         """True when -T = T modulo rn."""

@@ -17,8 +17,6 @@ from .cyclotomic import CYCLIC, NEGACYCLIC, defining_set
 from .errors import (BCHLabError, EmptySet, TooManyCodewords,
                      UnknownExample)
 
-_ENUM_CAP = 1_000_000
-
 
 @dataclass
 class Claim:
@@ -110,23 +108,21 @@ def _expand_ranges(ranges: list[tuple[int, int]]) -> list[int]:
     return out
 
 
-def true_distance(inst: code_core.CodeInstance, workers: int = 1,
-                  enum_cap: int = _ENUM_CAP) -> int:
+def true_distance(inst: code_core.CodeInstance, workers: int = 1) -> int:
     """True minimum distance of a realized code.
 
     Walks the code's words by information weight on one cyclic
     information set (`oracle.min_distance(..., shift_invariant=True)`),
-    at most enum_cap of them.  Past that budget the distance lies in
-    [low, best] of the walk, and a shift-normalised search for a
-    dependent column subset of a parity-check matrix (a generator matrix
-    of the dual code) looks for a word lighter than best.
+    at most `oracle.MIN_DISTANCE_CAP` of them.  Past that budget the
+    distance lies in [low, best] of the walk, and a shift-normalised
+    search for a dependent column subset of a parity-check matrix (a
+    generator matrix of the dual code) looks for a word lighter than
+    best.
     """
-    return _distance(inst, lambda: code_core.dual_code(inst), workers,
-                     enum_cap)
+    return _distance(inst, lambda: code_core.dual_code(inst), workers)
 
 
-def dual_distance(spec: code_core.CodeSpec, workers: int = 1,
-                  enum_cap: int = _ENUM_CAP) -> int:
+def dual_distance(spec: code_core.CodeSpec, workers: int = 1) -> int:
     """True minimum distance of the dual code, routed as true_distance.
 
     The dual is (nega)cyclic too; past the word budget the search runs on
@@ -134,16 +130,15 @@ def dual_distance(spec: code_core.CodeSpec, workers: int = 1,
     dual.
     """
     inst = code_core.realize(spec)
-    return _distance(code_core.dual_code(inst), lambda: inst, workers,
-                     enum_cap)
+    return _distance(code_core.dual_code(inst), lambda: inst, workers)
 
 
-def _distance(code: code_core.CodeInstance, dual, workers: int,
-              enum_cap: int) -> int:
+def _distance(code: code_core.CodeInstance, dual, workers: int) -> int:
     """The distance of code; dual() gives its dual, built only if needed."""
     try:
         return oracle.min_distance(code_core.generator_matrix(code),
-                                   code.field, cap=enum_cap, workers=workers,
+                                   code.field, cap=oracle.MIN_DISTANCE_CAP,
+                                   workers=workers,
                                    shift_invariant=True).distance
     except TooManyCodewords as exc:
         best = exc.best

@@ -4,8 +4,9 @@ Nothing in this module evaluates a piecewise formula.  The oracles work
 directly from coset sweeps (gap profile, dually-BCH sweep) or from
 codeword enumeration (minimum distance), so agreement with closed_forms
 is meaningful evidence.  The tests compare the gap profile, the dually
-sweep, the block Gray walk and the information-set walk with naive
-references in tests/reference.py.
+sweep, the information-set walk and the check-matrix search with naive
+references in tests/reference.py, among them the Gray walk of every
+codeword.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from .errors import (
     TooManyCodewords,
 )
 
-MIN_DISTANCE_CAP = 20_000_000
+MIN_DISTANCE_CAP = 1_000_000  # words walked by min_distance
 MAX_CHECK_NODES = 50_000_000  # columns tried by min_distance_via_checks
-BLOCK_SYMBOLS = 1 << 16  # digits in one numpy step of either word walk
+BLOCK_SYMBOLS = 1 << 16  # digits in one numpy step of the word walk
 # words below which a walk stays in one process: a pool of two takes about
-# 8-28 ms to start and stop, while the information-set walk covers about
-# 5-100 M words/s and the Gray walk 3-9 M, so a split pays only past this
+# 8-28 ms to start and stop, while the walk covers about 5-100 M words/s,
+# so a split pays only past this
 POOL_MIN_WORDS = 1 << 19
-
 
 # ---------------------------------------------------------------------------
 # gap profile
@@ -157,7 +157,7 @@ def _seed_run_covers(ids: np.ndarray, members: np.ndarray, seeds,
 
 
 # ---------------------------------------------------------------------------
-# minimum distance by Gray-walk enumeration
+# minimum distance by information weight
 
 
 @dataclass
@@ -178,84 +178,6 @@ def _digit_planes(p: int, kf: int, mul: np.ndarray, rows) -> np.ndarray:
                           axis=2).astype(sym)
 
 
-def _digit_add(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Digit-wise (a + b) mod p on unsigned digits below p.
-
-    For s = a + b < 2p, s - p wraps to a value above s exactly when s < p.
-    """
-    s = a + b
-    return np.minimum(s, s - p, out=s)
-
-
-def _distance_block(p: int, kf: int, mul: np.ndarray, rows: list[list[int]],
-                    ranges: list[tuple[int, int]]
-                    ) -> tuple[int, int, list[int]]:
-    """Best (weight, index, word) over the Gray positions of ranges.
-
-    ranges holds [start, stop) pieces in increasing order; the tables
-    below are built once for all of them.
-
-    Position i has base-q digits d_0, d_1, ... and message digits
-    g_j = (d_j - d_{j+1}) mod q, taken as integer codes: digit c
-    contributes the field multiple mul[c, row_j], from the symbol tables
-    of the code's own field (whatever its modulus).  Words are held as
-    base-p digit vectors (kf digit planes of length n), on which field
-    addition is digit-wise addition mod p.
-
-    Writing i = hi*q^L + lo, g_0..g_{L-2} depend only on lo and g_L..
-    only on hi; the boundary digit g_{L-1} = (d_{L-1} - d_L) mod q adds
-    one of q multiples of row L-1, selected by d_{L-1} = lo // q^(L-1).
-    So a block of q^L consecutive positions is one addition of a per-
-    block offset to a table of low partial words, then a row-wise
-    count_nonzero; argmin keeps the first minimum in Gray order, the
-    same (weight, index, word) as a walk of one word per step.
-    """
-    q = p ** kf
-    k, n = len(rows), len(rows[0])
-    scaled = _digit_planes(p, kf, mul, rows)
-    sym = scaled.dtype
-    ell = 1
-    while ell < k and q ** (ell + 1) * n * kf <= BLOCK_SYMBOLS:
-        ell += 1
-    size = q ** ell
-    lo = np.arange(size)
-    digits = [lo // q ** j % q for j in range(ell)]
-    low = np.zeros((size, n * kf), dtype=sym)
-    for j in range(ell - 1):
-        low = _digit_add(low, scaled[j, (digits[j] - digits[j + 1]) % q], p)
-    low = low.reshape(q, size // q, n * kf)
-    shift = np.arange(q)
-    high_rows = np.arange(ell, k)[:, None]
-    per_step = max(1, BLOCK_SYMBOLS // (size * n * kf))  # blocks
-    powers = q ** np.arange(k - ell + 1)[:, None]
-
-    best: tuple[int, int, list[int]] | None = None
-    for start, stop in ranges:
-        last = (stop - 1) // size + 1  # one past the last block
-        for h0 in range(start // size, last, per_step):
-            steps = min(per_step, last - h0)
-            # hd[j, s] = digit d_{L+j} of the s-th block in this step
-            hd = np.arange(h0, h0 + steps) // powers % q
-            high = scaled[high_rows, (hd[:-1] - hd[1:]) % q].sum(
-                axis=0, dtype=np.int64)
-            # boundary digit of sub-block v: (v - d_L) mod q times row L-1
-            boundary = scaled[ell - 1, (shift - hd[0][:, None]) % q]
-            offset = ((boundary + high[:, None, :]) % p).astype(sym)
-            block = _digit_add(low, offset[:, :, None, :], p).reshape(
-                steps * size, -1)
-            a = max(start - h0 * size, 0)
-            b = min(stop - h0 * size, steps * size)
-            nonzero = block[a:b, :n]
-            for i in range(1, kf):
-                nonzero = nonzero | block[a:b, i * n:(i + 1) * n]
-            weights = np.count_nonzero(nonzero, axis=1)
-            j = int(np.argmin(weights))
-            if best is None or weights[j] < best[0]:
-                word = block[a + j].reshape(kf, n).T @ p ** np.arange(kf)
-                best = (int(weights[j]), h0 * size + a + j, word.tolist())
-    return best
-
-
 def _walk_split(total: int, workers: int) -> list[tuple[int, int]]:
     """Positions [1, total] as (lo, hi) ranges, one per process.
 
@@ -270,85 +192,52 @@ def _walk_split(total: int, workers: int) -> list[tuple[int, int]]:
             for lo in range(1, total + 1, per)]
 
 
-def _projective_ranges(q: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Positions [lo, hi) of [q^t, 2q^t), t = 0, 1, ... laid end to end."""
-    out, first, span = [], 1, 1  # [span, 2 span) starts at position first
-    while first < hi:
-        a, b = max(lo, first), min(hi, first + span)
-        if a < b:
-            out.append((span + a - first, span + b - first))
-        first, span = first + span, span * q
-    return out
+def _systematic_parity(gen: np.ndarray,
+                       tables) -> tuple[list[int], np.ndarray]:
+    """The pivot columns and the reduced row-echelon form of gen.
 
-
-def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
-                 workers: int = 1, *,
-                 shift_invariant: bool = False) -> DistanceResult:
-    """Exact minimum distance, walking one word per scalar class.
-
-    Gray positions [q^t, 2q^t) hold the messages whose last nonzero digit
-    is 1 (see the README); these (q^k - 1)/(q - 1) words, counted in
-    `enumerated`, are walked a block per numpy step (see _distance_block).
-    Ranges are independent, so workers > 1 splits a walk of at least
-    POOL_MIN_WORDS positions across at most os.cpu_count() processes;
-    the merged result, keyed by (weight, first achieving index), is the
-    first minimum of a walk of all q^k - 1 words.
-
-    shift_invariant asserts, as in min_distance_via_checks, that the code
-    is cyclic or negacyclic in natural coordinate order, and that gen
-    holds the rows x^i g(x); the words are then walked by information
-    weight and cap counts the words walked (see _info_set_distance).
-    """
-    k, _ = gen.shape
-    if k == 0:
-        raise EmptySet("zero code has no nonzero codewords")
-    if shift_invariant:
-        return _info_set_distance(gen, field, cap, workers)
-    q = field.order
-    if q ** k - 1 > cap:
-        raise TooManyCodewords(
-            f"{q ** k - 1} codewords exceeds cap {cap}; "
-            "enumerate the dual side instead")
-    total = (q ** k - 1) // (q - 1)
-    args = (field.p, field.k, field.symbol_tables()[1], gen.tolist())
-    pieces = [_projective_ranges(q, *piece)
-              for piece in _walk_split(total, workers)]
-    if len(pieces) == 1:
-        results = [_distance_block(*args, pieces[0])]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(len(pieces)) as pool:
-            futures = [pool.submit(_distance_block, *args, ranges)
-                       for ranges in pieces]
-            results = [f.result() for f in futures]
-    best_w, best_i, best_word = min(results, key=lambda t: (t[0], t[1]))
-    assert best_w > 0, "independent generator rows cannot hit zero"
-    return DistanceResult(best_w, tuple(best_word), total)
-
-
-# ---------------------------------------------------------------------------
-# minimum distance on one cyclic information set
-
-
-def _systematic_parity(gen: np.ndarray, tables) -> np.ndarray:
-    """P of the systematic form [I | P] of gen, as symbol codes.
-
-    gen[:, :k] must be upper triangular with a nonzero diagonal, as the
-    rows x^i g(x) are (g_0 on the diagonal), so back-substitution from
-    the last row needs no pivot search.
+    A forward pass brings gen to echelon form, then back-substitution
+    from the last row scales each pivot to 1 and clears the pivot columns
+    above it.  The forward pass starts after the rows that are in echelon
+    form already, each nonzero before every later row (all of them for
+    the rows x^i g(x), upper triangular on [0, k) with g_0 on the
+    diagonal); from there it goes column by column, swapping a row with
+    a nonzero entry up and clearing the entry from the rows below.  The
+    reduced form is unique, so any matrix of the same row space gives the
+    same pivots and form.  Dependent rows raise ValueError.
     """
     add, mul, neg, inv = tables
-    k = len(gen)
-    head = gen[:, :k]
-    if np.any(np.tril(head, -1)) or not np.all(np.diagonal(head)):
-        raise ValueError("gen[:, :k] must be upper triangular with a "
-                         "nonzero diagonal, as the rows x^i g(x) are")
     rows = np.array(gen, dtype=np.int64)
+    k, n = rows.shape
+    nonzero = rows != 0
+    leads = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), n)
+    after = np.append(np.minimum.accumulate(leads[::-1])[-2::-1], n)
+    ahead = leads < after  # row i leads before every later row
+    done = k if ahead.all() else int(ahead.argmin())
+    pivots = leads[:done].tolist()
+    for c in range(pivots[-1] + 1 if pivots else 0, n):
+        r = len(pivots)
+        if r == k:
+            break
+        hot = r + np.flatnonzero(rows[r:, c])
+        if not len(hot):
+            continue
+        if hot[0] != r:
+            rows[[r, hot[0]]] = rows[[hot[0], r]]
+        below = hot[1:]
+        if len(below):
+            scale = mul[neg[rows[below, c]], inv[rows[r, c]]]
+            rows[below] = add[rows[below], mul[scale[:, None], rows[r]]]
+        pivots.append(c)
+    if len(pivots) < k:
+        raise ValueError(f"the {k} generator rows have rank {len(pivots)}")
+    columns = np.array(pivots)
     for i in range(k - 1, -1, -1):
-        row = mul[inv[rows[i, i]], rows[i]]
-        for c in i + 1 + np.flatnonzero(row[i + 1:k]):
-            row = add[row, mul[neg[row[c]], rows[c]]]
+        row = mul[inv[rows[i, pivots[i]]], rows[i]]
+        for j in i + 1 + np.flatnonzero(row[columns[i + 1:]]):
+            row = add[row, mul[neg[row[columns[j]]], rows[j]]]
         rows[i] = row
-    return rows[:, k:]
+    return pivots, rows
 
 
 def _unrank_supports(binom: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -502,36 +391,53 @@ class _LevelWalk:
         return list(zip(cuts, cuts[1:]))
 
 
-def _info_set_distance(gen: np.ndarray, field, cap: int,
-                       workers: int) -> DistanceResult:
-    """Minimum distance by information weight on the coordinates [0, k).
+def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
+                 workers: int = 1, *,
+                 shift_invariant: bool = False) -> DistanceResult:
+    """Exact minimum distance of the row space of gen, by information weight.
 
-    In the systematic form [I | P] a word is its message u on [0, k)
-    plus u P; level t walks every u of weight t whose first nonzero
-    digit is 1, C(k, t) (q - 1)^(t - 1) words (see _LevelWalk).
-    Stopping rule: the n rotations of a word w put wt(w) k nonzeros
-    into [0, k), so one of them has at most floor(wt(w) k / n) there; a
-    rotation is a word of the same weight (a negacyclic one flips a
-    sign).  Once every level below t has been walked, any word not yet
-    seen weighs at least low = ceil(t n / k), and the walk stops when
-    low reaches the best weight found.  A level that would take the
+    gen must have independent rows (ValueError otherwise).  Its reduced
+    row-echelon form is the systematic form [I | P] on the pivot columns,
+    an information set: a word is its message u there plus u P on the
+    other columns, and level t walks every u of weight t whose first
+    nonzero digit is 1, C(k, t) (q - 1)^(t - 1) words (see _LevelWalk),
+    counted in `enumerated`.
+
+    Stopping rule: once every level below t has been walked, any word not
+    yet seen has at least t nonzeros on the information set, so it weighs
+    at least low = t, and the walk stops when low reaches the best weight
+    found.  shift_invariant asserts, as in min_distance_via_checks, that
+    the code is cyclic or negacyclic in natural coordinate order; the
+    pivots must then be [0, k), as they are for the rows x^i g(x)
+    (ValueError otherwise).  The n rotations of a word w put wt(w) k
+    nonzeros into [0, k), so one of them has at most floor(wt(w) k / n)
+    there; a rotation is a word of the same weight (a negacyclic one
+    flips a sign), so low = ceil(t n / k).  A level that would take the
     words walked past cap raises TooManyCodewords with low and best
     instead.  workers > 1 splits each level that is not kept by ranges
-    of the largest position; the result, the first minimum by (level,
-    index), does not depend on the split.
+    of the largest position, across at most os.cpu_count() processes;
+    the result, the first minimum by (level, index), does not depend on
+    the split.
     """
     k, n = gen.shape
+    if k == 0:
+        raise EmptySet("zero code has no nonzero codewords")
     q, p, kf = field.order, field.p, field.k
     tables = field.symbol_tables()
     add, mul = tables[0], tables[1]
-    parity = _systematic_parity(gen, tables)
+    pivots, echelon = _systematic_parity(gen, tables)
+    if shift_invariant and pivots != list(range(k)):
+        raise ValueError("shift_invariant needs the information set [0, k), "
+                         f"as the rows x^i g(x) have; the pivots are {pivots}")
+    others = np.delete(np.arange(n), pivots)  # the parity columns
+    parity = echelon[:, others]
     walk = _LevelWalk(p, kf, _digit_planes(p, kf, mul, parity))
     best_w, best_at = None, None  # best_at: (level, index)
     walked = 0
     pool = None
     try:
         for t in range(1, k + 1):
-            low = -(-t * n // k)
+            low = -(-t * n // k) if shift_invariant else t
             if best_w is not None and low >= best_w:
                 break
             size = math.comb(k, t) * (q - 1) ** (t - 1)
@@ -566,8 +472,8 @@ def _info_set_distance(gen: np.ndarray, field, cap: int,
     word = np.zeros(n, dtype=np.int64)
     coef = 1
     for pos in _unrank_supports(binom, np.array([rank]))[0].tolist():
-        word[pos] = coef
-        word[k:] = add[word[k:], mul[coef, parity[pos]]]
+        word[pivots[pos]] = coef
+        word[others] = add[word[others], mul[coef, parity[pos]]]
         rest, digit = divmod(rest, q - 1)
         coef = digit + 1
     assert np.count_nonzero(word) == best_w, "rebuilt word's weight differs"

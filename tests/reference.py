@@ -1,14 +1,16 @@
 """Naive reference oracles that the production engines are tested against.
 
 `bchlab.oracle` answers each question with one engine: `GapProfile` for
-gap edges, `dually_sweep` for dually-BCH verdicts and the block-vectorised
-Gray walk of `_distance_block` for minimum distances.  The functions here
-answer the same questions the slow, obvious way: directly on one dual
-defining set, with certificates (the witness window (b, delta') or an
-uncovered counterexample residue), or one codeword per step of the Gray
-walk.  They deliberately share no code with `bchlab.oracle`, nor with the
-array leader map of `bchlab.cyclotomic`: `leader_map_reference` walks
-each orbit once into a dict, and the references read that.  Only the
+gap edges, `dually_sweep` for dually-BCH verdicts and the level walk of
+`min_distance` (words by information weight, each level built from a
+kept lower one) for minimum distances.  The functions here answer the
+same questions the slow, obvious way: directly on one dual defining set,
+with certificates (the witness window (b, delta') or an uncovered
+counterexample residue), or one codeword per step of the Gray walk over
+every message (`gray_walk_reference`).  They deliberately share no code
+with `bchlab.oracle`, nor with the array leader map of
+`bchlab.cyclotomic`: `leader_map_reference` walks each orbit once into a
+dict, and the references read that.  Only the
 coset combinatorics and `DefiningSet` of `bchlab.cyclotomic` and the field
 arithmetic of `bchlab.finite_field` are common.  `field_tables_reference`
 builds, one polynomial multiplication per element, the exp/log tables
@@ -401,10 +403,13 @@ def _info_set_block(p: int, kf: int, scaled: np.ndarray, binom: np.ndarray,
     return best
 
 
-def info_set_walk_reference(ctx, parity) -> tuple[int, tuple[int, ...], int]:
+def info_set_walk_reference(ctx, echelon) -> tuple[int, tuple[int, ...],
+                                                   int]:
     """(distance, word, words walked) of the walk by information weight.
 
-    parity is the P of the systematic form [I | P] on [0, k).  Level t
+    echelon is (pivots, [I | P]): the pivot columns, which must be
+    [0, k), and the reduced row-echelon form of a generator matrix, as
+    the oracle's `_systematic_parity` returns them.  Level t
     walks its C(k, t) (q - 1)^(t - 1) words in index order, each one
     unranked from its index and summed from t scaled parity rows; the
     walk stops as min_distance(..., shift_invariant=True) does, once
@@ -412,8 +417,11 @@ def info_set_walk_reference(ctx, parity) -> tuple[int, tuple[int, ...], int]:
     scalar FieldCtx calls.
     """
     p, kf, q = ctx.p, ctx.k, ctx.order
-    parity = np.asarray(parity, dtype=np.int64)
-    k, r = parity.shape
+    pivots, form = echelon
+    k = len(pivots)
+    assert list(pivots) == list(range(k)), "the information set is [0, k)"
+    parity = np.asarray(form, dtype=np.int64)[:, k:]
+    r = parity.shape[1]
     n = k + r
     mul = np.array([[ctx.mul(a, b) for b in range(q)] for a in range(q)])
     prod = mul[:, parity].transpose(1, 0, 2)  # [j, c]: c times row j

@@ -1,5 +1,7 @@
 """Code realization: generator polynomials, matrices, duals, bounds, LCD."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,25 @@ def test_is_lcd_on_narrow_sense():
     for q, m, fam, d in [(3, 2, CYCLIC, 2), (3, 3, NEGACYCLIC, 4),
                          (7, 2, NEGACYCLIC, 2), (9, 2, CYCLIC, 2)]:
         assert cc.is_lcd(realized(q, m, fam, d))
+
+
+def test_is_lcd_matches_the_stacked_rank(monkeypatch):
+    # the product g g_dual against the rank of G stacked on G_dual
+    def stacked_rank_is_n(inst):
+        dual = cc.dual_code(inst)
+        stacked = np.vstack([cc.generator_matrix(inst),
+                             cc.generator_matrix(dual)])
+        return pl.rank(stacked, inst.field) == inst.n
+
+    for spec in STRUCTURAL_INSTANCES:
+        inst = realized(*spec)
+        assert cc.is_lcd(inst) == stacked_rank_is_n(inst) is True, spec
+    # a dual whose generator shares a factor with g: both say no
+    inst = realized(3, 3, NEGACYCLIC, 2)
+    dual_code = cc.dual_code
+    monkeypatch.setattr(cc, "dual_code", lambda code: dataclasses.replace(
+        dual_code(code), gen_poly=code.gen_poly))
+    assert cc.is_lcd(inst) is stacked_rank_is_n(inst) is False
 
 
 def test_extension_cap():

@@ -155,10 +155,6 @@ def test_defining_set_properties():
     assert list(t.class_residues()) == list(range(1, 28, 2))
     assert t.is_symmetric()
     assert t.leaders() == [1]
-    u = t.union(DefiningSet(3, 28, 2, frozenset(ODD28[7])))
-    assert u.leaders() == [1, 7]
-    with pytest.raises(BadFamilyParams):
-        t.union(DefiningSet(3, 28, 1))
     with pytest.raises(AsymmetricSet):
         DefiningSet(3, 28, 2, frozenset({1, 3})).leaders()
 

@@ -83,12 +83,13 @@ def test_dually_example_reports():
     assert report.passed
 
 
-def test_true_distance_routes_agree():
-    # both routes (full enumeration / parity-check search) on one code
+def test_true_distance_routes_agree(monkeypatch):
+    # both routes (the word walk / parity-check search) on one code
     from bchlab import code_core
     inst = code_core.realize(code_core.CodeSpec(3, 3, "negacyclic", 4))
     by_enum = examples.true_distance(inst)
-    by_checks = examples.true_distance(inst, enum_cap=1)
+    monkeypatch.setattr(oracle, "MIN_DISTANCE_CAP", 1)
+    by_checks = examples.true_distance(inst)
     assert by_enum == by_checks == 7
 
 
@@ -99,7 +100,7 @@ def test_true_distance_searches_below_the_lightest_word(monkeypatch):
     inst = code_core.realize(code_core.CodeSpec(9, 2, "cyclic", 4))
     with pytest.raises(TooManyCodewords) as caught:
         oracle.min_distance(code_core.generator_matrix(inst), inst.field,
-                            cap=examples._ENUM_CAP, shift_invariant=True)
+                            cap=oracle.MIN_DISTANCE_CAP, shift_invariant=True)
     low, best = caught.value.low, caught.value.best
     assert low <= 6 <= best
     calls = []

@@ -306,10 +306,11 @@ def test_min_distance_tiny_codes():
     parity = np.array([[1, 0, 2], [0, 1, 2]])
     rep = orc.min_distance(parity, f3)
     assert rep.distance == 2 and weight(rep.word) == 2
+    assert rep.enumerated == 2  # level 2 weighs at least 2: not walked
     with pytest.raises(EmptySet):
         orc.min_distance(np.zeros((0, 3), dtype=int), f3)
     with pytest.raises(TooManyCodewords):
-        orc.min_distance(parity, f3, cap=5)
+        orc.min_distance(parity, f3, cap=1)
 
 
 def test_min_distance_word_is_a_codeword():
@@ -324,7 +325,7 @@ def test_min_distance_word_is_a_codeword():
 
 def test_min_distance_workers_deterministic(monkeypatch):
     monkeypatch.setattr(orc, "POOL_MIN_WORDS", 4096)  # split small walks
-    inst = realized(3, 4, NEGACYCLIC, 7)  # 3^9 - 1 words, multiple blocks
+    inst = realized(3, 4, NEGACYCLIC, 7)  # d = 20 > k = 9: every level
     gen = cc.generator_matrix(inst)
     single = orc.min_distance(gen, inst.field, workers=1)
     multi = orc.min_distance(gen, inst.field, workers=3)
@@ -335,7 +336,7 @@ def test_min_distance_workers_deterministic(monkeypatch):
 
 def test_min_distance_extension_field_symbols():
     # systematic [I | A] code over F9: the hand loop rebuilds every codeword
-    # from scratch, independently of the oracle's block Gray walk
+    # from scratch, independently of the oracle's walk
     fld = ff.get_field(3, 2)
     q = fld.order
     rng = random.Random(92)
@@ -365,7 +366,7 @@ def test_min_distance_extension_field_realized():
     gdual = cc.generator_matrix(cc.dual_code(inst))
     rep = orc.min_distance(gdual, inst.field)
     assert rep.distance == weight(rep.word)
-    # rebuild each dual codeword by folding scaled rows, no gray walk
+    # rebuild each dual codeword by folding scaled rows, independently
     fld = inst.field
     q = fld.order
     kd, nd = gdual.shape
@@ -403,43 +404,63 @@ def walk_matrices():
     return out
 
 
-def test_block_walk_matches_reference(monkeypatch):
-    rng = random.Random(4)
+def test_walk_matches_gray_reference(monkeypatch):
+    # without the shift rule the walk takes any matrix of independent rows
+    # and returns the distance of the Gray walk over every word, a word of
+    # that weight in the row span, and at most one word per scalar class,
+    # with or without workers
+    monkeypatch.setattr(orc, "POOL_MIN_WORDS", 4096)  # split small levels
     cases = walk_matrices()
-    one_block = 0
-    for fld, rows in cases:
-        end = fld.order ** len(rows)
-        mul = fld.symbol_tables()[1]
-        ranges = [(1, end)]
-        for _ in range(3):
-            lo = rng.randrange(1, end)
-            ranges.append((lo, min(end, lo + rng.randrange(1, 20_000))))
-        for lo, hi in ranges:
-            got = orc._distance_block(fld.p, fld.k, mul, rows, [(lo, hi)])
-            want = ref.gray_walk_reference(fld, rows, lo, hi)
-            assert got == want, (fld.order, len(rows), lo, hi)
-        if end > 4:  # two ranges in one call: the first minimum of both
-            a = rng.randrange(1, end - 3)
-            b = min(a + rng.randrange(1, 3000), end - 2)
-            c = rng.randrange(b, end - 1)
-            d = min(c + rng.randrange(1, 3000), end)
-            got = orc._distance_block(fld.p, fld.k, mul, rows, [(a, b),
-                                                                (c, d)])
-            want = min(ref.gray_walk_reference(fld, rows, a, b),
-                       ref.gray_walk_reference(fld, rows, c, d),
-                       key=lambda t: t[:2])
-            assert got == want, (fld.order, len(rows), a, b, c, d)
-        one_block += end * len(rows[0]) * fld.k <= orc.BLOCK_SYMBOLS
+    for q, m, fam, d in STRUCTURAL_INSTANCES:
+        inst = realized(q, m, fam, d)
+        for code in (inst, cc.dual_code(inst)):
+            rows = cc.generator_matrix(code).tolist()
+            if q ** len(rows) <= 600_000:
+                cases.append((inst.field, rows))
+    # the F_9 = F_3[x]/(x^2 + 2x + 2) matrices of the modulus test
+    fld = ff.FieldCtx(3, 2, modulus=(2, 2, 1))
+    rng = random.Random(0)
+    for _ in range(60):
+        cases.append((fld, [[rng.randrange(9) for _ in range(6)]
+                            for _ in range(2)]))
+    cases.append((fld, [[0, 4, 1, 7, 0]]))  # k = 1
     assert {len(rows) for _, rows in cases} >= {1, 2, 4, 6, 8, 12}
-    assert one_block and one_block < len(cases)
-    # a small block budget: one Gray digit per block, many blocks
-    monkeypatch.setattr(orc, "BLOCK_SYMBOLS", 1 << 10)
+    done = set()
     for fld, rows in cases:
-        end = fld.order ** len(rows)
-        if end <= 20_000:
-            got = orc._distance_block(fld.p, fld.k, fld.symbol_tables()[1],
-                                      rows, [(1, end)])
-            assert got == ref.gray_walk_reference(fld, rows, 1, end)
+        key = (fld.order, fld.modulus, str(rows))
+        if key in done:
+            continue
+        done.add(key)
+        q, k = fld.order, len(rows)
+        want = ref.gray_walk_reference(fld, rows, 1, q ** k)[0]
+        gen = np.array(rows)
+        for workers in (1, 2):
+            got = orc.min_distance(gen, fld, workers=workers)
+            assert got.distance == want, (q, k, workers)
+            assert_codeword(gen, fld, got.word, want)
+            assert got.enumerated <= (q ** k - 1) // (q - 1)
+    # a cyclic code with the support of a lightest word moved last: no
+    # word vanishes on an information set, so it is not [0, k) any more,
+    # and the shift rule refuses it
+    inst = realized(3, 3, NEGACYCLIC, 2)  # [14, 8, 5]
+    gen, fld = cc.generator_matrix(inst), inst.field
+    want = orc.min_distance(gen, fld, shift_invariant=True)
+    mixed = gen[:, np.argsort(np.array(want.word) != 0, kind="stable")]
+    pivots, _ = orc._systematic_parity(mixed, fld.symbol_tables())
+    assert pivots != list(range(inst.dim))
+    got = orc.min_distance(mixed, fld)
+    assert got.distance == 5
+    assert_codeword(mixed, fld, got.word, 5)
+    with pytest.raises(ValueError):
+        orc.min_distance(mixed, fld, shift_invariant=True)
+    # the rows in another order have the same reduced row-echelon form
+    got = orc.min_distance(gen[::-1], fld, shift_invariant=True)
+    assert (got.distance, got.word, got.enumerated) == \
+        (want.distance, want.word, want.enumerated)
+    dependent = np.vstack([gen, (gen[0] + gen[1]) % 3])
+    for shift_invariant in (False, True):
+        with pytest.raises(ValueError):
+            orc.min_distance(dependent, fld, shift_invariant=shift_invariant)
 
 
 def test_min_distance_uses_the_fields_own_modulus():
@@ -462,8 +483,7 @@ def test_min_distance_uses_the_fields_own_modulus():
         rep = orc.min_distance(np.array(gen), fld)
         assert rep.word in span, gen
         assert rep.distance == weight(rep.word) == best, gen
-        assert ref.gray_walk_reference(fld, gen, 1, q ** k)[2] == \
-            list(rep.word)
+        assert ref.gray_walk_reference(fld, gen, 1, q ** k)[0] == best, gen
 
 
 def test_walk_split_is_capped_at_cpu_count(monkeypatch):
@@ -479,44 +499,6 @@ def test_walk_split_is_capped_at_cpu_count(monkeypatch):
     assert len(blocks) == 3 and blocks[0][0] == 1
     assert blocks[-1][1] == 10**6 + 1
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-    # the pieces, as Gray ranges, cover the projective positions
-    # [q^t, 2q^t), t < k, each once and in order
-    q, k = 5, 7
-    total = (q ** k - 1) // (q - 1)
-    for workers in (1, 3):
-        walked = [i for piece in orc._walk_split(total, workers)
-                  for lo, hi in orc._projective_ranges(q, *piece)
-                  for i in range(lo, hi)]
-        assert walked == [i for t in range(k)
-                          for i in range(q ** t, 2 * q ** t)], workers
-
-
-def test_projective_walk_is_the_full_walk(monkeypatch):
-    # min_distance walks one word per scalar class and must return the
-    # first minimum of the full Gray walk, with or without workers
-    monkeypatch.setattr(orc, "POOL_MIN_WORDS", 4096)  # split small walks
-    cases = []
-    for q, m, fam, d in STRUCTURAL_INSTANCES:
-        inst = realized(q, m, fam, d)
-        for code in (inst, cc.dual_code(inst)):
-            rows = cc.generator_matrix(code).tolist()
-            if q ** len(rows) <= 600_000:
-                cases.append((inst.field, rows))
-    # the F_9 = F_3[x]/(x^2 + 2x + 2) matrices of the modulus test
-    fld = ff.FieldCtx(3, 2, modulus=(2, 2, 1))
-    rng = random.Random(0)
-    for _ in range(60):
-        cases.append((fld, [[rng.randrange(9) for _ in range(6)]
-                            for _ in range(2)]))
-    cases.append((fld, [[0, 4, 1, 7, 0]]))  # k = 1
-    for fld, rows in cases:
-        q, k = fld.order, len(rows)
-        want_w, _, want_word = ref.gray_walk_reference(fld, rows, 1, q ** k)
-        for workers in (1, 2):
-            got = orc.min_distance(np.array(rows), fld, workers=workers)
-            assert (got.distance, list(got.word)) == (want_w, want_word), \
-                (q, k, workers)
-            assert got.enumerated == (q ** k - 1) // (q - 1)
 
 
 def test_via_checks_cross_validates_enumeration():
@@ -717,18 +699,24 @@ def test_info_set_distance_matches_other_routes():
     for spec, side in info_set_sides():
         code, checks, fld = side_and_checks(spec, side)
         gen = cc.generator_matrix(code)
-        got = orc.min_distance(gen, fld, cap=examples._ENUM_CAP,
+        got = orc.min_distance(gen, fld, cap=orc.MIN_DISTANCE_CAP,
                                shift_invariant=True)
         assert_codeword(gen, fld, got.word, got.distance)
         words = fld.order ** code.dim
-        if words <= 5_000:
-            want = ref.gray_walk_reference(fld, gen.tolist(), 1, words)[0]
-        elif got.distance <= 10:
-            want = orc.min_distance_via_checks(checks, fld,
-                                               shift_invariant=True).distance
-        else:  # the Gray walk, itself checked against gray_walk_reference
-            want = orc.min_distance(gen, fld, cap=10 ** 8).distance
-        assert got.distance == want, (spec, side)
+        found = {}
+        if got.distance <= 10 and words > 5_000:
+            found["checks"] = orc.min_distance_via_checks(
+                checks, fld, shift_invariant=True).distance
+        elif words <= 120_000:
+            found["Gray walk"] = ref.gray_walk_reference(
+                fld, gen.tolist(), 1, words)[0]
+        try:  # without the shift rule, up to 10^7 words
+            found["level walk"] = orc.min_distance(gen, fld,
+                                                   cap=10 ** 7).distance
+        except TooManyCodewords:
+            pass
+        assert found and set(found.values()) == {got.distance}, \
+            (spec, side, found)
 
 
 def test_info_set_workers_deterministic(monkeypatch):
@@ -787,13 +775,6 @@ def test_level_walk_matches_unranking_reference(monkeypatch):
         assert depth[1] == nested, block
 
 
-def test_info_set_needs_the_shift_rows():
-    inst = realized(3, 3, NEGACYCLIC, 2)
-    gen = cc.generator_matrix(inst)
-    with pytest.raises(ValueError):
-        orc.min_distance(gen[::-1], inst.field, shift_invariant=True)
-
-
 SMALL_CLASSES = ((3, 2, CYCLIC), (3, 3, CYCLIC), (5, 2, CYCLIC),
                  (3, 2, NEGACYCLIC), (3, 3, NEGACYCLIC), (7, 2, NEGACYCLIC))
 
@@ -809,15 +790,23 @@ def small_sides(draw):
 @given(small_sides())
 def test_distance_routes_agree(case):
     # every route within its budget finds the same distance: the Gray
-    # walk up to 20,000 words, the check-matrix search up to 20,000 nodes
+    # walk of every word up to 20,000 words, the walk without the shift
+    # rule up to 20,000 walked words, the check-matrix search up to
+    # 20,000 nodes
     code, checks, fld = side_and_checks(*case)
     assume(code.dim > 0)
     gen = cc.generator_matrix(code)
     got = orc.min_distance(gen, fld, shift_invariant=True)
     assert_codeword(gen, fld, got.word, got.distance)
     found = {"information set": got.distance}
-    if fld.order ** code.dim <= 20_000:
-        found["Gray walk"] = orc.min_distance(gen, fld).distance
+    words = fld.order ** code.dim
+    if words <= 20_000:
+        found["Gray walk"] = ref.gray_walk_reference(
+            fld, gen.tolist(), 1, words)[0]
+    try:
+        found["level walk"] = orc.min_distance(gen, fld, cap=20_000).distance
+    except TooManyCodewords:
+        pass
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orc, "MAX_CHECK_NODES", 20_000)
         try:
