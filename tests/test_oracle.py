@@ -404,13 +404,39 @@ def walk_matrices():
     return out
 
 
-def test_walk_matches_gray_reference(monkeypatch):
-    # without the shift rule the walk takes any matrix of independent rows
-    # and returns the distance of the Gray walk over every word, a word of
-    # that weight in the row span, and at most one word per scalar class,
-    # with or without workers
+def check_against_gray_walk(cases):
+    """The walk of each matrix of independent rows, with workers 1 and 2,
+    returns the distance of the Gray walk over every word, a word of that
+    weight in the row span, and at most one word per scalar class."""
+    for fld, rows in cases:
+        q, k = fld.order, len(rows)
+        want = ref.gray_walk_reference(fld, rows, 1, q ** k)[0]
+        gen = np.array(rows)
+        for workers in (1, 2):
+            got = orc.min_distance(gen, fld, workers=workers)
+            assert got.distance == want, (q, k, workers)
+            assert_codeword(gen, fld, got.word, want)
+            assert got.enumerated <= (q ** k - 1) // (q - 1)
+
+
+def test_block_walk_matches_reference(monkeypatch):
+    # the level walk, built block by block, on the code matrices of
+    # walk_matrices() without the shift rule
     monkeypatch.setattr(orc, "POOL_MIN_WORDS", 4096)  # split small levels
     cases = walk_matrices()
+    assert {len(rows) for _, rows in cases} >= {1, 2, 4, 6, 8, 12}
+    check_against_gray_walk(cases)
+    # a small block budget: many chunks per level, few levels kept
+    monkeypatch.setattr(orc, "BLOCK_SYMBOLS", 1 << 10)
+    check_against_gray_walk([(fld, rows) for fld, rows in cases
+                             if fld.order ** len(rows) <= 20_000])
+
+
+def test_projective_walk_is_the_full_walk(monkeypatch):
+    # min_distance walks one word per scalar class and must find the
+    # distance of the full Gray walk, with or without workers
+    monkeypatch.setattr(orc, "POOL_MIN_WORDS", 4096)  # split small levels
+    cases = []
     for q, m, fam, d in STRUCTURAL_INSTANCES:
         inst = realized(q, m, fam, d)
         for code in (inst, cc.dual_code(inst)):
@@ -424,21 +450,10 @@ def test_walk_matches_gray_reference(monkeypatch):
         cases.append((fld, [[rng.randrange(9) for _ in range(6)]
                             for _ in range(2)]))
     cases.append((fld, [[0, 4, 1, 7, 0]]))  # k = 1
-    assert {len(rows) for _, rows in cases} >= {1, 2, 4, 6, 8, 12}
-    done = set()
-    for fld, rows in cases:
-        key = (fld.order, fld.modulus, str(rows))
-        if key in done:
-            continue
-        done.add(key)
-        q, k = fld.order, len(rows)
-        want = ref.gray_walk_reference(fld, rows, 1, q ** k)[0]
-        gen = np.array(rows)
-        for workers in (1, 2):
-            got = orc.min_distance(gen, fld, workers=workers)
-            assert got.distance == want, (q, k, workers)
-            assert_codeword(gen, fld, got.word, want)
-            assert got.enumerated <= (q ** k - 1) // (q - 1)
+    check_against_gray_walk(cases)
+
+
+def test_info_set_needs_the_shift_rows():
     # a cyclic code with the support of a lightest word moved last: no
     # word vanishes on an information set, so it is not [0, k) any more,
     # and the shift rule refuses it
