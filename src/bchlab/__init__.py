@@ -23,18 +23,17 @@ from .closed_forms import (
 from .code_core import (
     CodeInstance,
     CodeSpec,
-    bch_bound,
     dimension,
     dual_code,
     generator_matrix,
     is_lcd,
     realize,
+    run_bound,
 )
 from .cyclotomic import (
     CYCLIC,
     FAMILIES,
     NEGACYCLIC,
-    DefiningSet,
     coset,
     coset_leaders,
     defining_set,

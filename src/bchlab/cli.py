@@ -150,12 +150,12 @@ def _cmd_leaders(args) -> int:
 def _cmd_code_info(args) -> int:
     spec = code_core.CodeSpec(args.q, args.m, args.family, args.delta,
                               b=args.b)
-    tset = spec.defining_set()
+    tset = spec.defining_set
     n, r, rn = cyclotomic.family_parameters(args.q, args.m, args.family)
     ext = cyclotomic.ord_mod(args.q, rn)
     cap = code_core.max_ext_degree(args.max_ext)
     dim = n - len(tset)
-    designed = code_core.bch_bound(tset)
+    designed = code_core.run_bound(tset, n)
     realized = False
     gen: list[str] | None = None
     lcd: bool | None = None

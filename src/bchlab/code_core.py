@@ -11,14 +11,15 @@ constant the length polynomial takes.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cyclotomic, poly_linalg
-from .cyclotomic import CYCLIC, NEGACYCLIC, DefiningSet
-from .errors import BadDelta, BCHLabError, CoefficientNotInSubfield, \
+from .cyclotomic import CYCLIC
+from .errors import BCHLabError, CoefficientNotInSubfield, \
     ExtensionTooLarge
 from .finite_field import FieldCtx, get_field, get_subfield_map, \
     prime_power_decomposition, root_of_unity
@@ -50,7 +51,9 @@ class CodeSpec:
     delta: int
     b: int | None = None  # None = narrow-sense (b = 1)
 
-    def defining_set(self) -> DefiningSet:
+    @functools.cached_property
+    def defining_set(self) -> np.ndarray:
+        """T as sorted class positions, built once per spec."""
         return cyclotomic.defining_set(self.q, self.m, self.family,
                                        self.delta, self.b)
 
@@ -62,10 +65,7 @@ class CodeSpec:
 
 def dimension(spec: CodeSpec) -> int:
     """k = n - |T|; purely combinatorial (no field is built)."""
-    if spec.delta < 2:
-        raise BadDelta(f"delta must be >= 2, got {spec.delta}")
-    t = spec.defining_set()
-    return t.n - len(t)
+    return spec.n - len(spec.defining_set)
 
 
 @dataclass
@@ -77,13 +77,19 @@ class CodeInstance:
     """
 
     spec: CodeSpec | None
+    family: str
     n: int
-    t: DefiningSet
+    t: np.ndarray            # sorted class positions of the defining set
     field: FieldCtx          # F_q, symbols
     extension: FieldCtx      # F_{q^l}, splitting field
     beta: int                # primitive rn-th root of unity in extension
     gen_poly: list[int]      # over F_q, ascending coefficients
     dim: int
+
+    @property
+    def r(self) -> int:
+        """Class step: residue x of the class mod rn sits at x // r."""
+        return 1 if self.family == CYCLIC else 2
 
 
 def realize(spec: CodeSpec, max_ext: int | None = None,
@@ -96,8 +102,8 @@ def realize(spec: CodeSpec, max_ext: int | None = None,
     ones are used.  Raises ExtensionTooLarge when ord_{rn}(q) exceeds the
     cap (argument, else BCHLAB_MAX_EXT_DEGREE, else 24).
     """
-    t = spec.defining_set()
-    n, _, rn = cyclotomic.family_parameters(spec.q, spec.m, spec.family)
+    t = spec.defining_set
+    n, r, rn = cyclotomic.family_parameters(spec.q, spec.m, spec.family)
     p, k = prime_power_decomposition(spec.q)
     ell = cyclotomic.ord_mod(spec.q, rn)
     cap = max_ext_degree(max_ext)
@@ -109,11 +115,26 @@ def realize(spec: CodeSpec, max_ext: int | None = None,
     if extension is None:
         extension = get_field(p, k * ell)
     beta = root_of_unity(extension, rn)
-    gen = _generator_poly(t.leaders(), extension, field, beta, rn)
+    gen = _generator_poly(_leaders(t, spec.q, r, rn), extension, field,
+                          beta, rn)
     assert len(gen) - 1 == len(t), "generator degree must equal |T|"
-    return CodeInstance(spec=spec, n=n, t=t, field=field,
+    return CodeInstance(spec=spec, family=spec.family, n=n, t=t, field=field,
                         extension=extension, beta=beta, gen_poly=gen,
                         dim=n - len(t))
+
+
+def _leaders(t: np.ndarray, q: int, r: int, rn: int) -> list[int]:
+    """Sorted coset leaders of the class positions t, a union of cosets.
+
+    Each residue steps x -> x q mod rn until all are back where they
+    started (at most ord_rn(q) steps), keeping its orbit minimum.
+    """
+    x = r * t + (r - 1)
+    lead, y = x.copy(), x * q % rn
+    while not np.array_equal(y, x):
+        np.minimum(lead, y, out=lead)
+        y = y * q % rn
+    return x[lead == x].tolist()
 
 
 def _generator_poly(leaders, extension: FieldCtx, field: FieldCtx,
@@ -184,12 +205,13 @@ def dual_code(inst: CodeInstance) -> CodeInstance:
     defining set equal to the class complement of -T = T; the generator
     is recomputed from scratch and checked orthogonal to the primal.
     """
-    tperp = cyclotomic.dual_defining_set(inst.t)
+    r, rn = inst.r, inst.r * inst.n
+    tperp = cyclotomic.dual_defining_set(inst.t, inst.n, r)
     field = inst.field
-    gen = _generator_poly(tperp.leaders(), inst.extension, field, inst.beta,
-                          tperp.modulus)
-    dual = CodeInstance(spec=None, n=inst.n, t=tperp, field=field,
-                        extension=inst.extension, beta=inst.beta,
+    gen = _generator_poly(_leaders(tperp, field.order, r, rn), inst.extension,
+                          field, inst.beta, rn)
+    dual = CodeInstance(spec=None, family=inst.family, n=inst.n, t=tperp,
+                        field=field, extension=inst.extension, beta=inst.beta,
                         gen_poly=gen, dim=inst.n - len(tperp))
     _check_orthogonal(inst, dual)
     return dual
@@ -215,13 +237,9 @@ def _check_orthogonal(a: CodeInstance, b: CodeInstance) -> None:
             "generator matrices of code and dual are not orthogonal"
 
 
-def bch_bound(t: DefiningSet) -> int:
-    """1 + the longest run of consecutive class residues in T, capped at n."""
-    return run_bound(sorted(x // t.r for x in t.residues), t.n)
-
-
 def run_bound(positions, n: int) -> int:
-    """bch_bound of sorted class positions (residue x sits at x // r).
+    """The BCH bound of a defining set: 1 + its longest run of consecutive
+    sorted class positions, capped at n.
 
     Runs wrap around the class, and a full class gives n.  The cost grows
     with the number of positions, not with n.
@@ -244,12 +262,15 @@ def is_lcd(inst: CodeInstance) -> bool:
     criterion: -T = T and T disjoint from the dual defining set (both
     hold by construction at these lengths).
     """
-    assert inst.t.is_symmetric(), "defining set must satisfy -T = T"
+    in_t = np.zeros(inst.n, dtype=bool)
+    in_t[inst.t] = True
+    assert in_t[(1 - inst.r - inst.t) % inst.n].all(), \
+        "defining set must satisfy -T = T"
     dual = dual_code(inst)
-    assert not (inst.t.residues & dual.t.residues), \
+    assert not in_t[dual.t].any(), \
         "defining sets of code and dual must be disjoint"
     field = inst.field
     prod = poly_linalg.pmul(inst.gen_poly, dual.gen_poly, field)
-    sign = 1 if inst.t.family == CYCLIC else field.neg(1)  # x^n - 1, x^n + 1
+    sign = 1 if inst.family == CYCLIC else field.neg(1)  # x^n - 1, x^n + 1
     target = poly_linalg.x_pow_minus(inst.n, sign, field)
     return prod == [field.mul(prod[-1], c) for c in target]

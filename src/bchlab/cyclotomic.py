@@ -9,19 +9,17 @@ codes whose length divides q^m + 1:
   odd class 1 + 2 Z_2n (step r = 2).
 
 In both families q^m = -1 (mod rn), so every coset is closed under
-negation and defining sets built from coset unions satisfy -T = T.
+negation and defining sets built from coset unions satisfy -T = T.  A
+defining set is the sorted int64 array of its class positions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from .errors import (
-    AsymmetricSet,
     BadDelta,
     BadFamilyParams,
     ClassTooLarge,
@@ -120,71 +118,6 @@ def kth_largest_leader(leaders: list[int], k: int) -> int:
     return leaders[-k]
 
 
-@dataclass(frozen=True)
-class DefiningSet:
-    """A union of q-cyclotomic cosets inside one residue class mod rn.
-
-    r = 1 means the class is all of Z_rn (cyclic); r = 2 means the odd
-    class 1 + 2 Z_rn (negacyclic).
-    """
-
-    q: int
-    modulus: int  # rn
-    r: int  # 1 or 2
-    residues: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.r not in (1, 2):
-            raise BadFamilyParams(f"r must be 1 or 2, got {self.r}")
-        if self.r == 2 and self.modulus % 2:
-            raise BadFamilyParams("odd residue class needs an even modulus")
-        for x in self.residues:
-            if not 0 <= x < self.modulus:
-                raise BadFamilyParams(f"residue {x} outside [0, {self.modulus})")
-            if self.r == 2 and x % 2 == 0:
-                raise BadFamilyParams(f"residue {x} not in the odd class")
-
-    @property
-    def family(self) -> str:
-        return CYCLIC if self.r == 1 else NEGACYCLIC
-
-    @property
-    def n(self) -> int:
-        """Code length: class size (modulus / r)."""
-        return self.modulus // self.r
-
-    def class_residues(self) -> Iterator[int]:
-        start = 1 if self.r == 2 else 0
-        return iter(range(start, self.modulus, self.r))
-
-    def __contains__(self, x: int) -> bool:
-        return x % self.modulus in self.residues
-
-    def __len__(self) -> int:
-        return len(self.residues)
-
-    def is_symmetric(self) -> bool:
-        """True when -T = T modulo rn."""
-        return all((-x) % self.modulus in self.residues for x in self.residues)
-
-    def leaders(self) -> list[int]:
-        """Sorted leaders of the cosets making up the set."""
-        if not self.residues:
-            return []
-        seen: set[int] = set()
-        out: list[int] = []
-        for x in sorted(self.residues):
-            if x in seen:
-                continue
-            orbit = coset(x, self.q, self.modulus)
-            if not all(y in self.residues for y in orbit):
-                raise AsymmetricSet(
-                    f"residues are not a union of cosets near {x}")
-            seen.update(orbit)
-            out.append(orbit[0])
-        return out
-
-
 def check_qm(q: int, m: int) -> None:
     """Both families need q an odd prime power >= 3 and m >= 2."""
     if q < 3 or q % 2 == 0 or len(factorize(q)) != 1:
@@ -215,12 +148,15 @@ def family_parameters(q: int, m: int, family: str) -> tuple[int, int, int]:
 
 
 def defining_set(q: int, m: int, family: str, delta: int,
-                 b: int | None = None) -> DefiningSet:
+                 b: int | None = None) -> np.ndarray:
     """Defining set of the BCH-type code with designed distance delta.
 
-    T = C_b u C_{b+r} u ... u C_{b+r(delta-2)}, residues mod rn.  The
-    narrow-sense default is b = 1; cyclic codes also accept b = 0 (the
-    even-like choice).  Negacyclic offsets must be odd.
+    T = C_b u C_{b+r} u ... u C_{b+r(delta-2)}, residues mod rn, returned
+    as the sorted int64 array of its class positions (residue x sits at
+    x // r).  The narrow-sense default is b = 1; cyclic codes also accept
+    b = 0 (the even-like choice).  Negacyclic offsets must be odd.  The
+    array stays sparse, but positions run to n - 1: ClassTooLarge when
+    n > 2^63.
     """
     n, r, rn = family_parameters(q, m, family)
     if not 2 <= delta <= n:
@@ -230,25 +166,28 @@ def defining_set(q: int, m: int, family: str, delta: int,
     b %= rn
     if r == 2 and b % 2 == 0:
         raise BadFamilyParams(f"negacyclic offset must be odd, got {b}")
+    if n > 1 << 63:
+        raise ClassTooLarge(f"the class of {n} positions overflows int64")
     residues: set[int] = set()
-    for i in range(delta - 1):
+    for i in range(delta - 1):  # the orbit of each exponent not yet in T
         x = (b + r * i) % rn
-        if x not in residues:  # its whole coset is already in
-            residues.update(coset(x, q, rn))
-    return DefiningSet(q, rn, r, frozenset(residues))
+        while x not in residues:
+            residues.add(x)
+            x = x * q % rn
+    # sorted, not np.sort: a first int64 np.sort maps ~0.4 MB of sort code
+    return np.array(sorted(x // r for x in residues), dtype=np.int64)
 
 
-def dual_defining_set(t: DefiningSet) -> DefiningSet:
-    """Defining set of the dual code: the class minus -T.
+def dual_defining_set(t: np.ndarray, n: int, r: int) -> np.ndarray:
+    """Defining set of the dual code: the class positions outside -T = T.
 
-    Raises AsymmetricSet when -T != T (cannot happen for sets built by
-    defining_set at these lengths, where q^m = -1 mod rn).
+    -T = T holds by construction at these lengths (q^m = -1 mod rn);
+    residue x = rp + r - 1 negates to position (1 - r - p) mod n.
     """
-    if not t.residues:
+    if not len(t):
         raise EmptySet("dual of an empty defining set is the whole class; "
                        "build it explicitly if that is what you want")
-    if not t.is_symmetric():
-        raise AsymmetricSet("defining set is not closed under negation")
-    complement = frozenset(x for x in t.class_residues()
-                           if x not in t.residues)
-    return DefiningSet(t.q, t.modulus, t.r, complement)
+    in_t = np.zeros(n, dtype=bool)
+    in_t[t] = True
+    assert in_t[(1 - r - t) % n].all(), "defining set must satisfy -T = T"
+    return np.flatnonzero(~in_t)

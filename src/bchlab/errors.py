@@ -22,10 +22,6 @@ class BadFamilyParams(BCHLabError):
     """(q, m, family) violates a family precondition (parity, residue class)."""
 
 
-class AsymmetricSet(BCHLabError):
-    """A defining set expected to satisfy -T == T does not."""
-
-
 class NotEnoughCosets(BCHLabError):
     """A requested k-th largest coset leader does not exist."""
 
@@ -43,7 +39,8 @@ class ExtensionTooLarge(BCHLabError):
 
 
 class ClassTooLarge(BCHLabError):
-    """A leader map would hold more residues than cyclotomic's cap."""
+    """A leader map would hold more residues than cyclotomic's cap, or
+    the class positions of a defining set would overflow int64."""
 
 
 class DivisionByZero(BCHLabError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import closed_forms, code_core, oracle
-from .cyclotomic import CYCLIC, NEGACYCLIC, defining_set
+from .cyclotomic import CYCLIC, NEGACYCLIC
 from .errors import (BCHLabError, EmptySet, TooManyCodewords,
                      UnknownExample)
 

@@ -10,8 +10,12 @@ counterexample residue), or one codeword per step of the Gray walk over
 every message (`gray_walk_reference`).  They deliberately share no code
 with `bchlab.oracle`, nor with the array leader map of
 `bchlab.cyclotomic`: `leader_map_reference` walks each orbit once into a
-dict, and the references read that.  Only the
-coset combinatorics and `DefiningSet` of `bchlab.cyclotomic` and the field
+dict, and the references read that.  Nor do they share its defining sets,
+which are sorted arrays of class positions: `defining_set_reference` is
+the naive union of one orbit walk per exponent, kept as a frozenset of
+residues (`DefiningSetReference`, with its leaders), and
+`dual_defining_set_reference` is the class complement of -T.  Only the
+family names and coprimality check of `bchlab.cyclotomic` and the field
 arithmetic of `bchlab.finite_field` are common.  `field_tables_reference`
 builds, one polynomial multiplication per element, the exp/log tables
 that `FieldCtx` fills by doubling; `generator_reference`,
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bchlab import cyclotomic
-from bchlab.cyclotomic import DefiningSet
+from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
 from bchlab.errors import BadFamilyParams, CoefficientNotInSubfield, EmptySet
 from bchlab.finite_field import factorize
 
@@ -55,8 +59,23 @@ class AnchorNotInDual(ValueError):
     """Gap scan anchor residue is not in the dual defining set."""
 
 
+class NotACosetUnion(ValueError):
+    """A residue set that should be a union of cyclotomic cosets is not."""
+
+
 # ---------------------------------------------------------------------------
 # leader maps, one orbit walk per coset
+
+
+def _orbit(x: int, q: int, n: int) -> list[int]:
+    """x, x q, x q^2, ... mod n, until the walk is back at x."""
+    x %= n
+    orbit = [x]
+    y = x * q % n
+    while y != x:
+        orbit.append(y)
+        y = y * q % n
+    return orbit
 
 
 def leader_map_reference(q: int, n: int,
@@ -73,11 +92,7 @@ def leader_map_reference(q: int, n: int,
     for x in range(start, n, step):
         if x in leaders:
             continue
-        orbit = [x]
-        y = x * q % n
-        while y != x:
-            orbit.append(y)
-            y = y * q % n
+        orbit = _orbit(x, q, n)
         lead = min(orbit)
         for y in orbit:
             leaders[y] = lead
@@ -85,10 +100,94 @@ def leader_map_reference(q: int, n: int,
 
 
 # ---------------------------------------------------------------------------
+# defining sets as frozensets of residues, one coset at a time
+
+
+@dataclass(frozen=True)
+class DefiningSetReference:
+    """A union of q-cyclotomic cosets inside one residue class mod rn.
+
+    r = 1 means the class is all of Z_rn (cyclic); r = 2 means the odd
+    class 1 + 2 Z_rn (negacyclic).
+    """
+
+    q: int
+    modulus: int  # rn
+    r: int  # 1 or 2
+    residues: frozenset[int] = frozenset()
+
+    @property
+    def family(self) -> str:
+        return CYCLIC if self.r == 1 else NEGACYCLIC
+
+    @property
+    def n(self) -> int:
+        """Code length: class size (modulus / r)."""
+        return self.modulus // self.r
+
+    def class_residues(self) -> range:
+        return range(self.r - 1, self.modulus, self.r)
+
+    def __contains__(self, x: int) -> bool:
+        return x % self.modulus in self.residues
+
+    def __len__(self) -> int:
+        return len(self.residues)
+
+    def positions(self) -> list[int]:
+        """Sorted class positions: residue x sits at x // r."""
+        return sorted(x // self.r for x in self.residues)
+
+    def is_symmetric(self) -> bool:
+        """True when -T = T modulo rn."""
+        return all((-x) % self.modulus in self.residues for x in self.residues)
+
+    def leaders(self) -> list[int]:
+        """Sorted leaders of the cosets making up the set."""
+        seen: set[int] = set()
+        out: list[int] = []
+        for x in sorted(self.residues):
+            if x in seen:
+                continue
+            orbit = _orbit(x, self.q, self.modulus)
+            if not all(y in self.residues for y in orbit):
+                raise NotACosetUnion(
+                    f"residues are not a union of cosets near {x}")
+            seen.update(orbit)
+            out.append(min(orbit))
+        return out
+
+
+def defining_set_reference(q: int, m: int, family: str, delta: int,
+                           b: int | None = None) -> DefiningSetReference:
+    """T = C_b u C_{b+r} u ... u C_{b+r(delta-2)} mod rn = q^m + 1.
+
+    One orbit walk for every exponent, also where it is already in T; the
+    narrow-sense default is b = 1.  Parameters are taken as valid.
+    """
+    r = 1 if family == CYCLIC else 2
+    rn = q ** m + 1
+    start = 1 if b is None else b
+    residues: set[int] = set()
+    for i in range(delta - 1):
+        residues.update(_orbit(start + r * i, q, rn))
+    return DefiningSetReference(q, rn, r, frozenset(residues))
+
+
+def dual_defining_set_reference(
+        t: DefiningSetReference) -> DefiningSetReference:
+    """The class residues outside -T."""
+    negated = {(-x) % t.modulus for x in t.residues}
+    return DefiningSetReference(
+        t.q, t.modulus, t.r,
+        frozenset(x for x in t.class_residues() if x not in negated))
+
+
+# ---------------------------------------------------------------------------
 # gap scans
 
 
-def gap_scan(tperp: DefiningSet, anchor: int | None = None,
+def gap_scan(tperp: DefiningSetReference, anchor: int | None = None,
              two_sided: bool = False) -> tuple[int | None, int | None]:
     """Directly scan for the gap edges next to the anchor residue.
 
@@ -142,7 +241,7 @@ class DuallyVerdict:
     counterexample: int | None = None
 
 
-def dually_bch_oracle(tperp: DefiningSet) -> DuallyVerdict:
+def dually_bch_oracle(tperp: DefiningSetReference) -> DuallyVerdict:
     """Exhaustive search for a BCH window equal to T_perp.
 
     For each candidate first exponent b (ascending through the class),
@@ -174,7 +273,7 @@ def dually_bch_oracle(tperp: DefiningSet) -> DuallyVerdict:
                          counterexample=_best_run_counterexample(tperp, lm))
 
 
-def _runs(tperp: DefiningSet) -> list[list[int]]:
+def _runs(tperp: DefiningSetReference) -> list[list[int]]:
     """Maximal circular runs of consecutive class residues inside T_perp."""
     rn, r, n = tperp.modulus, tperp.r, tperp.n
     start = 1 if r == 2 else 0
@@ -196,7 +295,8 @@ def _runs(tperp: DefiningSet) -> list[list[int]]:
     return runs
 
 
-def _best_run_counterexample(tperp: DefiningSet, lm: dict[int, int]) -> int:
+def _best_run_counterexample(tperp: DefiningSetReference,
+                             lm: dict[int, int]) -> int:
     best_cover: set[int] = set()
     for run in _runs(tperp):
         cover = {lm[x] for x in run}
@@ -556,11 +656,11 @@ def minimal_polynomial_reference(elem: int, big, small) -> list[int]:
     return [lift[c] for c in poly]
 
 
-def generator_poly_reference(residues: DefiningSet, extension, field,
+def generator_poly_reference(t: DefiningSetReference, extension, field,
                              beta: int) -> list[int]:
     """Product over the leaders j of the minimal polynomial of beta^j."""
     gen = [1]
-    for j in residues.leaders():
+    for j in t.leaders():
         mp = minimal_polynomial_reference(pow_reference(extension, beta, j),
                                           extension, field)
         gen = pmul_reference(gen, mp, field)

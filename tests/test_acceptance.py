@@ -90,9 +90,11 @@ def _multiplier_run_bounds(q, m, delta):
     coprime to n, so a run in u * T_perp bounds d(C_perp) too (BCH bound
     with a step coprime to n).
     """
-    tperp = dual_defining_set(defining_set(q, m, NEGACYCLIC, delta))
-    mod = tperp.modulus
-    bounds = {u: _run_bound({u * x % mod for x in tperp.residues}, mod)
+    n = (q ** m + 1) // 2
+    tperp = dual_defining_set(defining_set(q, m, NEGACYCLIC, delta), n, 2)
+    mod = 2 * n
+    residues = [2 * p + 1 for p in tperp.tolist()]  # position p holds 2p + 1
+    bounds = {u: _run_bound({u * x % mod for x in residues}, mod)
               for u in range(1, mod, 2) if gcd(u, mod) == 1}
     return bounds[1], max(bounds.values())
 
@@ -211,7 +213,7 @@ def test_criterion_6_structural_invariants():
         if not ok:
             errors.append(f"{tag}: G . dual(G)^T != 0")
         dist = grid_utils.true_distance(q, m, family, delta)
-        bound = cc.bch_bound(inst.t)
+        bound = cc.run_bound(inst.t, inst.n)
         if not bound <= dist:
             errors.append(f"{tag}: bch_bound {bound} > true distance {dist}")
         if not cc.is_lcd(inst):

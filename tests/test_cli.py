@@ -165,8 +165,8 @@ def test_code_info_payload():
     assert payload["note"] is None
 
 
-def test_code_info_builds_the_defining_set_twice(monkeypatch, capsys):
-    # once for |T|, the dimension and the bound, once inside realize
+def test_code_info_builds_the_defining_set_once(monkeypatch, capsys):
+    # |T|, the dimension, the bound and realize read one cached array
     calls = []
     defining_set = cy.defining_set
 
@@ -176,8 +176,31 @@ def test_code_info_builds_the_defining_set_twice(monkeypatch, capsys):
 
     monkeypatch.setattr(cy, "defining_set", counted)
     assert cli.main(["code-info", "3", "3", "negacyclic", "4"]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["dimension"] == "2"
+
+
+def test_code_info_class_positions_past_int64(capsys):
+    # class positions run to n - 1: n > 2^63 is a ClassTooLarge error,
+    # and n just below it still prints, even with residues past 2^63
+    for argv in (["11", "20", "cyclic", "2"],
+                 ["3", "40", "cyclic", "2", "--max-ext", "100"],
+                 ["3", "41", "negacyclic", "2", "--max-ext", "100"],
+                 ["7", "23", "negacyclic", "2", "--max-ext", "100"]):
+        assert cli.main(["code-info", *argv]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert json.loads(err)["error"]["type"] == "ClassTooLarge", argv
+    for argv, n, size, bound in (
+            (["3", "39", "cyclic", "2"], 3 ** 39 + 1, 78, 2),
+            (["3", "40", "negacyclic", "2"], (3 ** 40 + 1) // 2, 80, 5)):
+        assert cli.main(["code-info", *argv, "--max-ext", "100"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == str(n)
+        assert payload["defining_size"] == str(size)
+        assert payload["dimension"] == str(n - size)
+        assert payload["bch_bound"] == str(bound)
+        assert payload["realized"] is False
 
 
 def test_code_info_extension_cap():
@@ -398,6 +421,24 @@ def test_closed_pipe_ends_without_a_traceback():
             env=checkout_env())
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_verify_loads_no_numpy_module_after_import():
+    # a numpy module imported lazily (numpy.ma, by np.unique and the other
+    # set routines) costs every fresh CLI process its import time
+    code = """
+import contextlib, io, json, sys
+from bchlab import cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["verify", "negacyclic-q3-m4"])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert [m for m in loaded if m.split(".")[0] == "numpy"] == [], loaded
 
 
 def test_python_dash_m_bchlab_is_the_cli():

@@ -43,22 +43,25 @@ def test_dimension_pins():
         spec = cc.CodeSpec(q, m, fam, d)
         assert spec.n == n
         assert cc.dimension(spec) == dim
-        assert cc.bch_bound(spec.defining_set()) == bound
+        assert cc.run_bound(spec.defining_set, n) == bound
     with pytest.raises(BadDelta):
         cc.dimension(cc.CodeSpec(3, 2, CYCLIC, 1))
 
 
 def test_bch_bound_hand_cases():
     # T(3,2,cyclic,3) = {1,2,3,4,6,7,8,9} mod 10: longest run has 4 elements
-    assert cc.bch_bound(cy.defining_set(3, 2, CYCLIC, 3)) == 5
+    assert cc.run_bound(cy.defining_set(3, 2, CYCLIC, 3), 10) == 5
     # T(3,3,neg,2) = C_1 = {1,3,9,19,25,27} mod 28: odd-step run 25,27,1,3
-    assert cc.bch_bound(cy.defining_set(3, 3, NEGACYCLIC, 2)) == 5
+    assert cc.run_bound(cy.defining_set(3, 3, NEGACYCLIC, 2), 14) == 5
     # T(3,3,neg,4) misses only C_7 = {7,21}: two runs of 6 odd residues
-    assert cc.bch_bound(cy.defining_set(3, 3, NEGACYCLIC, 4)) == 7
+    assert cc.run_bound(cy.defining_set(3, 3, NEGACYCLIC, 4), 14) == 7
 
 
 def naive_bch_bound(t):
-    """1 + the longest run of T's class positions, read off the class twice."""
+    """1 + the longest run of T's class positions, read off the class twice.
+
+    t is the frozenset form of tests/reference.py.
+    """
     start = 1 if t.r == 2 else 0
     bits = "".join("1" if start + t.r * i in t.residues else "0"
                    for i in range(t.n))
@@ -74,18 +77,23 @@ def test_bch_bound_matches_naive_scan_on_grid():
             if fam == NEGACYCLIC and q % 4 != 3:
                 continue
             n, r, rn = cy.family_parameters(q, m, fam)
-            empty = cy.DefiningSet(q, rn, r)
-            full = cy.DefiningSet(q, rn, r, frozenset(empty.class_residues()))
-            assert cc.bch_bound(empty) == naive_bch_bound(empty) == 1
-            assert cc.bch_bound(full) == naive_bch_bound(full) == n
+            empty = ref.DefiningSetReference(q, rn, r)
+            full = ref.DefiningSetReference(
+                q, rn, r, frozenset(empty.class_residues()))
+            assert cc.run_bound(np.array([], dtype=np.int64), n) \
+                == naive_bch_bound(empty) == 1
+            assert cc.run_bound(np.arange(n), n) == naive_bch_bound(full) == n
             # every delta on small classes, five spread over the
             # delta range on large ones
             md = profile(q, m, fam).max_delta
             step = 1 if n * md <= 20_000 else md // 4
             for d in range(2, md + 1, step):
                 t = cy.defining_set(q, m, fam, d)
-                for s in (t, cy.dual_defining_set(t)):
-                    assert cc.bch_bound(s) == naive_bch_bound(s), \
+                want = ref.defining_set_reference(q, m, fam, d)
+                for s, naive in ((t, want),
+                                 (cy.dual_defining_set(t, n, r),
+                                  ref.dual_defining_set_reference(want))):
+                    assert cc.run_bound(s, n) == naive_bch_bound(naive), \
                         (q, m, fam, d, len(s))
                 checked += 1
     assert checked > 400
@@ -116,10 +124,12 @@ def test_generator_roots_are_exactly_t():
         inst = realized(q, m, fam, d)
         sm = ff.get_subfield_map(inst.field, inst.extension)
         lifted = [sm.embed(c) for c in inst.gen_poly]
-        for j in inst.t.class_residues():
+        want = ref.defining_set_reference(q, m, fam, d)
+        assert inst.t.tolist() == want.positions()
+        for j in want.class_residues():
             val = pl.peval(lifted, inst.extension.pow(inst.beta, j),
                            inst.extension)
-            assert (val == 0) == (j in inst.t)
+            assert (val == 0) == (j in want)
 
 
 def next_irreducible(p, k):
@@ -148,13 +158,18 @@ def test_generator_poly_matches_reference():
     for e in (e81, e38):
         assert e.modulus != ff.find_irreducible(3, e.k)
     for inst in insts:
-        ext, fld, rn = inst.extension, inst.field, inst.t.modulus
+        ext, fld, rn = inst.extension, inst.field, inst.r * inst.n
         assert inst.beta == ref.pow_reference(ext, ext.generator,
                                               (ext.order - 1) // rn)
         dual = cc.dual_code(inst)
-        for code in (inst, dual):
+        spec = inst.spec
+        t = ref.defining_set_reference(spec.q, spec.m, spec.family,
+                                       spec.delta, spec.b)
+        for code, want in ((inst, t),
+                           (dual, ref.dual_defining_set_reference(t))):
+            assert code.t.tolist() == want.positions()
             assert code.gen_poly == ref.generator_poly_reference(
-                code.t, ext, fld, inst.beta), (inst.spec, code is dual)
+                want, ext, fld, inst.beta), (inst.spec, code is dual)
 
 
 def test_realize_builds_no_extension_tables(monkeypatch):
@@ -203,7 +218,9 @@ def test_dual_code_orthogonality():
         inst = realized(q, m, fam, d)
         dual = cc.dual_code(inst)
         assert dual.dim + inst.dim == inst.n
-        assert dual.t.residues == cy.dual_defining_set(inst.t).residues
+        want = ref.dual_defining_set_reference(
+            ref.defining_set_reference(q, m, fam, d))
+        assert dual.t.tolist() == want.positions()
         assert dual.beta == inst.beta
         g = cc.generator_matrix(inst)
         h = cc.generator_matrix(dual)

@@ -2,19 +2,34 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bchlab import code_core as cc
 from bchlab import cyclotomic as cy
-from bchlab.cyclotomic import CYCLIC, NEGACYCLIC, DefiningSet
-from bchlab.errors import (AsymmetricSet, BadDelta, BadFamilyParams,
-                           BCHLabError, ClassTooLarge, EmptySet, NotCoprime,
+from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
+from bchlab.errors import (BadDelta, BadFamilyParams, BCHLabError,
+                           ClassTooLarge, EmptySet, NotCoprime,
                            NotEnoughCosets)
 
 import reference as ref
+from test_code_core import naive_bch_bound
 
 # hand-checked: cosets of 3 mod 10 are {0}, {1,3,9,7}, {2,6,8,4}, {5}
 MOD10_LEADERS = [0, 1, 2, 5]
 # hand-checked: odd cosets of 3 mod 28 are C_1 (size 6), C_5 (size 6), C_7
 ODD28 = {1: (1, 3, 9, 19, 25, 27), 5: (5, 11, 13, 15, 17, 23), 7: (7, 21)}
+
+
+def odd_positions(*residues):
+    """Sorted class positions of odd residues mod 28 (x sits at x // 2)."""
+    return sorted(x // 2 for x in residues)
+
+
+def negated(t, n, r):
+    """Class positions of -T, through the residues x = r p + r - 1."""
+    rn = r * n
+    return np.sort((rn - (r * t + r - 1)) % rn // r)
 
 
 def test_ord_mod_hand_values():
@@ -135,28 +150,22 @@ def test_kth_largest_leader_pins():
         assert cy.kth_largest_leader(leaders, 2) == k2
 
 
-def test_defining_set_validation():
-    with pytest.raises(BadFamilyParams):
-        DefiningSet(3, 10, 3)
-    with pytest.raises(BadFamilyParams):
-        DefiningSet(3, 13, 2)  # odd class needs even modulus
-    with pytest.raises(BadFamilyParams):
-        DefiningSet(3, 10, 1, frozenset({10}))  # out of range
-    with pytest.raises(BadFamilyParams):
-        DefiningSet(3, 10, 2, frozenset({4}))  # even residue in odd class
-
-
 def test_defining_set_properties():
-    t = DefiningSet(3, 28, 2, frozenset(ODD28[1]))
+    # the frozenset reference form, and the production array of the same T
+    t = ref.DefiningSetReference(3, 28, 2, frozenset(ODD28[1]))
+    got = cy.defining_set(3, 3, NEGACYCLIC, 2)
+    assert got.dtype == np.int64
+    assert got.tolist() == t.positions() == odd_positions(*ODD28[1])
     assert t.family == NEGACYCLIC
     assert t.n == 14
-    assert len(t) == 6
+    assert len(t) == len(got) == 6
     assert 3 in t and 31 in t and 5 not in t
     assert list(t.class_residues()) == list(range(1, 28, 2))
     assert t.is_symmetric()
-    assert t.leaders() == [1]
-    with pytest.raises(AsymmetricSet):
-        DefiningSet(3, 28, 2, frozenset({1, 3})).leaders()
+    assert np.array_equal(negated(got, 14, 2), got)
+    assert t.leaders() == cc._leaders(got, 3, 2, 28) == [1]
+    with pytest.raises(ref.NotACosetUnion):
+        ref.DefiningSetReference(3, 28, 2, frozenset({1, 3})).leaders()
 
 
 def test_family_parameters():
@@ -171,17 +180,18 @@ def test_family_parameters():
 
 def test_defining_set_construction():
     t = cy.defining_set(3, 3, NEGACYCLIC, 2)
-    assert t.residues == frozenset(ODD28[1])
+    assert t.tolist() == odd_positions(*ODD28[1])
     # C_3 = C_1 (3 is in the orbit of 1), so delta = 3 adds nothing new
     t = cy.defining_set(3, 3, NEGACYCLIC, 3)
-    assert t.residues == frozenset(ODD28[1])
+    assert t.tolist() == odd_positions(*ODD28[1])
     t = cy.defining_set(3, 3, NEGACYCLIC, 4)
-    assert t.residues == frozenset(ODD28[1]) | frozenset(ODD28[5])
+    assert t.tolist() == odd_positions(*ODD28[1], *ODD28[5])
+    # cyclic: residue x sits at position x
     t = cy.defining_set(3, 2, CYCLIC, 3)
-    assert t.residues == frozenset({1, 3, 7, 9, 2, 4, 6, 8})
+    assert t.tolist() == [1, 2, 3, 4, 6, 7, 8, 9]
     # even-like offset includes the zero coset
     t = cy.defining_set(3, 2, CYCLIC, 2, b=0)
-    assert t.residues == frozenset({0})
+    assert t.tolist() == [0]
     with pytest.raises(BadDelta):
         cy.defining_set(3, 2, CYCLIC, 1)
     with pytest.raises(BadDelta):
@@ -196,24 +206,26 @@ def test_defining_sets_are_symmetric_on_grid():
                          (11, 2, NEGACYCLIC)]:
         n = cy.family_parameters(q, m, family)[0]
         for delta in (2, 3, min(7, n)):
-            assert cy.defining_set(q, m, family, delta).is_symmetric()
+            t = cy.defining_set(q, m, family, delta)
+            assert np.array_equal(negated(t, n, 2 if family == NEGACYCLIC
+                                          else 1), t), (q, m, family, delta)
 
 
 def test_dual_defining_set():
     t = cy.defining_set(3, 3, NEGACYCLIC, 2)
-    tp = cy.dual_defining_set(t)
-    assert tp.residues == frozenset(ODD28[5]) | frozenset(ODD28[7])
-    assert tp.is_symmetric()
+    tp = cy.dual_defining_set(t, 14, 2)
+    assert tp.tolist() == odd_positions(*ODD28[5], *ODD28[7])
+    assert np.array_equal(negated(tp, 14, 2), tp)
     with pytest.raises(EmptySet):
-        cy.dual_defining_set(DefiningSet(3, 28, 2))
+        cy.dual_defining_set(np.array([], dtype=np.int64), 14, 2)
     # 3-coset {1,3,9} mod 13 is not closed under negation
-    with pytest.raises(AsymmetricSet):
-        cy.dual_defining_set(DefiningSet(3, 13, 1, frozenset({1, 3, 9})))
+    with pytest.raises(AssertionError, match="-T = T"):
+        cy.dual_defining_set(np.array([1, 3, 9]), 13, 1)
 
 
 def test_defining_set_matches_naive_coset_union():
-    # defining_set skips exponents already in T; the naive union calls
-    # coset for every one of b, b + r, ..., b + r(delta - 2)
+    # defining_set skips exponents already in T; the naive union walks
+    # the orbit of every one of b, b + r, ..., b + r(delta - 2)
     for q, m, family in [(3, 2, CYCLIC), (5, 2, CYCLIC), (3, 3, CYCLIC),
                          (9, 2, CYCLIC), (3, 3, NEGACYCLIC),
                          (3, 4, NEGACYCLIC), (7, 2, NEGACYCLIC),
@@ -224,10 +236,43 @@ def test_defining_set_matches_naive_coset_union():
             offsets += [0, 2, 7]
         for b in offsets:
             for delta in sorted({2, 3, 4, 5, 8, n // 3, n // 2, n - 1, n}):
-                naive = set()
-                for i in range(delta - 1):
-                    naive.update(cy.coset((1 if b is None else b) + r * i,
-                                          q, rn))
+                naive = ref.defining_set_reference(q, m, family, delta, b)
                 got = cy.defining_set(q, m, family, delta, b)
-                assert got.residues == frozenset(naive), (q, m, family, b,
-                                                          delta)
+                assert got.tolist() == naive.positions(), (q, m, family, b,
+                                                            delta)
+
+
+# (q, m) with q^m + 1 <= 20,000, so the reference complement stays quick
+PROPERTY_QM = [(q, m) for q in (3, 5, 7, 9, 11, 13, 19, 23, 25, 27)
+               for m in range(2, 10) if q ** m < 20_000]
+
+
+@st.composite
+def coded_sets(draw):
+    q, m = draw(st.sampled_from(PROPERTY_QM))
+    families = [CYCLIC] + ([NEGACYCLIC] if q % 4 == 3 else [])
+    family = draw(st.sampled_from(families))
+    n, r, rn = cy.family_parameters(q, m, family)
+    delta = draw(st.integers(2, n))
+    b = draw(st.one_of(st.none(), st.integers(-rn, 2 * rn)))
+    if b is not None and r == 2:
+        b = 2 * (b // 2) + 1  # negacyclic offsets are odd
+    return q, m, family, delta, b
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(coded_sets())
+def test_defining_sets_match_the_reference(case):
+    q, m, family, delta, b = case
+    n, r, rn = cy.family_parameters(q, m, family)
+    t = cy.defining_set(q, m, family, delta, b)
+    want = ref.defining_set_reference(q, m, family, delta, b)
+    assert t.dtype == np.int64
+    assert t.tolist() == want.positions()
+    assert np.array_equal(negated(t, n, r), t)
+    tp = cy.dual_defining_set(t, n, r)
+    want_p = ref.dual_defining_set_reference(want)
+    assert tp.tolist() == want_p.positions()
+    for got, naive in ((t, want), (tp, want_p)):
+        assert cc._leaders(got, q, r, rn) == naive.leaders()
+        assert cc.run_bound(got, n) == naive_bch_bound(naive)

@@ -33,13 +33,13 @@ from grid_utils import (DUALLY_EXHAUSTIVE_BUDGET, STRUCTURAL_INSTANCES,
 
 
 def tperp_of(q, m, family, delta, b=None):
-    return cy.dual_defining_set(cy.defining_set(q, m, family, delta, b))
+    return ref.dual_defining_set_reference(
+        ref.defining_set_reference(q, m, family, delta, b))
 
 
 def even_like_tperp(q, m, delta):
     # even-like cyclic subcode: defining set C_0 u C_1 u ... u C_{delta-1}
-    return cy.dual_defining_set(
-        cy.defining_set(q, m, CYCLIC, delta + 1, b=0))
+    return tperp_of(q, m, CYCLIC, delta + 1, b=0)
 
 
 def test_gap_scan_hand_cases():
@@ -55,7 +55,7 @@ def test_gap_scan_hand_cases():
 
 def test_gap_scan_no_gap():
     # T-perp = whole odd class: the scan wraps without leaving the set
-    whole = cy.DefiningSet(3, 28, 2, frozenset(range(1, 28, 2)))
+    whole = ref.DefiningSetReference(3, 28, 2, frozenset(range(1, 28, 2)))
     assert ref.gap_scan(whole, anchor=7, two_sided=True) == (None, None)
 
 
@@ -97,29 +97,25 @@ def membership_deltas(max_delta):
                   | set(range(2, max_delta, max_delta // 7)))
 
 
-def class_positions(t):
-    return np.array(sorted(x // t.r for x in t.residues), dtype=np.int64)
-
-
 def test_defining_mask_is_the_coset_union():
     # the profile's one membership rule against the constructive coset
-    # union, and check_bound_report's run bound against bch_bound of the
-    # frozenset dual, on the whole grid
+    # union, and check_bound_report's run bound against the run bound of
+    # the constructed dual, on the whole grid
     for q, m, family in MEMBERSHIP_GRID:
         prof = profile(q, m, family)
         for d in membership_deltas(prof.max_delta):
             t = cy.defining_set(q, m, family, d)
-            tperp = cy.dual_defining_set(t)
+            tperp = cy.dual_defining_set(t, prof.n, prof.r)
             mask = prof.defining_mask(d)
-            assert np.array_equal(np.flatnonzero(mask), class_positions(t)), \
+            assert np.array_equal(np.flatnonzero(mask), t), (q, m, family, d)
+            assert np.array_equal(np.flatnonzero(~mask), tperp), \
                 (q, m, family, d)
-            assert np.array_equal(np.flatnonzero(~mask),
-                                  class_positions(tperp)), (q, m, family, d)
             # a bound above n never agrees, so the report ends up holding
             # the oracle's run bound
             rep = cf.BoundReport(q, m, family, d, prof.n, prof.n + 1)
             orc.check_bound_report(rep)
-            assert rep.lower_bound == cc.bch_bound(tperp), (q, m, family, d)
+            assert rep.lower_bound == cc.run_bound(tperp, prof.n), \
+                (q, m, family, d)
 
 
 def test_defining_mask_domain():
