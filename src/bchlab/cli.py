@@ -148,22 +148,24 @@ def _cmd_leaders(args) -> int:
 
 
 def _cmd_code_info(args) -> int:
+    # every check before T is built: a large T takes seconds and memory
+    n, r, rn, _ = cyclotomic.defining_set_parameters(
+        args.q, args.m, args.family, args.delta, args.b)
+    ext = cyclotomic.ord_mod(args.q, rn)
+    cap = code_core.max_ext_degree(args.max_ext)
+    if ext > cap:
+        raise ExtensionTooLarge(
+            f"extension degree {ext} over GF({args.q}) exceeds cap {cap}; "
+            "raise --max-ext or BCHLAB_MAX_EXT_DEGREE to allow it")
     spec = code_core.CodeSpec(args.q, args.m, args.family, args.delta,
                               b=args.b)
     tset = spec.defining_set
-    n, r, rn = cyclotomic.family_parameters(args.q, args.m, args.family)
-    ext = cyclotomic.ord_mod(args.q, rn)
-    cap = code_core.max_ext_degree(args.max_ext)
     dim = n - len(tset)
     designed = code_core.run_bound(tset, n)
     realized = False
     gen: list[str] | None = None
     lcd: bool | None = None
     note: str | None = None
-    if ext > cap:
-        raise ExtensionTooLarge(
-            f"extension degree {ext} over GF({args.q}) exceeds cap {cap}; "
-            "raise --max-ext or BCHLAB_MAX_EXT_DEGREE to allow it")
     if args.q ** ext <= TABLE_CAP:
         inst = code_core.realize(spec, max_ext=cap)
         realized = True
@@ -381,18 +383,22 @@ def _csv_cell(value):
 
 def _cmd_sweep(args) -> int:
     families = [args.family] if args.family != "both" else list(FAMILIES)
-    rows = []  # all computed first: a failing cell leaves stdout empty
-    for family in families:
-        for q in args.q_list:
-            for m in args.m_list:
+    # (q, m) outer: both families of a cell read one leader map
+    cells = {}  # all computed first: a failing cell leaves stdout empty
+    for q in args.q_list:
+        for m in args.m_list:
+            for family in families:
                 try:
                     cyclotomic.family_parameters(q, m, family)
                 except BCHLabError:
                     continue  # family undefined at this point, e.g. q=5 odd
-                rows.extend(_sweep_point(q, m, family))
+                cells[family, q, m] = _sweep_point(q, m, family)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(_SWEEP_COLUMNS)
-    writer.writerows(rows)
+    for family in families:
+        for q in args.q_list:
+            for m in args.m_list:
+                writer.writerows(cells.get((family, q, m), []))
     return 0
 
 

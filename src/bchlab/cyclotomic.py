@@ -15,6 +15,7 @@ defining set is the sorted int64 array of its class positions.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -118,6 +119,7 @@ def kth_largest_leader(leaders: list[int], k: int) -> int:
     return leaders[-k]
 
 
+@functools.lru_cache(maxsize=256)  # closed forms check every delta
 def check_qm(q: int, m: int) -> None:
     """Both families need q an odd prime power >= 3 and m >= 2."""
     if q < 3 or q % 2 == 0 or len(factorize(q)) != 1:
@@ -147,16 +149,12 @@ def family_parameters(q: int, m: int, family: str) -> tuple[int, int, int]:
     return n, r, r * n
 
 
-def defining_set(q: int, m: int, family: str, delta: int,
-                 b: int | None = None) -> np.ndarray:
-    """Defining set of the BCH-type code with designed distance delta.
+def defining_set_parameters(q: int, m: int, family: str, delta: int,
+                            b: int | None = None) -> tuple[int, int, int, int]:
+    """(n, r, rn, b mod rn) of defining_set's arguments, all checked.
 
-    T = C_b u C_{b+r} u ... u C_{b+r(delta-2)}, residues mod rn, returned
-    as the sorted int64 array of its class positions (residue x sits at
-    x // r).  The narrow-sense default is b = 1; cyclic codes also accept
-    b = 0 (the even-like choice).  Negacyclic offsets must be odd.  The
-    array stays sparse, but positions run to n - 1: ClassTooLarge when
-    n > 2^63.
+    Costs no more than family_parameters: callers run it before a large
+    T is built.
     """
     n, r, rn = family_parameters(q, m, family)
     if not 2 <= delta <= n:
@@ -168,6 +166,21 @@ def defining_set(q: int, m: int, family: str, delta: int,
         raise BadFamilyParams(f"negacyclic offset must be odd, got {b}")
     if n > 1 << 63:
         raise ClassTooLarge(f"the class of {n} positions overflows int64")
+    return n, r, rn, b
+
+
+def defining_set(q: int, m: int, family: str, delta: int,
+                 b: int | None = None) -> np.ndarray:
+    """Defining set of the BCH-type code with designed distance delta.
+
+    T = C_b u C_{b+r} u ... u C_{b+r(delta-2)}, residues mod rn, returned
+    as the sorted int64 array of its class positions (residue x sits at
+    x // r).  The narrow-sense default is b = 1; cyclic codes also accept
+    b = 0 (the even-like choice).  Negacyclic offsets must be odd.  The
+    array stays sparse, but positions run to n - 1: ClassTooLarge when
+    n > 2^63.
+    """
+    n, r, rn, b = defining_set_parameters(q, m, family, delta, b)
     residues: set[int] = set()
     for i in range(delta - 1):  # the orbit of each exponent not yet in T
         x = (b + r * i) % rn

@@ -57,7 +57,7 @@ class GapProfile:
         n, r, rn = cyclotomic.family_parameters(q, m, family)
         self.q, self.m, self.family = q, m, family
         self.n, self.r, self.rn = n, r, rn
-        self.lead = cyclotomic.leader_map(q, rn, r == 2)
+        self.lead = _leader_map(q, m, rn, r == 2)
         self.anchor = anchor = int(self.lead.max())
         entry = (2 + (self.lead + r - 2) // r).astype(np.int32)
         self.max_delta = int(entry.max()) - 1  # T_perp is empty beyond
@@ -94,6 +94,30 @@ def gap_profile(q: int, m: int, family: str) -> GapProfile:
     return GapProfile(q, m, family)
 
 
+# the last full (cyclic) leader map built, by its (q, m)
+_last_full_map: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _leader_map(q: int, m: int, rn: int, odd_only: bool) -> np.ndarray:
+    """The leader map of the class, the odd one read off a kept full map.
+
+    Both families work mod rn = q^m + 1, and the odd residues are closed
+    under multiplication by the odd q, so the odd-class map is the full
+    map at its odd positions, value for value.  The last full map built
+    is kept, read-only, as profiles share it.  An odd class whose full
+    map is not kept builds its own, so MAX_CLASS_RESIDUES still admits an
+    odd class whose full map would not fit.
+    """
+    if odd_only:
+        full = _last_full_map.get((q, m))
+        return cyclotomic.leader_map(q, rn, True) if full is None \
+            else full[1::2]
+    _last_full_map.clear()  # before the build: one full map at a time
+    lead = _last_full_map[q, m] = cyclotomic.leader_map(q, rn)
+    lead.flags.writeable = False
+    return lead
+
+
 # ---------------------------------------------------------------------------
 # dually-BCH sweep
 
@@ -105,55 +129,86 @@ def dually_sweep(profile: GapProfile, deltas: list[int],
     T(delta) is the profile's defining mask; even_like also puts the
     coset {0} (position 0) in T, the even-like cyclic subcode.  The dual
     is BCH exactly when one circular run of positions outside T meets
-    all k(delta) cosets outside T.  T is a union of whole cosets, so
-    such a run meets every outside coset, in particular one chosen seed
-    coset: the anchor (largest leader) while delta <= max_delta, and
-    {0} beyond, where T_perp = {0} (cyclic, not even_like; otherwise
-    T_perp is empty).  Only the runs through the <= 2m seed positions
-    are checked, by counting their distinct coset ids.
-    Raises BadDelta outside 2 <= delta <= n.
+    all k(delta) cosets outside T.  Beyond max_delta, T_perp is {0}
+    (cyclic, not even_like: one coset, so BCH) or empty.  Up to
+    max_delta the anchor coset (largest leader) is outside T, and T is a
+    union of whole cosets, so a covering run meets the anchor coset at
+    one of its <= 2m positions, the seeds.
+
+    The seeds and position 0 cut the circle into arcs, each scanned once
+    for every delta (_arc_edges).  A run through a seed goes from the
+    last member of T in the nearest nonempty arc before it to the first
+    member in the nearest nonempty arc after it.  So the runs between
+    consecutive nonempty arcs are every run through a seed, and maybe
+    the run across position 0, also outside T; each one at least k long
+    has its distinct coset ids counted.
+    Raises BadDelta outside 2 <= delta <= n and EmptySet where T_perp
+    is empty.
     """
     if even_like and profile.r == 2:
         raise BadFamilyParams("even_like applies to the cyclic family only")
-    lead, r = profile.lead, profile.r
-    is_leader = lead == np.arange(r - 1, profile.rn, r)
-    # dense coset ids; the leader of residue x sits at position x // r
-    ids = (np.cumsum(is_leader, dtype=np.int32) - 1)[lead // r]
-    entries = np.sort(profile.entry[is_leader])  # one per coset
-    cosets = len(entries) - even_like
-    anchor = np.flatnonzero(lead == profile.anchor)
-    out = []
+    n, r, lead = profile.n, profile.r, profile.lead
+    lone_zero = r == 1 and not even_like  # T_perp is {0} beyond max_delta
     for delta in deltas:
-        in_t = profile.defining_mask(delta)
-        in_t[0] |= even_like
-        k = cosets - int(np.searchsorted(entries, delta, side="right"))
-        if k == 0:
+        if not 2 <= delta <= n:
+            raise BadDelta(f"delta must be in [2, {n}], got {delta}")
+        if delta > profile.max_delta and not lone_zero:
             raise EmptySet("dual defining set is empty at this delta")
-        seeds = anchor if delta <= profile.max_delta else [0]
-        out.append(_seed_run_covers(ids, np.flatnonzero(in_t), seeds, k))
-    return out
-
-
-def _seed_run_covers(ids: np.ndarray, members: np.ndarray, seeds,
-                     k: int) -> bool:
-    """Does a run outside T through a seed position meet k cosets?
-
-    members are the sorted positions of T (never empty: T holds C_1).
-    The run through a seed lies strictly between its neighbours in
-    members; a seed before the first or after the last member lies on
-    the run that wraps through position 0.
-    """
-    n = len(ids)
-    for i in set((np.searchsorted(members, seeds) % len(members)).tolist()):
-        lo, hi = int(members[i - 1]) + 1, int(members[i])
-        if i == 0:
-            lo -= n  # from the last member through position 0
-        if hi - lo < k:
+    swept = sorted({d for d in deltas if d <= profile.max_delta})
+    if not swept:
+        return [True] * len(deltas)
+    ds = np.array(swept, dtype=np.int32)
+    is_leader = lead == np.arange(r - 1, profile.rn, r)
+    entries = np.sort(profile.entry[is_leader])  # one per coset
+    k = (len(entries) - even_like
+         - np.searchsorted(entries, ds, "right")).tolist()
+    # dense coset ids from 1; the leader of residue x sits at position x // r
+    ids = np.cumsum(is_leader, dtype=np.int32)[lead >> (r - 1)]
+    seeds = np.flatnonzero(lead == profile.anchor)
+    starts, ends = np.append(0, seeds + 1), np.append(seeds, n)
+    first, last = _arc_edges(profile.entry, starts, ends, ds)
+    if even_like:  # position 0, the head of arc 0, is in T
+        first[0] = 0
+        np.maximum(last[0], 0, out=last[0])
+    filled = first < ends[:, None]
+    arcs = len(starts)
+    # the next nonempty arc after each arc, circularly
+    order = np.where(np.concatenate((filled, filled)),
+                     np.arange(2 * arcs)[:, None], 2 * arcs)
+    after = np.minimum.accumulate(order[::-1])[::-1][1:arcs + 1] % arcs
+    lo = (last + 1) % n
+    hi = np.take_along_axis(first, after, 0)
+    verdicts = dict.fromkeys(swept, False)
+    for i, j in zip(*np.nonzero(filled & ((hi - lo) % n >= k))):
+        if verdicts[swept[j]]:
             continue
-        run = ids[lo:hi] if lo >= 0 else np.concatenate((ids[lo:], ids[:hi]))
-        if np.count_nonzero(np.bincount(run)) == k:
-            return True
-    return False
+        a, b = int(lo[i, j]), int(hi[i, j])
+        run = ids[a:b] if a < b else np.concatenate((ids[a:], ids[:b]))
+        verdicts[swept[j]] = int(np.count_nonzero(np.bincount(run))) == k[j]
+    return [verdicts.get(d, True) for d in deltas]
+
+
+def _arc_edges(entry: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+               ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last member of T(delta) in each arc, for every delta.
+
+    Arc i is the positions [starts[i], ends[i]).  Row i of the two
+    (arcs, len(ds)) results holds, per delta of the sorted int32 ds, the
+    position of the arc's first member (ends[i] when it has none) and of
+    its last (starts[i] - 1 when none).  One int32 buffer takes each
+    arc's prefix minima of entry, last first, then its suffix minima:
+    both ascend, so one search per delta finds the edge.
+    """
+    buf = np.empty(int((ends - starts).max()), dtype=np.int32)
+    first = np.empty((len(starts), len(ds)), dtype=np.int64)
+    last = np.empty_like(first)
+    for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        seg, scan = entry[a:b], buf[:b - a]
+        np.minimum.accumulate(seg, out=scan[::-1])  # prefix minima
+        first[i] = b - np.searchsorted(scan, ds, "right")
+        np.minimum.accumulate(seg[::-1], out=scan[::-1])  # suffix minima
+        last[i] = a - 1 + np.searchsorted(scan, ds, "right")
+    return first, last
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from bchlab import cli
 from bchlab import cyclotomic as cy
+from bchlab import oracle as orc
 
 from grid_utils import checkout_env
 
@@ -125,7 +126,8 @@ def test_non_prime_power_q_is_a_json_error(capsys):
 
 
 def test_one_leader_map_per_call(monkeypatch, capsys):
-    # gap edges, dually verdicts and the run bound all read one map
+    # gap edges, dually verdicts and the run bound all read one map, and
+    # a negacyclic cell reads the cyclic map of its (q, m)
     calls = []
     leader_map = cy.leader_map
 
@@ -142,9 +144,11 @@ def test_one_leader_map_per_call(monkeypatch, capsys):
             (["bound", "3", "5", "negacyclic", "8"], 1),
             (["bound", "3", "2", "cyclic", "2"], 1),
             (["leaders", "3", "4", "--odd", "--count", "5"], 1),
-            # one map per cell: 3 x 2 cyclic and 2 x 2 negacyclic cells
-            (["sweep", "3,5,7", "2,3", "both"], 10)]:
+            # one map per (q, m): 3 x 2 cyclic cells, whose maps the
+            # 2 x 2 negacyclic cells share
+            (["sweep", "3,5,7", "2,3", "both"], 6)]:
         calls.clear()
+        orc._last_full_map.clear()  # the counts must not depend on order
         assert cli.main(argv) == 0, argv
         assert len(calls) == maps, argv
     capsys.readouterr()
@@ -220,6 +224,32 @@ def test_code_info_large_m_is_an_extension_error():
     err = json.loads(proc.stderr)["error"]
     assert err["type"] == "ExtensionTooLarge"
     assert "extension degree 60" in err["message"]
+
+
+def test_code_info_checks_the_extension_cap_before_building_t(
+        monkeypatch, capsys):
+    # T of 3^30 + 1 at delta 20000 holds about 1.2 M residues; the cap
+    # check needs only the order of q, so T is never built
+    calls = []
+    monkeypatch.setattr(cy, "defining_set", lambda *args: calls.append(args))
+    assert cli.main(["code-info", "3", "30", "cyclic", "20000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and calls == []
+    assert json.loads(err)["error"]["type"] == "ExtensionTooLarge"
+    # an input bad on two counts reports the defining-set error first,
+    # then the environment, as when T was built first
+    for argv, env, kind in ((["3", "30", "cyclic", "1"], None, "BadDelta"),
+                            (["3", "31", "negacyclic", "2", "2"], None,
+                             "BadFamilyParams"),
+                            (["11", "20", "cyclic", "2", "--max-ext", "1"],
+                             None, "ClassTooLarge"),
+                            (["3", "30", "cyclic", "200"], "abc",
+                             "BCHLabError")):
+        if env:
+            monkeypatch.setenv("BCHLAB_MAX_EXT_DEGREE", env)
+        assert cli.main(["code-info", *argv]) == 1, argv
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == kind
+    assert calls == []
 
 
 def test_code_info_bad_extension_env(monkeypatch, capsys):
@@ -400,6 +430,18 @@ def test_sweep_matches_recorded_reference(capsys):
                       ("sweep-q7-m6", ("7", "6", "both"))]:
         assert cli.main(["sweep", *args]) == recorded[job]["exit"] == 0
         assert capsys.readouterr().out == recorded[job]["stdout"], job
+
+
+def test_sweep_prints_each_family_in_turn(capsys):
+    # the cells are computed (q, m) first, then printed family first: the
+    # header once, then the cyclic sweep, then the negacyclic one
+    outs = {}
+    for family in ("cyclic", "negacyclic", "both"):
+        assert cli.main(["sweep", "3,7", "2,3,4", family]) == 0
+        outs[family] = capsys.readouterr().out
+    header = SWEEP_HEADER + "\n"
+    assert outs["cyclic"].startswith(header)
+    assert outs["both"] == outs["cyclic"] + outs["negacyclic"][len(header):]
 
 
 def test_sweep_skips_invalid_family_combo():

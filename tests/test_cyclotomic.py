@@ -178,6 +178,33 @@ def test_family_parameters():
             cy.family_parameters(*bad)
 
 
+def test_check_qm_is_memoized_with_the_same_messages():
+    # the closed forms check (q, m) at every delta; a bad (q, m) is not
+    # cached and raises the same message each time
+    cy.check_qm.cache_clear()
+    for _ in range(3):
+        cy.check_qm(3, 5)
+        for bad, message in [((15, 2), "q must be an odd prime power >= 3, "
+                              "got 15"), ((3, 1), "m must be >= 2, got 1")]:
+            with pytest.raises(BadFamilyParams) as exc:
+                cy.check_qm(*bad)
+            assert str(exc.value) == message
+    info = cy.check_qm.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 7, 1)
+
+
+def test_defining_set_parameters():
+    # defining_set's checks, in its order, without building T
+    assert cy.defining_set_parameters(3, 3, NEGACYCLIC, 4) == (14, 2, 28, 1)
+    assert cy.defining_set_parameters(3, 2, CYCLIC, 2, b=-1) == (10, 1, 10, 9)
+    with pytest.raises(BadDelta):
+        cy.defining_set_parameters(3, 3, NEGACYCLIC, 2 ** 70, b=2)
+    with pytest.raises(BadFamilyParams):
+        cy.defining_set_parameters(3, 41, NEGACYCLIC, 2, b=2)
+    with pytest.raises(ClassTooLarge):
+        cy.defining_set_parameters(3, 41, NEGACYCLIC, 2)
+
+
 def test_defining_set_construction():
     t = cy.defining_set(3, 3, NEGACYCLIC, 2)
     assert t.tolist() == odd_positions(*ODD28[1])

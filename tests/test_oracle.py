@@ -24,7 +24,7 @@ from bchlab import finite_field as ff
 from bchlab import oracle as orc
 from bchlab import poly_linalg as pl
 from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
-from bchlab.errors import (BadDelta, BadFamilyParams, EmptySet,
+from bchlab.errors import (BadDelta, BadFamilyParams, ClassTooLarge, EmptySet,
                            SearchBudgetExceeded, TooManyCodewords)
 
 import reference as ref
@@ -254,6 +254,25 @@ def test_dually_sweep_at_the_lone_zero_coset():
                 orc.dually_sweep(prof, [d], even_like=True)
 
 
+def test_dually_sweep_when_position_zero_is_alone_in_its_arc():
+    # every residue of Z_5 is its own coset and the anchor 2 is the one
+    # seed; with even_like, T(2) = {0, 3}, so the arc before the seed
+    # holds position 0 alone, and the run after it starts at position 1
+    prof = object.__new__(orc.GapProfile)
+    prof.lead, prof.r, prof.rn, prof.n = np.arange(5), 1, 5, 5
+    prof.entry = np.array([6, 4, 5, 2, 3], dtype=np.int32)
+    prof.anchor, prof.max_delta = 2, 4
+    is_leader = np.ones(5, dtype=bool)
+    for even_like, want in [(False, [True, True, False]),
+                            (True, [False, True, True])]:
+        assert orc.dually_sweep(prof, [2, 3, 4], even_like) == want
+        for d, verdict in zip([2, 3, 4], want):
+            in_t = prof.defining_mask(d)
+            in_t[0] |= even_like
+            assert ref.coverage_verdict_reference(
+                prof.lead, is_leader, in_t, 5) == verdict
+
+
 def sweep_deltas(prof, hi):
     """Every delta in [2, hi] within the budget, else a spread with edges."""
     if prof.rn * (hi - 1) <= DUALLY_EXHAUSTIVE_BUDGET:
@@ -288,6 +307,88 @@ def test_dually_sweep_even_like_is_cyclic_only():
     # the odd class has no coset of 0 to add
     with pytest.raises(BadFamilyParams):
         orc.dually_sweep(profile(3, 3, NEGACYCLIC), [2], even_like=True)
+
+
+# every admissible (q, m, family) with q^m < 2000
+SMALL_CELLS = [(q, m, family) for q in (3, 5, 7, 9, 11, 13, 19, 23, 27, 43)
+               for m in range(2, 7) if q ** m < 2000
+               for family in (CYCLIC, NEGACYCLIC)
+               if family == CYCLIC or q % 4 == 3]
+
+
+@st.composite
+def sweep_requests(draw):
+    """A profile, an unsorted delta list with repeats, and even_like."""
+    q, m, family = draw(st.sampled_from(SMALL_CELLS))
+    prof = profile(q, m, family)
+    hi = prof.n if draw(st.booleans()) else prof.max_delta
+    edges = [d for d in (2, prof.max_delta, prof.max_delta + 1) if d <= hi]
+    deltas = draw(st.lists(st.integers(2, hi) | st.sampled_from(edges),
+                           min_size=1, max_size=10))
+    deltas += draw(st.lists(st.sampled_from(deltas), max_size=3))
+    return prof, deltas, family == CYCLIC and draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(sweep_requests())
+def test_dually_sweep_matches_sort_reference_on_random_requests(request):
+    # the arc scan against one sort over every run, delta by delta; one
+    # delta with an empty dual makes the whole call an EmptySet
+    prof, deltas, even_like = request
+    is_leader = prof.lead == np.arange(prof.r - 1, prof.rn, prof.r)
+    want = []
+    for d in deltas:
+        in_t = prof.defining_mask(d)
+        in_t[0] |= even_like
+        try:
+            want.append(ref.coverage_verdict_reference(prof.lead, is_leader,
+                                                       in_t, prof.rn))
+        except EmptySet:
+            with pytest.raises(EmptySet):
+                orc.dually_sweep(prof, deltas, even_like)
+            return
+    got = orc.dually_sweep(prof, deltas, even_like)
+    assert got == want
+    assert all(type(v) is bool for v in got)
+
+
+def test_negacyclic_profile_reads_the_full_map_of_its_q_m(monkeypatch):
+    # one map per (q, m): the odd class is the full map at odd positions,
+    # and only the last full map is kept
+    calls = []
+    leader_map = cy.leader_map
+
+    def counted(*args):
+        calls.append(args)
+        return leader_map(*args)
+
+    monkeypatch.setattr(cy, "leader_map", counted)
+    orc._last_full_map.clear()
+    full = orc.gap_profile(7, 3, CYCLIC).lead
+    odd = orc.gap_profile(7, 3, NEGACYCLIC).lead
+    assert calls == [(7, 344)]
+    assert np.array_equal(odd, leader_map(7, 344, True))
+    assert not full.flags.writeable  # the profiles share it
+    orc.gap_profile(3, 3, NEGACYCLIC)  # builds its own odd map
+    orc.gap_profile(7, 3, NEGACYCLIC)
+    orc.gap_profile(3, 3, CYCLIC)  # replaces the kept map
+    orc.gap_profile(7, 3, NEGACYCLIC)
+    assert calls == [(7, 344), (3, 28, True), (3, 28), (7, 344, True)]
+
+
+def test_negacyclic_profile_builds_without_its_full_map(monkeypatch):
+    # the class cap admits the same (q, m) as with one map per family:
+    # the odd class of 3^4 + 1 (41 residues) fits under a cap of 50 that
+    # the full map (82 residues) does not
+    monkeypatch.setattr(cy, "MAX_CLASS_RESIDUES", 50)
+    orc._last_full_map.clear()
+    with pytest.raises(ClassTooLarge):
+        orc.gap_profile(3, 4, CYCLIC)
+    prof = orc.gap_profile(3, 4, NEGACYCLIC)
+    assert np.array_equal(prof.lead, profile(3, 4, NEGACYCLIC).lead)
+    deltas = list(range(2, prof.max_delta + 1))
+    assert orc.dually_sweep(prof, deltas) == \
+        orc.dually_sweep(profile(3, 4, NEGACYCLIC), deltas)
 
 
 def weight(word):
