@@ -203,38 +203,33 @@ def dual_code(inst: CodeInstance) -> CodeInstance:
 
     The dual of a (nega)cyclic code here is again (nega)cyclic with
     defining set equal to the class complement of -T = T; the generator
-    is recomputed from scratch and checked orthogonal to the primal.
+    is recomputed from scratch.  The check polynomial h = (x^n -+ 1) / g
+    has the reciprocal of the dual's generator as a scalar multiple
+    (MacWilliams-Sloane ch. 7), so g times the reversed dual generator
+    must be a scalar times x^n -+ 1, which certifies that it generates
+    the dual.
     """
     r, rn = inst.r, inst.r * inst.n
     tperp = cyclotomic.dual_defining_set(inst.t, inst.n, r)
     field = inst.field
     gen = _generator_poly(_leaders(tperp, field.order, r, rn), inst.extension,
                           field, inst.beta, rn)
-    dual = CodeInstance(spec=None, family=inst.family, n=inst.n, t=tperp,
+    assert _times_length_poly(poly_linalg.pmul(inst.gen_poly, gen[::-1],
+                                               field), inst), \
+        "generators of code and dual are not orthogonal: g times the " \
+        "reversed dual generator is not a scalar times x^n -+ 1"
+    return CodeInstance(spec=None, family=inst.family, n=inst.n, t=tperp,
                         field=field, extension=inst.extension, beta=inst.beta,
                         gen_poly=gen, dim=inst.n - len(tperp))
-    _check_orthogonal(inst, dual)
-    return dual
 
 
-def _check_orthogonal(a: CodeInstance, b: CodeInstance) -> None:
-    """Assert that every row of a's generator matrix is orthogonal to b's.
-
-    With e_t = p^t (the basis element x^t) and y = sum_t y_t e_t by
-    base-p digits, x*y = sum_t y_t (x e_t).  So digit plane s of an
-    inner product is sum_t <digit_s(row_a * e_t), digit_t(row_b)> mod p:
-    table lookups, then one integer matrix product per pair of planes.
-    """
-    ga, gb = generator_matrix(a), generator_matrix(b)
-    p, kf = a.field.p, a.field.k
-    mul = a.field.symbol_tables()[1]
-    places = [p ** t for t in range(kf)]
-    gb_digits = [gb // e % p for e in places]
-    for s in places:
-        digit = mul // s % p  # digit plane s of every product
-        plane = sum(digit[ga, e] @ bt.T for e, bt in zip(places, gb_digits))
-        assert not (plane % p).any(), \
-            "generator matrices of code and dual are not orthogonal"
+def _times_length_poly(prod: list[int], inst: CodeInstance) -> bool:
+    """Whether prod is a scalar times x^n - 1 (cyclic) or x^n + 1
+    (negacyclic), the length polynomial of inst."""
+    field = inst.field
+    sign = 1 if inst.family == CYCLIC else field.neg(1)
+    target = poly_linalg.x_pow_minus(inst.n, sign, field)
+    return bool(prod) and prod == [field.mul(prod[-1], c) for c in target]
 
 
 def run_bound(positions, n: int) -> int:
@@ -269,8 +264,5 @@ def is_lcd(inst: CodeInstance) -> bool:
     dual = dual_code(inst)
     assert not in_t[dual.t].any(), \
         "defining sets of code and dual must be disjoint"
-    field = inst.field
-    prod = poly_linalg.pmul(inst.gen_poly, dual.gen_poly, field)
-    sign = 1 if inst.family == CYCLIC else field.neg(1)  # x^n - 1, x^n + 1
-    target = poly_linalg.x_pow_minus(inst.n, sign, field)
-    return prod == [field.mul(prod[-1], c) for c in target]
+    return _times_length_poly(
+        poly_linalg.pmul(inst.gen_poly, dual.gen_poly, inst.field), inst)

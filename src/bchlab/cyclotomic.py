@@ -154,7 +154,10 @@ def defining_set_parameters(q: int, m: int, family: str, delta: int,
     """(n, r, rn, b mod rn) of defining_set's arguments, all checked.
 
     Costs no more than family_parameters: callers run it before a large
-    T is built.
+    T is built.  T is a union of delta - 1 orbits whose sizes divide
+    ord_rn(q), a divisor of 2m (q^m = -1 mod rn), so |T| is at most
+    min(n, 2m (delta - 1)): ClassTooLarge when that exceeds
+    MAX_CLASS_RESIDUES.
     """
     n, r, rn = family_parameters(q, m, family)
     if not 2 <= delta <= n:
@@ -166,6 +169,10 @@ def defining_set_parameters(q: int, m: int, family: str, delta: int,
         raise BadFamilyParams(f"negacyclic offset must be odd, got {b}")
     if n > 1 << 63:
         raise ClassTooLarge(f"the class of {n} positions overflows int64")
+    most = min(n, 2 * m * (delta - 1))  # residues T can hold
+    if most > MAX_CLASS_RESIDUES:
+        raise ClassTooLarge(f"T at delta = {delta} may hold up to {most} "
+                            f"residues, above the cap of {MAX_CLASS_RESIDUES}")
     return n, r, rn, b
 
 

@@ -247,54 +247,6 @@ def _walk_split(total: int, workers: int) -> list[tuple[int, int]]:
             for lo in range(1, total + 1, per)]
 
 
-def _systematic_parity(gen: np.ndarray,
-                       tables) -> tuple[list[int], np.ndarray]:
-    """The pivot columns and the reduced row-echelon form of gen.
-
-    A forward pass brings gen to echelon form, then back-substitution
-    from the last row scales each pivot to 1 and clears the pivot columns
-    above it.  The forward pass starts after the rows that are in echelon
-    form already, each nonzero before every later row (all of them for
-    the rows x^i g(x), upper triangular on [0, k) with g_0 on the
-    diagonal); from there it goes column by column, swapping a row with
-    a nonzero entry up and clearing the entry from the rows below.  The
-    reduced form is unique, so any matrix of the same row space gives the
-    same pivots and form.  Dependent rows raise ValueError.
-    """
-    add, mul, neg, inv = tables
-    rows = np.array(gen, dtype=np.int64)
-    k, n = rows.shape
-    nonzero = rows != 0
-    leads = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), n)
-    after = np.append(np.minimum.accumulate(leads[::-1])[-2::-1], n)
-    ahead = leads < after  # row i leads before every later row
-    done = k if ahead.all() else int(ahead.argmin())
-    pivots = leads[:done].tolist()
-    for c in range(pivots[-1] + 1 if pivots else 0, n):
-        r = len(pivots)
-        if r == k:
-            break
-        hot = r + np.flatnonzero(rows[r:, c])
-        if not len(hot):
-            continue
-        if hot[0] != r:
-            rows[[r, hot[0]]] = rows[[hot[0], r]]
-        below = hot[1:]
-        if len(below):
-            scale = mul[neg[rows[below, c]], inv[rows[r, c]]]
-            rows[below] = add[rows[below], mul[scale[:, None], rows[r]]]
-        pivots.append(c)
-    if len(pivots) < k:
-        raise ValueError(f"the {k} generator rows have rank {len(pivots)}")
-    columns = np.array(pivots)
-    for i in range(k - 1, -1, -1):
-        row = mul[inv[rows[i, pivots[i]]], rows[i]]
-        for j in i + 1 + np.flatnonzero(row[columns[i + 1:]]):
-            row = add[row, mul[neg[row[columns[j]]], rows[j]]]
-        rows[i] = row
-    return pivots, rows
-
-
 def _unrank_supports(binom: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Supports of the given colex ranks, as (len(ranks), t) positions.
 
@@ -478,9 +430,10 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
     if k == 0:
         raise EmptySet("zero code has no nonzero codewords")
     q, p, kf = field.order, field.p, field.k
-    tables = field.symbol_tables()
-    add, mul = tables[0], tables[1]
-    pivots, echelon = _systematic_parity(gen, tables)
+    add, mul = field.symbol_tables()[:2]
+    pivots, echelon = poly_linalg.row_reduce(gen, field)
+    if len(pivots) < k:
+        raise ValueError(f"the {k} generator rows have rank {len(pivots)}")
     if shift_invariant and pivots != list(range(k)):
         raise ValueError("shift_invariant needs the information set [0, k), "
                          f"as the rows x^i g(x) have; the pivots are {pivots}")
@@ -682,7 +635,7 @@ def min_distance_via_checks(checks: np.ndarray, field,
 
         found = dfs(0, 0, cols)
         if found is not None:
-            word = _dependency_word(found, cols, (add, mul, neg, inv), n)
+            word = _dependency_word(found, checks, field)
             prod = [0] * rows
             for j in found:
                 scale = mul[word[j]]
@@ -692,41 +645,20 @@ def min_distance_via_checks(checks: np.ndarray, field,
     raise EmptySet(f"no dependent column subset of size <= {limit}")
 
 
-def _dependency_word(support: list[int], cols: list[list[int]], tables,
-                     n: int) -> list[int]:
-    """Solve for coefficients putting the support columns in dependence.
+def _dependency_word(support: list[int], checks: np.ndarray,
+                     field) -> list[int]:
+    """A word on the support in the null space of checks: a null vector of
+    the support columns, read off their reduced row-echelon form.
 
-    tables are the field's symbol tables (add, mul, neg, inv) as lists.
+    The first free column gets coefficient 1 and each pivot column the
+    negated entry of the free column in its pivot row.
     """
-    add, mul, neg, inv = tables
-    w = len(support)
-    rows = len(cols[0])
-    mat = [[cols[j][i] for j in support] for i in range(rows)]
-    # eliminate to row echelon, tracking pivot columns
-    pivots: list[int] = []
-    rank = 0
-    for j in range(w):
-        sel = next((i for i in range(rank, rows) if mat[i][j]), None)
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        scale = mul[inv[mat[rank][j]]]
-        mat[rank] = [scale[c] for c in mat[rank]]
-        for i in range(rows):
-            if i != rank and mat[i][j]:
-                scale = mul[neg[mat[i][j]]]
-                mat[i] = [add[a][scale[b]]
-                          for a, b in zip(mat[i], mat[rank])]
-        pivots.append(j)
-        rank += 1
-    free = next(j for j in range(w) if j not in pivots)
-    coeff = [0] * w
-    coeff[free] = 1
+    pivots, rref = poly_linalg.row_reduce(checks[:, support], field)
+    free = next(j for j in range(len(support)) if j not in pivots)
+    word = [0] * checks.shape[1]
+    word[support[free]] = 1
     for i, j in enumerate(pivots):
-        coeff[j] = neg[mat[i][free]]
-    word = [0] * n
-    for j, c in zip(support, coeff):
-        word[j] = c
+        word[support[j]] = field.neg(int(rref[i, free]))
     return word
 
 

@@ -85,28 +85,72 @@ def x_pow_minus(n: int, const: int, ctx: FieldCtx) -> list[int]:
     return out
 
 
-def rank(matrix, ctx: FieldCtx) -> int:
-    """Rank over the field, by row reduction on its symbol tables."""
-    add, mul, neg, inv = ctx.symbol_tables()
+def _codes(matrix, ctx: FieldCtx) -> np.ndarray:
+    """matrix as an int64 array of field codes (ValueError otherwise)."""
     a = np.array(matrix, dtype=np.int64)
-    if a.size == 0:
-        return 0
-    if a.min() < 0 or a.max() >= ctx.order:
+    if a.size and (a.min() < 0 or a.max() >= ctx.order):
         raise ValueError(f"matrix entries must be codes in [0, {ctx.order})")
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    return a
+
+
+def _forward(rows: np.ndarray, tables) -> list[int]:
+    """Bring rows to echelon form in place; return the pivot columns.
+
+    The pass starts after the rows that are in echelon form already, each
+    leading before every later row (all of them for the rows x^i g(x),
+    upper triangular on [0, k) with g_0 on the diagonal); from there it
+    goes column by column, swapping a row with a nonzero entry up and
+    clearing the entry from the rows below.  Rows past the pivots end
+    zero.
+    """
+    if not rows.size:
+        return []
+    add, mul, neg, inv = tables
+    k, n = rows.shape
+    nonzero = rows != 0
+    leads = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), n)
+    after = np.append(np.minimum.accumulate(leads[::-1])[-2::-1], n)
+    ahead = leads < after  # row i leads before every later row
+    done = k if ahead.all() else int(ahead.argmin())
+    pivots = leads[:done].tolist()
+    for c in range(pivots[-1] + 1 if pivots else 0, n):
+        r = len(pivots)
+        if r == k:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+        hot = r + np.flatnonzero(rows[r:, c])
+        if not len(hot):
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = mul[inv[a[r, c]], a[r]]
-        hot = r + 1 + np.flatnonzero(a[r + 1:, c])
-        if hot.size:
-            a[hot] = add[a[hot], mul[neg[a[hot, c]][:, None], a[r]]]
-        r += 1
-    return r
+        if hot[0] != r:
+            rows[[r, hot[0]]] = rows[[hot[0], r]]
+        below = hot[1:]
+        if len(below):
+            scale = mul[neg[rows[below, c]], inv[rows[r, c]]]
+            rows[below] = add[rows[below], mul[scale[:, None], rows[r]]]
+        pivots.append(c)
+    return pivots
+
+
+def rank(matrix, ctx: FieldCtx) -> int:
+    """Rank over the field: the pivots of one forward pass."""
+    return len(_forward(_codes(matrix, ctx), ctx.symbol_tables()))
+
+
+def row_reduce(matrix, ctx: FieldCtx) -> tuple[list[int], np.ndarray]:
+    """The pivot columns and the reduced row-echelon form of matrix.
+
+    After the forward pass, back-substitution from the last pivot row
+    scales each pivot to 1 and clears the pivot columns above it.  The
+    reduced form is unique, so any matrix of the same row space gives the
+    same pivots and form; rows below the rank are zero.
+    """
+    tables = ctx.symbol_tables()
+    add, mul, neg, inv = tables
+    rows = _codes(matrix, ctx)
+    pivots = _forward(rows, tables)
+    columns = np.array(pivots, dtype=np.int64)
+    for i in range(len(pivots) - 1, -1, -1):
+        row = mul[inv[rows[i, pivots[i]]], rows[i]]
+        for j in i + 1 + np.flatnonzero(row[columns[i + 1:]]):
+            row = add[row, mul[neg[row[columns[j]]], rows[j]]]
+        rows[i] = row
+    return pivots, rows

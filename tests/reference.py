@@ -509,8 +509,8 @@ def info_set_walk_reference(ctx, echelon) -> tuple[int, tuple[int, ...],
 
     echelon is (pivots, [I | P]): the pivot columns, which must be
     [0, k), and the reduced row-echelon form of a generator matrix, as
-    the oracle's `_systematic_parity` returns them.  Level t
-    walks its C(k, t) (q - 1)^(t - 1) words in index order, each one
+    `poly_linalg.row_reduce` returns them.  Level t walks its
+    C(k, t) (q - 1)^(t - 1) words in index order, each one
     unranked from its index and summed from t scaled parity rows; the
     walk stops as min_distance(..., shift_invariant=True) does, once
     ceil(t n / k) reaches the best weight.  The word is rebuilt with

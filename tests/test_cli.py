@@ -252,6 +252,30 @@ def test_code_info_checks_the_extension_cap_before_building_t(
     assert calls == []
 
 
+def test_code_info_caps_the_size_of_t_before_building_it(monkeypatch,
+                                                         capsys):
+    # at delta 4 * 10^13, T of 3^30 + 1 could hold all n = 2.06 * 10^14
+    # positions: the size guard refuses it before any residue is stored
+    real, calls = cy.defining_set, []
+    monkeypatch.setattr(cy, "defining_set",
+                        lambda *args: calls.append(args) or real(*args))
+    argv = ["code-info", "3", "30", "cyclic", "40000000000000",
+            "--max-ext", "100"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and calls == []
+    err = json.loads(err)["error"]
+    assert err["type"] == "ClassTooLarge"
+    assert "205891132094650 residues" in err["message"]
+    # at delta 20000, |T| <= 2m (delta - 1) = 1,199,940 passes and T is built
+    argv[4] = "20000"
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["defining_size"] == "799980"
+    assert payload["realized"] is False
+
+
 def test_code_info_bad_extension_env(monkeypatch, capsys):
     monkeypatch.setenv("BCHLAB_MAX_EXT_DEGREE", "abc")
     assert cli.main(["code-info", "3", "2", "cyclic", "2"]) == 1

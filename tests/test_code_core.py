@@ -1,6 +1,7 @@
 """Code realization: generator polynomials, matrices, duals, bounds, LCD."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -233,23 +234,48 @@ def test_dual_code_rejects_a_perturbed_dual(monkeypatch, q, m, fam, d):
     inst = realized(q, m, fam, d)
     fld = inst.field
     cc.dual_code(inst)
-    # column 0 of G holds only g_0 (row 0), so adding e to entry (0, 0)
-    # of the dual's matrix changes one inner product, by g_0 * e = t:
-    # t = p^s touches digit plane s alone
-    g0 = int(cc.generator_matrix(inst)[0, 0])
-    real = cc.generator_matrix
+    # adding t to the constant term of the dual's generator (degree k)
+    # adds t x^k g to g times the reversed generator, with coefficient
+    # t g_0 at x^k, 0 < k < n: no scalar times x^n -+ 1 has that.  t runs
+    # over the digit places p^s of the field
+    real = cc._generator_poly
     for s in range(fld.k):
-        e = fld.mul(fld.inv(g0), fld.p ** s)
 
-        def perturbed(code):
-            mat = real(code)
-            if code.spec is None:
-                mat[0, 0] = fld.add(int(mat[0, 0]), e)
-            return mat
+        def perturbed(*args):
+            gen = real(*args)
+            gen[0] = fld.add(gen[0], fld.p ** s)
+            return gen
 
-        monkeypatch.setattr(cc, "generator_matrix", perturbed)
+        monkeypatch.setattr(cc, "_generator_poly", perturbed)
         with pytest.raises(AssertionError, match="not orthogonal"):
             cc.dual_code(inst)
+
+
+def test_dual_check_matches_matrix_orthogonality():
+    # g times the reversed dual generator against G G_dual^T = 0
+    def product_says(inst, dual):
+        prod = pl.pmul(inst.gen_poly, dual.gen_poly[::-1], inst.field)
+        return cc._times_length_poly(prod, inst)
+
+    def matrices_say(inst, dual):
+        add, mul = inst.field.symbol_tables()[:2]
+        terms = mul[cc.generator_matrix(inst)[:, None, :],
+                    cc.generator_matrix(dual)[None, :, :]]
+        dots = functools.reduce(lambda a, b: add[a, b],
+                                np.moveaxis(terms, 2, 0))
+        return not dots.any()
+
+    for spec in STRUCTURAL_INSTANCES:
+        inst = realized(*spec)
+        dual = cc.dual_code(inst)
+        assert product_says(inst, dual) is matrices_say(inst, dual) is True, \
+            spec
+        # a wrong generator of the same degree: both say no
+        wrong = dual.gen_poly[:]
+        wrong[0] = inst.field.add(wrong[0], 1)
+        bad = dataclasses.replace(dual, gen_poly=wrong)
+        assert product_says(inst, bad) is matrices_say(inst, bad) is False, \
+            spec
 
 
 def test_dual_code_has_no_spec():

@@ -558,7 +558,7 @@ def test_info_set_needs_the_shift_rows():
     gen, fld = cc.generator_matrix(inst), inst.field
     want = orc.min_distance(gen, fld, shift_invariant=True)
     mixed = gen[:, np.argsort(np.array(want.word) != 0, kind="stable")]
-    pivots, _ = orc._systematic_parity(mixed, fld.symbol_tables())
+    pivots, _ = pl.row_reduce(mixed, fld)
     assert pivots != list(range(inst.dim))
     got = orc.min_distance(mixed, fld)
     assert got.distance == 5
@@ -862,7 +862,7 @@ def test_level_walk_matches_unranking_reference(monkeypatch):
     for spec, side in info_set_sides():
         code, _, fld = side_and_checks(spec, side)
         gen = cc.generator_matrix(code)
-        parity = orc._systematic_parity(gen, fld.symbol_tables())
+        parity = pl.row_reduce(gen, fld)
         cases.append((gen, fld, ref.info_set_walk_reference(fld, parity)))
     words = orc._LevelWalk.words
     depth = [0, 0]  # levels not kept on the call chain: now, at most

@@ -180,7 +180,17 @@ def test_rank_matches_reference(p, k, modulus):
             want = ref.rank_reference([row[:] for row in rows], ctx)
             assert pl.rank(np.array(rows), ctx) == want
             assert pl.rank(rows, ctx) == want
+            # row_reduce: the same rank, a reduced row-echelon form with
+            # zero rows below the rank, and the same row space
+            pivots, rref = pl.row_reduce(rows, ctx)
+            assert len(pivots) == want
+            assert (rref[:want][:, pivots] == np.eye(want, dtype=int)).all()
+            assert all(not rref[i, :c].any() for i, c in enumerate(pivots))
+            assert not rref[want:].any()
+            assert pl.rank(np.vstack([rref, rows]), ctx) == want
         assert pl.rank(deficient, ctx) <= r
     for bad in ([[q]], [[0, -1]]):
         with pytest.raises(ValueError):
             pl.rank(bad, ctx)
+        with pytest.raises(ValueError):
+            pl.row_reduce(bad, ctx)
