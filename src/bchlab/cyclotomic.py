@@ -72,15 +72,32 @@ def coset(x: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _is_power_of(q: int, x: int) -> bool:
+    """Whether x = q^m for some m >= 1 (False for q <= 1: no loop)."""
+    if q <= 1:
+        return False
+    power = q
+    while power < x:
+        power *= q
+    return power == x
+
+
 def leader_map(q: int, n: int, odd_only: bool = False) -> np.ndarray:
     """Coset leader of each residue of the class, as an int64 array.
 
     Position p holds the leader of residue p, or of 1 + 2p when odd_only
     (the class 1 + 2 Z_n; n must then be even).  With M_s(x) the least
-    of x, x q, ..., x q^(s-1), each step M_2s(x) = min(M_s(x), M_s(x q^s))
-    is one gather.  A step that changes nothing closes the chain
-    M_s(x) <= M_s(x q^s) <= ... around the orbit, so M_s is then the
-    orbit minimum; no multiplicative order is needed.
+    of x, f(x), ..., f^(s-1)(x) for the step f, each doubling
+    M_2s(x) = min(M_s(x), M_s(f^s(x))) is one gather, as is f^2s from f^s.
+    A doubling that changes nothing closes the chain M_s(x) <= M_s(f^s(x))
+    <= ... around the orbit, so M_s is then the orbit minimum; no
+    multiplicative order is needed.
+
+    At n = q^m + 1 (m >= 1), q^m = -1 (mod n), so each coset is closed
+    under x -> n - x: the doublings run on the half x <= n / 2 with the
+    folded step f(x) = min(x q, n - x q) mod n, and the other half is its
+    mirror (lead[n - x] = lead[x]; the odd class is a palindrome).  Any
+    other modulus steps by f(x) = x q mod n over the whole class.
     """
     _check_coprime(q, n)
     if odd_only and n % 2:
@@ -90,16 +107,30 @@ def leader_map(q: int, n: int, odd_only: bool = False) -> np.ndarray:
         raise ClassTooLarge(f"the {'odd ' if odd_only else ''}class mod {n} "
                             f"has {size} residues, above the cap of "
                             f"{MAX_CLASS_RESIDUES}")
-    residues = np.arange(1, n, 2) if odd_only else np.arange(n)
-    lead, mult = residues, q % n
+    fold = _is_power_of(q, n - 1)
+    if not fold:
+        kept = size
+    else:  # the residues x <= n / 2, n / 2 itself when it is in the class
+        kept = (size + 1) // 2 if odd_only else n // 2 + 1
+    residues = np.arange(1, 2 * kept, 2) if odd_only else np.arange(kept)
+    perm = residues * (q % n) % n  # f(x), as a residue
+    if fold:
+        np.minimum(perm, n - perm, out=perm)
+    if odd_only:
+        perm >>= 1  # residue 1 + 2p sits at position p
+    lead = residues
     while True:
-        step = residues * mult % n  # x q^s at the position of x
-        if odd_only:
-            step >>= 1  # residue 1 + 2p sits at position p
-        np.minimum(lead, lead[step], out=step)
+        step = lead[perm]
+        np.minimum(lead, step, out=step)
         if np.array_equal(step, lead):
-            return lead
-        lead, mult = step, mult * mult % n
+            break
+        lead, perm = step, perm[perm]
+    if not fold:
+        return lead
+    # the mirror of the other half: n - x for the full class, and
+    # position size - 1 - p for the odd one
+    mirror = lead[:size - kept] if odd_only else lead[1:n - kept + 1]
+    return np.concatenate((lead, mirror[::-1]))
 
 
 def coset_leaders(q: int, n: int, odd_only: bool = False) -> list[int]:

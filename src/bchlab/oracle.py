@@ -59,7 +59,8 @@ class GapProfile:
         self.n, self.r, self.rn = n, r, rn
         self.lead = _leader_map(q, m, rn, r == 2)
         self.anchor = anchor = int(self.lead.max())
-        entry = (2 + (self.lead + r - 2) // r).astype(np.int32)
+        # the division by r as a shift: l is odd when r = 2
+        entry = (2 + ((self.lead + r - 2) >> (r - 1))).astype(np.int32)
         self.max_delta = int(entry.max()) - 1  # T_perp is empty beyond
         entry[self.lead == 0] = n + 1  # {0} is in no narrow-sense T
         self.entry = entry

@@ -5,6 +5,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchlab import code_core as cc
 from bchlab import cyclotomic as cy
@@ -295,14 +297,17 @@ def test_is_lcd_on_narrow_sense():
         assert cc.is_lcd(realized(q, m, fam, d))
 
 
+def stacked_rank_is_n(inst):
+    """LCD by rank: C + C_perp is the whole space, so G stacked on G_dual
+    has rank n."""
+    dual = cc.dual_code(inst)
+    stacked = np.vstack([cc.generator_matrix(inst),
+                         cc.generator_matrix(dual)])
+    return pl.rank(stacked, inst.field) == inst.n
+
+
 def test_is_lcd_matches_the_stacked_rank(monkeypatch):
     # the product g g_dual against the rank of G stacked on G_dual
-    def stacked_rank_is_n(inst):
-        dual = cc.dual_code(inst)
-        stacked = np.vstack([cc.generator_matrix(inst),
-                             cc.generator_matrix(dual)])
-        return pl.rank(stacked, inst.field) == inst.n
-
     for spec in STRUCTURAL_INSTANCES:
         inst = realized(*spec)
         assert cc.is_lcd(inst) == stacked_rank_is_n(inst) is True, spec
@@ -312,6 +317,27 @@ def test_is_lcd_matches_the_stacked_rank(monkeypatch):
     monkeypatch.setattr(cc, "dual_code", lambda code: dataclasses.replace(
         dual_code(code), gen_poly=code.gen_poly))
     assert cc.is_lcd(inst) is stacked_rank_is_n(inst) is False
+
+
+# (q, m, family) with n <= 122, so each realized code stays small
+LCD_FAMILIES = [(3, 2, CYCLIC), (3, 3, CYCLIC), (3, 4, CYCLIC),
+                (5, 2, CYCLIC), (7, 2, CYCLIC), (9, 2, CYCLIC),
+                (11, 2, CYCLIC), (3, 3, NEGACYCLIC), (3, 4, NEGACYCLIC),
+                (3, 5, NEGACYCLIC), (7, 2, NEGACYCLIC), (11, 2, NEGACYCLIC)]
+
+
+@st.composite
+def narrow_sense_specs(draw):
+    q, m, family = draw(st.sampled_from(LCD_FAMILIES))
+    n = cy.family_parameters(q, m, family)[0]
+    return cc.CodeSpec(q, m, family, draw(st.integers(2, n)))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(narrow_sense_specs())
+def test_is_lcd_on_random_realized_codes(spec):
+    inst = cc.realize(spec)
+    assert cc.is_lcd(inst) is stacked_rank_is_n(inst), spec
 
 
 def test_extension_cap():

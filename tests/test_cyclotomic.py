@@ -82,20 +82,66 @@ def test_leader_map_odd_only():
         cy.leader_map(3, 13, odd_only=True)
 
 
+def matches_reference(q, n, odd):
+    """leader_map(q, n, odd) against the orbit walk; returns the map."""
+    want = ref.leader_map_reference(q, n, odd)
+    residues = range(1, n, 2) if odd else range(n)
+    got = cy.leader_map(q, n, odd)
+    assert got.dtype == np.int64
+    assert len(got) == len(want) == len(residues), (q, n, odd)
+    assert np.array_equal(got, np.fromiter(map(want.__getitem__, residues),
+                                           np.int64, len(residues))), \
+        (q, n, odd)
+    return got
+
+
 def test_leader_map_matches_reference():
     cases = [(3, 10, False), (3, 28, True), (5, 26, False), (7, 50, False),
              (3, 1, False), (3, 2, False), (1, 10, False), (2, 1001, False),
              (10, 7, False)]
     cases += [(q, q**m + 1, odd) for q, m in [(3, 5), (7, 3), (11, 3)]
               for odd in (False, True)]
-    for q, n, odd in cases:
-        want = ref.leader_map_reference(q, n, odd)
-        residues = range(1, n, 2) if odd else range(n)
-        got = cy.leader_map(q, n, odd)
-        assert got.dtype == np.int64
-        assert len(got) == len(want) == len(residues), (q, n, odd)
-        for p, x in enumerate(residues):
-            assert got[p] == want[x], (q, n, odd, x)
+    for case in cases:
+        matches_reference(*case)
+
+
+def test_fold_test_terminates():
+    # the fold needs n - 1 = q^m with m >= 1: q <= 1, n = 2 and q >= n
+    # answer without a loop that never ends
+    assert not cy._is_power_of(1, 1) and not cy._is_power_of(1, 9)
+    assert not cy._is_power_of(0, 9) and not cy._is_power_of(3, 1)
+    assert cy._is_power_of(3, 3) and cy._is_power_of(3, 243)
+    assert not cy._is_power_of(13, 9) and not cy._is_power_of(10, 6)
+    # q = 1, n = 2, m = 1 (n = q + 1), and q >= n (13 = 3 mod 10 does not
+    # fold: 9 is no power of 13)
+    for q, n in [(1, 2), (1, 10), (3, 2), (9, 2), (3, 4), (5, 6), (7, 8),
+                 (11, 12), (2, 3), (10, 7), (13, 10), (29, 28)]:
+        for odd in (False, True) if n % 2 == 0 else (False,):
+            matches_reference(q, n, odd)
+
+
+# every class mod q^m + 1 with q^m < 200,000: the leader map folds
+FOLDED = [(q, q**m + 1) for q in (3, 5, 7, 9, 11, 13, 27)
+          for m in range(1, 12) if q**m < 200_000]
+
+
+def test_folded_leader_map_matches_reference():
+    # x and n - x share their leader: the full map is symmetric about
+    # n / 2 and the odd one (position p holds 1 + 2p) a palindrome; the
+    # odd class, closed under q, is the reference at the odd residues
+    assert {n // 2 % 2 for q, n in FOLDED} == {0, 1}  # n / 2 odd and even
+    for q, n in FOLDED:
+        assert cy._is_power_of(q, n - 1)
+        lead = matches_reference(q, n, False)
+        assert np.array_equal(lead[1:], lead[:0:-1]), (q, n)
+        odd = cy.leader_map(q, n, True)
+        assert np.array_equal(odd, lead[1::2]), (q, n)
+        assert np.array_equal(odd, odd[::-1]), (q, n)
+    # divisors of q^m + 1 take the whole class, and are symmetric too
+    for q, n, m in [(3, 41, 4), (3, 61, 5), (5, 13, 2)]:
+        assert (q**m + 1) % n == 0 and not cy._is_power_of(q, n - 1)
+        lead = matches_reference(q, n, False)
+        assert np.array_equal(lead[1:], lead[:0:-1]), (q, n)
 
 
 def test_class_too_large(monkeypatch):
