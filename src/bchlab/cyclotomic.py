@@ -95,9 +95,10 @@ def leader_map(q: int, n: int, odd_only: bool = False) -> np.ndarray:
 
     At n = q^m + 1 (m >= 1), q^m = -1 (mod n), so each coset is closed
     under x -> n - x: the doublings run on the half x <= n / 2 with the
-    folded step f(x) = min(x q, n - x q) mod n, and the other half is its
-    mirror (lead[n - x] = lead[x]; the odd class is a palindrome).  Any
-    other modulus steps by f(x) = x q mod n over the whole class.
+    folded step f(x) = min(x q, n - x q) mod n, and only that half is
+    returned (every leader lies in it); unfold rebuilds the other half
+    as its mirror.  Any other modulus steps by f(x) = x q mod n and gets
+    the whole class.
     """
     _check_coprime(q, n)
     if odd_only and n % 2:
@@ -125,19 +126,29 @@ def leader_map(q: int, n: int, odd_only: bool = False) -> np.ndarray:
         if np.array_equal(step, lead):
             break
         lead, perm = step, perm[perm]
-    if not fold:
-        return lead
-    # the mirror of the other half: n - x for the full class, and
-    # position size - 1 - p for the odd one
-    mirror = lead[:size - kept] if odd_only else lead[1:n - kept + 1]
-    return np.concatenate((lead, mirror[::-1]))
+    return lead
+
+
+def unfold(half: np.ndarray, n: int, odd_only: bool = False) -> np.ndarray:
+    """The whole class from the positions of its residues x <= n / 2.
+
+    At n = q^m + 1 every coset is closed under x -> n - x, so an array
+    over class positions that is constant on cosets (a leader map, a
+    profile's entry) is its own mirror: position p of the full class
+    matches n - p, and of the odd class n / 2 - 1 - p.  An array that
+    already spans the class comes back equal.
+    """
+    size = n // 2 if odd_only else n
+    mirror = half[:size - len(half)] if odd_only \
+        else half[1:size - len(half) + 1]
+    return np.concatenate((half, mirror[::-1]))
 
 
 def coset_leaders(q: int, n: int, odd_only: bool = False) -> list[int]:
     """Sorted leaders of all q-cyclotomic cosets of the residue class."""
-    lead = leader_map(q, n, odd_only)
-    residues = np.arange(1, n, 2) if odd_only else np.arange(n)
-    return lead[lead == residues].tolist()
+    lead = leader_map(q, n, odd_only)  # every leader is in what it returns
+    r = 2 if odd_only else 1  # residue r p + r - 1 sits at position p
+    return lead[lead == np.arange(r - 1, r * len(lead), r)].tolist()
 
 
 def kth_largest_leader(leaders: list[int], k: int) -> int:

@@ -486,13 +486,15 @@ class FieldCtx:
             for i in range(self.order - 1):
                 exp[i] = x
                 x = x * self.generator % self.p
+            codes = np.array(exp, dtype=np.int64)
         else:
-            exp = self._exp_by_doubling().tolist()
-        log: list[int | None] = [None] * self.order
-        for i, x in enumerate(exp):
-            log[x] = i
+            codes = self._exp_by_doubling()
+            exp = codes.tolist()
+        log = np.empty(self.order, dtype=np.int64)
+        log[codes] = np.arange(self.order - 1)  # 0 is no power of g
         self.exp = exp
-        self.log = log
+        self.log = log.tolist()
+        self.log[0] = None
 
     def _exp_by_doubling(self) -> np.ndarray:
         """Codes of g^0, ..., g^(order-2) as one int64 array.

@@ -48,9 +48,12 @@ class GapProfile:
     A class position whose coset leader l is nonzero lies in T(delta) = C_1
     u C_{1+r} u ... u C_{1+r(delta-2)} exactly when l <= 1 + r(delta - 2):
     it enters at delta = 2 + ceil((l - 1) / r), its entry (int32, as n <=
-    MAX_CLASS_RESIDUES), and stays.  gap_low(delta) is the largest residue
-    below the anchor (the largest leader) in T(delta) and gap_high(delta)
-    the smallest one above: one prefix-extremum pass answers every delta.
+    MAX_CLASS_RESIDUES), and stays.  T = -T, so lead and entry cover the
+    residues x <= rn / 2 only (cyclotomic.unfold mirrors them).
+    gap_low(delta) is the largest residue of T(delta) below the anchor
+    (the largest leader) and gap_high(delta) the smallest above, the
+    anchor coset left out: each is a new minimum of entry walking away
+    from the anchor, or gap_high is rn - gap_low if the half has none.
     """
 
     def __init__(self, q: int, m: int, family: str):
@@ -60,35 +63,37 @@ class GapProfile:
         self.lead = _leader_map(q, m, rn, r == 2)
         self.anchor = anchor = int(self.lead.max())
         # the division by r as a shift: l is odd when r = 2
-        entry = (2 + ((self.lead + r - 2) >> (r - 1))).astype(np.int32)
+        entry = ((self.lead.astype(np.int32) + (r - 2)) >> (r - 1)) + 2
         self.max_delta = int(entry.max()) - 1  # T_perp is empty beyond
-        entry[self.lead == 0] = n + 1  # {0} is in no narrow-sense T
+        if r == 1:
+            entry[0] = n + 1  # {0} is in no narrow-sense T
         self.entry = entry
-        size = self.max_delta + 2
-        low = np.full(size, -1, dtype=np.int64)
-        high = np.full(size, rn + 1, dtype=np.int64)
-        x = np.arange(r - 1, rn, r)  # the class residue at each position
-        keep = (self.lead != anchor) & (entry < size)
-        below = keep & (x < anchor)
-        np.maximum.at(low, entry[below], x[below])
-        above = keep & (x > anchor)
-        np.minimum.at(high, entry[above], x[above])
-        self._low = np.maximum.accumulate(low)
-        self._high = np.minimum.accumulate(high)
+        at = anchor >> (r - 1)
+        self._edges = []  # low, high: (entries, residues) of new minima
+        for scan, step in ((entry[:at][::-1], -1), (entry[at + 1:], 1)):
+            low = np.minimum.accumulate(scan)
+            i = np.flatnonzero(np.diff(low, prepend=low[:1] + 1))[::-1]
+            self._edges.append((low[i].tolist(),  # by ascending entry
+                                (r * (at + step * (i + 1)) + r - 1).tolist()))
 
     def defining_mask(self, delta: int) -> np.ndarray:
         """T(delta) over class positions; T_perp(delta) is the rest."""
         if not 2 <= delta <= self.n:
             raise BadDelta(f"delta must be in [2, {self.n}], got {delta}")
-        return self.entry <= delta
+        return cyclotomic.unfold(self.entry <= delta, self.rn, self.r == 2)
 
     def low(self, delta: int) -> int | None:
-        v = int(self._low[min(delta, self.max_delta + 1)])
-        return None if v < 0 else v
+        return self._edge(0, delta)
 
     def high(self, delta: int) -> int | None:
-        v = int(self._high[min(delta, self.max_delta + 1)])
-        return None if v > self.rn else v
+        high, low = self._edge(1, delta), self.low(delta)
+        return self.rn - low if high is None and low is not None else high
+
+    def _edge(self, side: int, delta: int) -> int | None:
+        # beyond max_delta only the anchor coset joins T, and edges skip it
+        entries, residues = self._edges[side]
+        i = bisect.bisect_right(entries, min(delta, self.max_delta))
+        return residues[i - 1] if i else None
 
 
 def gap_profile(q: int, m: int, family: str) -> GapProfile:
@@ -132,17 +137,16 @@ def dually_sweep(profile: GapProfile, deltas: list[int],
     is BCH exactly when one circular run of positions outside T meets
     all k(delta) cosets outside T.  Beyond max_delta, T_perp is {0}
     (cyclic, not even_like: one coset, so BCH) or empty.  Up to
-    max_delta the anchor coset (largest leader) is outside T, and T is a
-    union of whole cosets, so a covering run meets the anchor coset at
+    max_delta such a run meets the anchor coset (largest leader), at
     one of its <= 2m positions, the seeds.
 
-    The seeds and position 0 cut the circle into arcs, each scanned once
-    for every delta (_arc_edges).  A run through a seed goes from the
-    last member of T in the nearest nonempty arc before it to the first
-    member in the nearest nonempty arc after it.  So the runs between
-    consecutive nonempty arcs are every run through a seed, and maybe
-    the run across position 0, also outside T; each one at least k long
-    has its distinct coset ids counted.
+    A run and its mirror meet the same cosets (T = -T, and -x is in
+    C_x), so only runs from the profile's half are scanned: its seeds
+    cut it into arcs, each scanned once for every delta (_arc_edges).
+    Arc 0 holds C_1, so a run through a seed starts after the last
+    member of T in the nearest nonempty arc before it and ends at the
+    first member after it, or crosses the middle and ends at the mirror
+    of its start.  Each run at least k long has its coset ids counted.
     Raises BadDelta outside 2 <= delta <= n and EmptySet where T_perp
     is empty.
     """
@@ -159,33 +163,28 @@ def dually_sweep(profile: GapProfile, deltas: list[int],
     if not swept:
         return [True] * len(deltas)
     ds = np.array(swept, dtype=np.int32)
-    is_leader = lead == np.arange(r - 1, profile.rn, r)
+    half = len(lead)
+    is_leader = lead == np.arange(r - 1, r * half, r)
     entries = np.sort(profile.entry[is_leader])  # one per coset
     k = (len(entries) - even_like
          - np.searchsorted(entries, ds, "right")).tolist()
     # dense coset ids from 1; the leader of residue x sits at position x // r
     ids = np.cumsum(is_leader, dtype=np.int32)[lead >> (r - 1)]
     seeds = np.flatnonzero(lead == profile.anchor)
-    starts, ends = np.append(0, seeds + 1), np.append(seeds, n)
+    assert profile.entry[2 - r] == 2 and 2 - r < seeds[0], "arc 0 holds C_1"
+    starts, ends = np.append(0, seeds + 1), np.append(seeds, half)
     first, last = _arc_edges(profile.entry, starts, ends, ds)
-    if even_like:  # position 0, the head of arc 0, is in T
-        first[0] = 0
-        np.maximum(last[0], 0, out=last[0])
     filled = first < ends[:, None]
-    arcs = len(starts)
-    # the next nonempty arc after each arc, circularly
-    order = np.where(np.concatenate((filled, filled)),
-                     np.arange(2 * arcs)[:, None], 2 * arcs)
-    after = np.minimum.accumulate(order[::-1])[::-1][1:arcs + 1] % arcs
-    lo = (last + 1) % n
-    hi = np.take_along_axis(first, after, 0)
+    # the first member of T after each arc, or half where the run from
+    # its last member crosses the middle (it ends at n + 1 - r - last)
+    hi = np.minimum.accumulate(np.where(filled, first, half)[:0:-1])[::-1]
+    hi = np.append(hi, np.full((1, len(ds)), half), axis=0)
+    length = np.where(hi == half, n - r - 2 * last, hi - last - 1)
     verdicts = dict.fromkeys(swept, False)
-    for i, j in zip(*np.nonzero(filled & ((hi - lo) % n >= k))):
-        if verdicts[swept[j]]:
-            continue
-        a, b = int(lo[i, j]), int(hi[i, j])
-        run = ids[a:b] if a < b else np.concatenate((ids[a:], ids[:b]))
-        verdicts[swept[j]] = int(np.count_nonzero(np.bincount(run))) == k[j]
+    for i, j in zip(*np.nonzero(filled & (length >= k))):
+        if not verdicts[swept[j]]:
+            run = np.bincount(ids[last[i, j] + 1:hi[i, j]])
+            verdicts[swept[j]] = int(np.count_nonzero(run)) == k[j]
     return [verdicts.get(d, True) for d in deltas]
 
 

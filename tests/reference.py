@@ -32,7 +32,8 @@ reducing its column against every pivot and every leaf walked, where
 the last two levels by hashing.
 `coverage_verdict_reference` is the dually verdict as one sort over all
 runs outside T(delta), where `dually_sweep` counts the cosets of the few
-runs through one seed coset; the tests feed it a profile's leader map.
+runs through one seed coset that start on the half class x <= rn / 2; the
+tests feed it a profile's leader map, unfolded to the whole class.
 `info_set_reference` multiplies out every message against the generator
 rows as they are, where the information-set walk of `min_distance` walks
 the systematic form by information weight and stops early.

@@ -64,7 +64,7 @@ def test_coset_hand_values():
 def test_leader_map_matches_cosets():
     # position p of the cyclic class holds the leader of residue p
     for q, n in [(3, 10), (3, 28), (5, 26), (7, 50)]:
-        lm = cy.leader_map(q, n)
+        lm = cy.unfold(cy.leader_map(q, n), n)
         assert lm.dtype == np.int64
         assert len(lm) == n
         for x in range(n):
@@ -73,7 +73,7 @@ def test_leader_map_matches_cosets():
 
 def test_leader_map_odd_only():
     # position p of the odd class holds the leader of residue 1 + 2p
-    lm = cy.leader_map(3, 28, odd_only=True)
+    lm = cy.unfold(cy.leader_map(3, 28, odd_only=True), 28, odd_only=True)
     assert len(lm) == 14
     for lead, orbit in ODD28.items():
         for x in orbit:
@@ -83,10 +83,11 @@ def test_leader_map_odd_only():
 
 
 def matches_reference(q, n, odd):
-    """leader_map(q, n, odd) against the orbit walk; returns the map."""
+    """leader_map(q, n, odd), unfolded, against the orbit walk; returns
+    the whole map."""
     want = ref.leader_map_reference(q, n, odd)
     residues = range(1, n, 2) if odd else range(n)
-    got = cy.leader_map(q, n, odd)
+    got = cy.unfold(cy.leader_map(q, n, odd), n, odd)
     assert got.dtype == np.int64
     assert len(got) == len(want) == len(residues), (q, n, odd)
     assert np.array_equal(got, np.fromiter(map(want.__getitem__, residues),
@@ -128,13 +129,16 @@ FOLDED = [(q, q**m + 1) for q in (3, 5, 7, 9, 11, 13, 27)
 def test_folded_leader_map_matches_reference():
     # x and n - x share their leader: the full map is symmetric about
     # n / 2 and the odd one (position p holds 1 + 2p) a palindrome; the
-    # odd class, closed under q, is the reference at the odd residues
+    # odd class, closed under q, is the reference at the odd residues.
+    # leader_map returns the residues x <= n / 2 alone
     assert {n // 2 % 2 for q, n in FOLDED} == {0, 1}  # n / 2 odd and even
     for q, n in FOLDED:
         assert cy._is_power_of(q, n - 1)
+        assert len(cy.leader_map(q, n)) == n // 2 + 1
+        assert len(cy.leader_map(q, n, True)) == (n // 2 + 1) // 2
         lead = matches_reference(q, n, False)
         assert np.array_equal(lead[1:], lead[:0:-1]), (q, n)
-        odd = cy.leader_map(q, n, True)
+        odd = cy.unfold(cy.leader_map(q, n, True), n, True)
         assert np.array_equal(odd, lead[1::2]), (q, n)
         assert np.array_equal(odd, odd[::-1]), (q, n)
     # divisors of q^m + 1 take the whole class, and are symmetric too

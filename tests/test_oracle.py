@@ -32,6 +32,13 @@ from grid_utils import (DUALLY_EXHAUSTIVE_BUDGET, STRUCTURAL_INSTANCES,
                         profile, realized)
 
 
+# every admissible (q, m, family) with q^m < 2000
+SMALL_CELLS = [(q, m, family) for q in (3, 5, 7, 9, 11, 13, 19, 23, 27, 43)
+               for m in range(2, 7) if q ** m < 2000
+               for family in (CYCLIC, NEGACYCLIC)
+               if family == CYCLIC or q % 4 == 3]
+
+
 def tperp_of(q, m, family, delta, b=None):
     return ref.dual_defining_set_reference(
         ref.defining_set_reference(q, m, family, delta, b))
@@ -59,18 +66,38 @@ def test_gap_scan_no_gap():
     assert ref.gap_scan(whole, anchor=7, two_sided=True) == (None, None)
 
 
+def full_lead(prof):
+    """The profile's leader map over the whole class."""
+    return cy.unfold(prof.lead, prof.rn, prof.r == 2)
+
+
+def tperps(q, m, family, hi):
+    """(delta, T_perp(delta)) for delta = 2, ..., hi, one orbit off each."""
+    r = 1 if family == CYCLIC else 2
+    rn = q**m + 1
+    rest = set(range(r - 1, rn, r))
+    for d in range(2, hi + 1):
+        rest.difference_update(ref._orbit(1 + r * (d - 2), q, rn))
+        yield d, ref.DefiningSetReference(q, rn, r, frozenset(rest))
+
+
 def test_gap_profile_matches_gap_scan():
-    for q, m, family in [(3, 3, CYCLIC), (5, 3, CYCLIC), (3, 4, NEGACYCLIC),
-                         (7, 3, NEGACYCLIC)]:
+    # both edges on every small cell at every delta; beyond max_delta only
+    # the anchor coset joins T, and the edges skip it
+    mirrored = 0  # deltas whose high edge is the mirror of the low one
+    for q, m, family in SMALL_CELLS:
         prof = profile(q, m, family)
-        two_sided = family == NEGACYCLIC and m % 2 == 1
-        for d in range(2, prof.max_delta + 1):
-            tp = tperp_of(q, m, family, d)
-            low, high = ref.gap_scan(tp, anchor=prof.anchor,
-                                     two_sided=two_sided)
-            assert prof.low(d) == low, (q, m, family, d)
-            if two_sided:
-                assert prof.high(d) == high, (q, m, family, d)
+        for d, tp in tperps(q, m, family, prof.max_delta):
+            if d in (2, prof.max_delta):
+                assert tp == tperp_of(q, m, family, d)
+            low, high = ref.gap_scan(tp, anchor=prof.anchor, two_sided=True)
+            assert (prof.low(d), prof.high(d)) == (low, high), \
+                (q, m, family, d)
+            mirrored += high is not None and high > prof.rn // 2
+        for d in range(prof.max_delta + 1, prof.n + 1):
+            assert (prof.low(d), prof.high(d)) == (low, high), \
+                (q, m, family, d)
+    assert mirrored
 
 
 def test_gap_profile_fields():
@@ -221,24 +248,43 @@ def test_coverage_verdict_wraps_the_tail_run():
                                           in_t, 15)
 
 
-def test_dually_sweep_joins_the_run_through_position_zero():
-    # narrow-sense T holds C_1, so positions 1 and n - 1 (cyclic) or 0
-    # and n - 1 (negacyclic), and no run of a real class wraps.  Here
-    # every residue of Z_5 is its own coset, T(2) = {2} and T(3) =
-    # {1, 2, 3}: the anchor 4 lies after the last member of T, so its
-    # run is 3, 4, 0, 1 (then 4, 0) and is read as two joined slices.
+def toy_profile(lead, r, rn, entry):
+    """A profile set by hand: the half x <= rn / 2 of a class whose
+    cosets are closed under x -> -x, as at every q^m + 1."""
     prof = object.__new__(orc.GapProfile)
-    prof.lead, prof.r, prof.rn, prof.n = np.arange(5), 1, 5, 5
-    prof.entry = np.array([6, 3, 2, 3, 4], dtype=np.int32)
-    prof.anchor, prof.max_delta = 4, 3
-    is_leader = np.ones(5, dtype=bool)
-    for even_like, want in [(False, [True, True]), (True, [False, True])]:
-        assert orc.dually_sweep(prof, [2, 3], even_like) == want
-        for d, verdict in zip([2, 3], want):
+    prof.lead, prof.r, prof.rn, prof.n = np.array(lead), r, rn, rn // r
+    prof.entry = np.array(entry, dtype=np.int32)
+    # the anchor coset enters last; entry[0] is n + 1 on the cyclic class
+    prof.anchor, prof.max_delta = max(lead), max(entry[1:]) - 1
+    return prof
+
+
+def assert_toy_verdicts(prof, cases):
+    """dually_sweep against the sort over every run of the whole class."""
+    lead = full_lead(prof)
+    is_leader = lead == np.arange(prof.r - 1, prof.rn, prof.r)
+    for even_like, want in cases:
+        deltas = list(range(2, 2 + len(want)))
+        assert orc.dually_sweep(prof, deltas, even_like) == want
+        for d, verdict in zip(deltas, want):
             in_t = prof.defining_mask(d)
             in_t[0] |= even_like
             assert ref.coverage_verdict_reference(
-                prof.lead, is_leader, in_t, 5) == verdict
+                lead, is_leader, in_t, prof.rn) == verdict, (even_like, d)
+
+
+def test_dually_sweep_reads_the_run_across_the_middle():
+    # q = -1 makes every coset {x, -x}.  Mod 10 the half is 0..5 and the
+    # anchor 5 its last position: T(2) = {1, 9}, and the run 2..8 after
+    # position 1 runs on to its mirror 9, meeting all cosets but {0}
+    prof = toy_profile(cy.leader_map(9, 10), 1, 10, [11, 2, 3, 4, 5, 6])
+    assert list(prof.lead) == [0, 1, 2, 3, 4, 5] and prof.max_delta == 5
+    assert_toy_verdicts(prof, [(False, [False] * 4), (True, [True] * 4)])
+    # the odd class mod 12 (1, 3, 5 | 7, 9, 11) has no middle position:
+    # the run 3..9 of T(2) = {1, 11} crosses between 5 and 7
+    prof = toy_profile(cy.leader_map(11, 12, True), 2, 12, [2, 3, 4])
+    assert list(prof.lead) == [1, 3, 5] and prof.max_delta == 3
+    assert_toy_verdicts(prof, [(False, [True, True])])
 
 
 def test_dually_sweep_at_the_lone_zero_coset():
@@ -254,23 +300,19 @@ def test_dually_sweep_at_the_lone_zero_coset():
                 orc.dually_sweep(prof, [d], even_like=True)
 
 
-def test_dually_sweep_when_position_zero_is_alone_in_its_arc():
-    # every residue of Z_5 is its own coset and the anchor 2 is the one
-    # seed; with even_like, T(2) = {0, 3}, so the arc before the seed
-    # holds position 0 alone, and the run after it starts at position 1
-    prof = object.__new__(orc.GapProfile)
-    prof.lead, prof.r, prof.rn, prof.n = np.arange(5), 1, 5, 5
-    prof.entry = np.array([6, 4, 5, 2, 3], dtype=np.int32)
-    prof.anchor, prof.max_delta = 2, 4
-    is_leader = np.ones(5, dtype=bool)
-    for even_like, want in [(False, [True, True, False]),
-                            (True, [False, True, True])]:
-        assert orc.dually_sweep(prof, [2, 3, 4], even_like) == want
-        for d, verdict in zip([2, 3, 4], want):
-            in_t = prof.defining_mask(d)
-            in_t[0] |= even_like
-            assert ref.coverage_verdict_reference(
-                prof.lead, is_leader, in_t, 5) == verdict
+def test_dually_sweep_with_an_arc_after_the_seed():
+    # mod 14 the cosets {0}, {1, 13}, {2, 12}, {3, 5, 7, 9, 11}, {4, 10}
+    # and {6, 8}: the anchor 6 is the one seed on the half 0..7, with
+    # arc 0 = 0..5 (position 0 in it, in T with even_like) before it and
+    # arc 1 = {7} after it.  T(3) leaves arc 1 empty, so the run from 3
+    # crosses the middle to 11 and meets every coset but {0}; T(4)
+    # fills arc 1, so the run through the seed is {6} alone, and the
+    # coset {4, 10} is cut off from it
+    prof = toy_profile([0, 1, 2, 3, 4, 3, 6, 3], 1, 14,
+                       [15, 2, 3, 4, 5, 4, 7, 4])
+    assert prof.anchor == 6 and prof.max_delta == 6
+    assert_toy_verdicts(prof, [(False, [False] * 5),
+                               (True, [True, True, False, True, True])])
 
 
 def sweep_deltas(prof, hi):
@@ -288,7 +330,8 @@ def test_dually_sweep_matches_sort_reference():
     # negacyclic up to max_delta
     for q, m, family in MEMBERSHIP_GRID:
         prof = profile(q, m, family)
-        is_leader = prof.lead == np.arange(prof.r - 1, prof.rn, prof.r)
+        lead = full_lead(prof)
+        is_leader = lead == np.arange(prof.r - 1, prof.rn, prof.r)
         cases = [(False, prof.max_delta)]
         if family == CYCLIC:
             cases = [(False, prof.n), (True, prof.max_delta)]
@@ -298,7 +341,7 @@ def test_dually_sweep_matches_sort_reference():
             for d, got in zip(deltas, swept):
                 in_t = prof.defining_mask(d)
                 in_t[0] |= even_like
-                want = ref.coverage_verdict_reference(prof.lead, is_leader,
+                want = ref.coverage_verdict_reference(lead, is_leader,
                                                       in_t, prof.rn)
                 assert got == want, (q, m, family, even_like, d)
 
@@ -307,13 +350,6 @@ def test_dually_sweep_even_like_is_cyclic_only():
     # the odd class has no coset of 0 to add
     with pytest.raises(BadFamilyParams):
         orc.dually_sweep(profile(3, 3, NEGACYCLIC), [2], even_like=True)
-
-
-# every admissible (q, m, family) with q^m < 2000
-SMALL_CELLS = [(q, m, family) for q in (3, 5, 7, 9, 11, 13, 19, 23, 27, 43)
-               for m in range(2, 7) if q ** m < 2000
-               for family in (CYCLIC, NEGACYCLIC)
-               if family == CYCLIC or q % 4 == 3]
 
 
 @st.composite
@@ -335,13 +371,14 @@ def test_dually_sweep_matches_sort_reference_on_random_requests(request):
     # the arc scan against one sort over every run, delta by delta; one
     # delta with an empty dual makes the whole call an EmptySet
     prof, deltas, even_like = request
-    is_leader = prof.lead == np.arange(prof.r - 1, prof.rn, prof.r)
+    lead = full_lead(prof)
+    is_leader = lead == np.arange(prof.r - 1, prof.rn, prof.r)
     want = []
     for d in deltas:
         in_t = prof.defining_mask(d)
         in_t[0] |= even_like
         try:
-            want.append(ref.coverage_verdict_reference(prof.lead, is_leader,
+            want.append(ref.coverage_verdict_reference(lead, is_leader,
                                                        in_t, prof.rn))
         except EmptySet:
             with pytest.raises(EmptySet):
