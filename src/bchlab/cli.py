@@ -242,10 +242,6 @@ def _cmd_bound(args) -> int:
 
 def _cmd_dually(args) -> int:
     even_like = args.family == CYCLIC
-    if args.even_like and args.family == NEGACYCLIC:
-        raise BCHLabError(
-            "--even-like applies to the cyclic family only; the negacyclic "
-            "predicate already refers to the code itself")
     lo, hi = args.delta_range
     deltas = list(range(lo, hi + 1))
     verdicts = None
@@ -295,7 +291,7 @@ def _cmd_verify(args) -> int:
     if args.all == bool(args.example_id):
         args.parser.error("pass exactly one of an example id or --all")
     ids = examples.all_example_ids() if args.all else (args.example_id,)
-    reports = [examples.verify_example(i, workers=args.workers) for i in ids]
+    reports = [examples.verify_example(i) for i in ids]
     payload = {"schema": 1, "command": "verify",
                "examples": [
                    {"id": rep.example_id, "passed": rep.passed,
@@ -468,9 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("--delta-range", type=_delta_range, required=True,
                    metavar="A..B")
-    p.add_argument("--even-like", action="store_true",
-                   help="cyclic family: predicate on the even-like subcode "
-                        "(implied; rejected for negacyclic)")
     p.add_argument("--no-oracle", action="store_true",
                    help="skip the brute-force coverage search")
     add_format(p)
@@ -479,10 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="recompute pinned worked examples")
     p.add_argument("example_id", nargs="?", default=None)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="processes for each level of the exact-distance "
-                        "word walk (at least 1; at most the CPU count are "
-                        "started)")
     p.add_argument("--verbose", action="store_true",
                    help="text format: show passing claims too")
     add_format(p)

@@ -108,7 +108,7 @@ def _expand_ranges(ranges: list[tuple[int, int]]) -> list[int]:
     return out
 
 
-def true_distance(inst: code_core.CodeInstance, workers: int = 1) -> int:
+def true_distance(inst: code_core.CodeInstance) -> int:
     """True minimum distance of a realized code.
 
     Walks the code's words by information weight on one cyclic
@@ -119,10 +119,10 @@ def true_distance(inst: code_core.CodeInstance, workers: int = 1) -> int:
     generator matrix of the dual code) looks for a word lighter than
     best.
     """
-    return _distance(inst, lambda: code_core.dual_code(inst), workers)
+    return _distance(inst, lambda: code_core.dual_code(inst))
 
 
-def dual_distance(spec: code_core.CodeSpec, workers: int = 1) -> int:
+def dual_distance(spec: code_core.CodeSpec) -> int:
     """True minimum distance of the dual code, routed as true_distance.
 
     The dual is (nega)cyclic too; past the word budget the search runs on
@@ -130,15 +130,14 @@ def dual_distance(spec: code_core.CodeSpec, workers: int = 1) -> int:
     dual.
     """
     inst = code_core.realize(spec)
-    return _distance(code_core.dual_code(inst), lambda: inst, workers)
+    return _distance(code_core.dual_code(inst), lambda: inst)
 
 
-def _distance(code: code_core.CodeInstance, dual, workers: int) -> int:
+def _distance(code: code_core.CodeInstance, dual) -> int:
     """The distance of code; dual() gives its dual, built only if needed."""
     try:
         return oracle.min_distance(code_core.generator_matrix(code),
                                    code.field, cap=oracle.MIN_DISTANCE_CAP,
-                                   workers=workers,
                                    shift_invariant=True).distance
     except TooManyCodewords as exc:
         best = exc.best
@@ -153,7 +152,7 @@ def _distance(code: code_core.CodeInstance, dual, workers: int) -> int:
         return best
 
 
-def _verify_bounds(example_id: str, workers: int) -> ExampleReport:
+def _verify_bounds(example_id: str) -> ExampleReport:
     q, m, family, rows = _BOUND_FIXTURES[example_id]
     claims: list[Claim] = []
     for delta, want_bound, want_dist in rows:
@@ -165,7 +164,7 @@ def _verify_bounds(example_id: str, workers: int) -> ExampleReport:
         claims.append(Claim(f"gaps-agree(delta={delta})", "True",
                             str(report.agrees), report.agrees))
         spec = code_core.CodeSpec(q, m, family, delta)
-        dist = dual_distance(spec, workers=workers)
+        dist = dual_distance(spec)
         claims.append(Claim(f"dual-distance(delta={delta})", str(want_dist),
                             str(dist), dist == want_dist))
         claims.append(Claim(f"bound-holds(delta={delta})",
@@ -207,11 +206,11 @@ def _verify_dually(example_id: str) -> ExampleReport:
     return ExampleReport(example_id, claims)
 
 
-def verify_example(example_id: str, workers: int = 1) -> ExampleReport:
+def verify_example(example_id: str) -> ExampleReport:
     """Recompute all pinned claims for one example."""
     try:
         if example_id in _BOUND_FIXTURES:
-            return _verify_bounds(example_id, workers)
+            return _verify_bounds(example_id)
         if example_id in _DUALLY_FIXTURES:
             return _verify_dually(example_id)
     except BCHLabError as exc:

@@ -12,10 +12,8 @@ codeword.
 from __future__ import annotations
 
 import bisect
-import concurrent.futures
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +31,6 @@ from .errors import (
 MIN_DISTANCE_CAP = 1_000_000  # words walked by min_distance
 MAX_CHECK_NODES = 50_000_000  # columns tried by min_distance_via_checks
 BLOCK_SYMBOLS = 1 << 16  # digits in one numpy step of the word walk
-# words below which a walk stays in one process: a pool of two takes about
-# 8-28 ms to start and stop, while the walk covers about 5-100 M words/s,
-# so a split pays only past this
-POOL_MIN_WORDS = 1 << 19
 
 # ---------------------------------------------------------------------------
 # gap profile
@@ -233,20 +227,6 @@ def _digit_planes(p: int, kf: int, mul: np.ndarray, rows) -> np.ndarray:
                           axis=2).astype(sym)
 
 
-def _walk_split(total: int, workers: int) -> list[tuple[int, int]]:
-    """Positions [1, total] as (lo, hi) ranges, one per process.
-
-    Never more ranges than os.cpu_count(): extra processes would only
-    queue for the same cores.
-    """
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or total < POOL_MIN_WORDS:
-        return [(1, total + 1)]
-    per = -(-total // workers)
-    return [(lo, min(lo + per, total + 1))
-            for lo in range(1, total + 1, per)]
-
-
 def _unrank_supports(binom: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Supports of the given colex ranks, as (len(ranks), t) positions.
 
@@ -350,28 +330,28 @@ class _LevelWalk:
         row, u = np.divmod(self.index(t - 1, x), per)
         return starts[c] + (row * self.q1 + m) * per + u
 
-    def walk(self, t: int, lo: int, hi: int,
-             keep: bool = False) -> tuple[int, int]:
-        """Least (parity weight, index) over the positions [lo, hi).
+    def walk(self, t: int, keep: bool) -> tuple[int, int]:
+        """Least (parity weight, index) over the whole of level t.
 
         A chunk of at most BLOCK_SYMBOLS digits is weighed by one
         add.reduce over the nonzero digits, after OR-ing the kf planes.
         Blocks follow each other in index order, so a chunk can only
         tie the best if that was found in the chunk's first block.
-        keep stores the level (walked whole) for the levels above it.
+        keep stores the level for the levels above it.
         """
         width, r = self.width, self.width // self.kf
         step = max(1, BLOCK_SYMBOLS // max(1, width))
-        store = np.empty((width, hi - lo), dtype=self.mults.dtype) \
+        starts = self.starts[t]
+        size = starts[-1]
+        store = np.empty((width, size), dtype=self.mults.dtype) \
             if keep else None
         count = np.min_scalar_type(r)
-        starts = self.starts[t]
         best = None
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
+        for a in range(0, size, step):
+            b = min(a + step, size)
             planes = self.words(t, a, b)
             if keep:
-                store[:, a - lo:b - lo] = planes
+                store[:, a:b] = planes
             nonzero = planes[:r]
             for i in range(1, self.kf):
                 nonzero = nonzero | planes[i * r:(i + 1) * r]
@@ -388,18 +368,8 @@ class _LevelWalk:
             self.kept[t] = store
         return best
 
-    def pieces(self, t: int, workers: int) -> list[tuple[int, int]]:
-        """Level t as [lo, hi) position ranges, one per process: the
-        ranges of _walk_split, each cut moved down to a block start."""
-        starts = self.starts[t]
-        cuts = sorted({0, starts[-1]} | {
-            starts[bisect.bisect_right(starts, hi - 1) - 1]
-            for _, hi in _walk_split(starts[-1], workers)[:-1]})
-        return list(zip(cuts, cuts[1:]))
 
-
-def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
-                 workers: int = 1, *,
+def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP, *,
                  shift_invariant: bool = False) -> DistanceResult:
     """Exact minimum distance of the row space of gen, by information weight.
 
@@ -421,10 +391,7 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
     there; a rotation is a word of the same weight (a negacyclic one
     flips a sign), so low = ceil(t n / k).  A level that would take the
     words walked past cap raises TooManyCodewords with low and best
-    instead.  workers > 1 splits each level that is not kept by ranges
-    of the largest position, across at most os.cpu_count() processes;
-    the result, the first minimum by (level, index), does not depend on
-    the split.
+    instead.  The result is the first minimum by (level, index).
     """
     k, n = gen.shape
     if k == 0:
@@ -442,37 +409,23 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP,
     walk = _LevelWalk(p, kf, _digit_planes(p, kf, mul, parity))
     best_w, best_at = None, None  # best_at: (level, index)
     walked = 0
-    pool = None
-    try:
-        for t in range(1, k + 1):
-            low = -(-t * n // k) if shift_invariant else t
-            if best_w is not None and low >= best_w:
-                break
-            size = math.comb(k, t) * (q - 1) ** (t - 1)
-            if walked + size > cap:
-                raise TooManyCodewords(
-                    f"information weight {t} would take the words walked "
-                    f"to {walked + size}, over cap {cap}; the distance lies "
-                    f"in [{low}, {best_w or n}]", low=low, best=best_w)
-            keep = t > 1 and size * walk.width <= 4 * BLOCK_SYMBOLS
-            if t > 1:
-                walk.add_level(t)
-            pieces = [(0, size)] if keep else walk.pieces(t, workers)
-            if len(pieces) == 1:
-                weight, index = walk.walk(t, 0, size, keep)
-            else:
-                if pool is None:
-                    pool = concurrent.futures.ProcessPoolExecutor(
-                        len(pieces))
-                futures = [pool.submit(walk.walk, t, lo, hi)
-                           for lo, hi in pieces]
-                weight, index = min(f.result() for f in futures)
-            if best_w is None or t + weight < best_w:
-                best_w, best_at = t + weight, (t, index)
-            walked += size
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for t in range(1, k + 1):
+        low = -(-t * n // k) if shift_invariant else t
+        if best_w is not None and low >= best_w:
+            break
+        size = math.comb(k, t) * (q - 1) ** (t - 1)
+        if walked + size > cap:
+            raise TooManyCodewords(
+                f"information weight {t} would take the words walked "
+                f"to {walked + size}, over cap {cap}; the distance lies "
+                f"in [{low}, {best_w or n}]", low=low, best=best_w)
+        keep = t > 1 and size * walk.width <= 4 * BLOCK_SYMBOLS
+        if t > 1:
+            walk.add_level(t)
+        weight, index = walk.walk(t, keep)
+        if best_w is None or t + weight < best_w:
+            best_w, best_at = t + weight, (t, index)
+        walked += size
     t, index = best_at
     binom = np.array([[math.comb(x, i) for x in range(k)]
                       for i in range(t + 1)], dtype=np.int64)

@@ -336,10 +336,6 @@ def test_dually_even_like_flags():
     assert payload["even_like"] is True  # implied for cyclic
     true_deltas = {int(r["delta"]) for r in payload["rows"] if r["formula"]}
     assert true_deltas == {2} | set(range(8, 14))
-    proc = run_cli("dually", "3", "3", "negacyclic",
-                   "--delta-range", "2..4", "--even-like")
-    assert proc.returncode == 1  # even-like subcode is a cyclic notion
-    assert json.loads(proc.stderr)["error"]["type"] == "BCHLabError"
 
 
 def test_dually_rows_outside_the_domain(capsys):
@@ -406,12 +402,16 @@ def test_verify_usage_errors():
     assert run_cli("verify", "cyclic-q3-m2", "--all").returncode == 2
 
 
-def test_verify_workers_must_be_positive(capsys):
-    for bad in ("0", "-3", "two"):
+def test_removed_options_are_usage_errors(capsys):
+    # verify has no worker count, and the cyclic dually rows are always on
+    # the even-like subcode: neither option selects anything
+    for argv, flag in ((["verify", "--all", "--workers", "2"], "--workers"),
+                       (["dually", "5", "2", "cyclic", "--delta-range",
+                         "2..4", "--even-like"], "--even-like")):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "cyclic-q3-m2", "--workers", bad])
+            cli.main(argv)
         assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 SWEEP_HEADER = ("family,q,m,delta,n,mode,formula_gap_low,oracle_gap_low,"

@@ -51,7 +51,7 @@ ARGV = st.one_of(
     command(st.just(["dually"]), one(q), one(m), one(family),
             st.tuples(st.integers(-2, 30), st.integers(-2, 30)).map(
                 lambda r: [f"--delta-range={r[0]}..{r[1]}"]),
-            flag([[], ["--no-oracle"], ["--even-like"]]), fmt),
+            flag([[], ["--no-oracle"]]), fmt),
     command(st.just(["sweep"]),
             one(st.lists(QS, min_size=1, max_size=2).map(
                 lambda qs: ",".join(map(str, qs)))),

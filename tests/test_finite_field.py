@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchlab import finite_field as ff
 from bchlab.errors import BCHLabError, DivisionByZero, OrderNotDividing
@@ -157,6 +159,37 @@ def irreducibles(p, k):
 def prime_powers(limit):
     return [(p, k) for p in range(2, limit + 1) if ff._is_prime(p)
             for k in range(1, 64) if p ** k <= limit]
+
+
+# extension fields F_{p^k}, k >= 2, small enough to list every modulus of
+EXTENSIONS = [(p, k) for p, k in prime_powers(343) if k >= 2]
+
+
+@st.composite
+def field_and_triples(draw):
+    """A FieldCtx on a drawn modulus, and triples of its elements."""
+    p, k = draw(st.sampled_from(EXTENSIONS))
+    ctx = ff.FieldCtx(p, k, modulus=draw(st.sampled_from(irreducibles(p, k))))
+    element = st.integers(0, ctx.order - 1)
+    triples = draw(st.lists(st.tuples(element, element, element),
+                            min_size=1, max_size=20))
+    return ctx, triples
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(field_and_triples())
+def test_field_axioms_on_drawn_moduli(case):
+    ctx, triples = case
+    ctx.tables()
+    assert (ctx.exp, ctx.log) == ref.field_tables_reference(ctx)
+    add, mul, neg, inv = (t.tolist() for t in ctx.symbol_tables())
+    for a, b, c in triples:
+        assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+        assert add[add[a][b]][c] == add[a][add[b][c]]
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+        assert add[a][neg[a]] == 0
+        assert mul[a][inv[a]] == (1 if a else 0)
 
 
 def test_generator_matches_reference():

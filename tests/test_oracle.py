@@ -457,15 +457,17 @@ def test_min_distance_word_is_a_codeword():
     assert pl.rank(stacked, inst.field) == inst.dim
 
 
-def test_min_distance_workers_deterministic(monkeypatch):
-    monkeypatch.setattr(orc, "POOL_MIN_WORDS", 4096)  # split small walks
+def test_min_distance_walks_every_level():
     inst = realized(3, 4, NEGACYCLIC, 7)  # d = 20 > k = 9: every level
     gen = cc.generator_matrix(inst)
-    single = orc.min_distance(gen, inst.field, workers=1)
-    multi = orc.min_distance(gen, inst.field, workers=3)
-    assert single.distance == multi.distance == 20
-    assert single.word == multi.word
-    assert single.enumerated == multi.enumerated == (3**9 - 1) // 2
+    got = orc.min_distance(gen, inst.field)
+    assert got.distance == 20
+    assert_codeword(gen, inst.field, got.word, 20)
+    assert got.enumerated == (3**9 - 1) // 2
+    # the first minimum lies below the level where the shift rule stops
+    want = ref.info_set_walk_reference(inst.field,
+                                       pl.row_reduce(gen, inst.field))
+    assert want[:2] == (got.distance, got.word)
 
 
 def test_min_distance_extension_field_symbols():
@@ -539,24 +541,22 @@ def walk_matrices():
 
 
 def check_against_gray_walk(cases):
-    """The walk of each matrix of independent rows, with workers 1 and 2,
-    returns the distance of the Gray walk over every word, a word of that
-    weight in the row span, and at most one word per scalar class."""
+    """The walk of each matrix of independent rows returns the distance of
+    the Gray walk over every word, a word of that weight in the row span,
+    and at most one word per scalar class."""
     for fld, rows in cases:
         q, k = fld.order, len(rows)
         want = ref.gray_walk_reference(fld, rows, 1, q ** k)[0]
         gen = np.array(rows)
-        for workers in (1, 2):
-            got = orc.min_distance(gen, fld, workers=workers)
-            assert got.distance == want, (q, k, workers)
-            assert_codeword(gen, fld, got.word, want)
-            assert got.enumerated <= (q ** k - 1) // (q - 1)
+        got = orc.min_distance(gen, fld)
+        assert got.distance == want, (q, k)
+        assert_codeword(gen, fld, got.word, want)
+        assert got.enumerated <= (q ** k - 1) // (q - 1)
 
 
 def test_block_walk_matches_reference(monkeypatch):
     # the level walk, built block by block, on the code matrices of
     # walk_matrices() without the shift rule
-    monkeypatch.setattr(orc, "POOL_MIN_WORDS", 4096)  # split small levels
     cases = walk_matrices()
     assert {len(rows) for _, rows in cases} >= {1, 2, 4, 6, 8, 12}
     check_against_gray_walk(cases)
@@ -566,10 +566,9 @@ def test_block_walk_matches_reference(monkeypatch):
                              if fld.order ** len(rows) <= 20_000])
 
 
-def test_projective_walk_is_the_full_walk(monkeypatch):
+def test_projective_walk_is_the_full_walk():
     # min_distance walks one word per scalar class and must find the
-    # distance of the full Gray walk, with or without workers
-    monkeypatch.setattr(orc, "POOL_MIN_WORDS", 4096)  # split small levels
+    # distance of the full Gray walk
     cases = []
     for q, m, fam, d in STRUCTURAL_INSTANCES:
         inst = realized(q, m, fam, d)
@@ -633,21 +632,6 @@ def test_min_distance_uses_the_fields_own_modulus():
         assert rep.word in span, gen
         assert rep.distance == weight(rep.word) == best, gen
         assert ref.gray_walk_reference(fld, gen, 1, q ** k)[0] == best, gen
-
-
-def test_walk_split_is_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setattr(orc.os, "cpu_count", lambda: 2)
-    assert orc._walk_split(10**6, 1000) == [(1, 500_001),
-                                            (500_001, 1_000_001)]
-    assert orc._walk_split(10**6, 1) == [(1, 1_000_001)]
-    assert orc._walk_split(4000, 2) == [(1, 4001)]
-    monkeypatch.setattr(orc.os, "cpu_count", lambda: None)
-    assert orc._walk_split(10**6, 1000) == [(1, 1_000_001)]
-    monkeypatch.setattr(orc.os, "cpu_count", lambda: 64)
-    blocks = orc._walk_split(10**6, 3)
-    assert len(blocks) == 3 and blocks[0][0] == 1
-    assert blocks[-1][1] == 10**6 + 1
-    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
 
 
 def test_via_checks_cross_validates_enumeration():
@@ -771,8 +755,8 @@ def test_check_search_budget(monkeypatch, capsys):
     # every distance of the example to the check-matrix search
     walk = orc.min_distance
     monkeypatch.setattr(orc, "min_distance",
-                        lambda gen, field, cap, workers, **kw:
-                        walk(gen, field, 1, workers, **kw))
+                        lambda gen, field, cap, **kw:
+                        walk(gen, field, 1, **kw))
     report = examples.verify_example("cyclic-q5-m2")
     assert not report.passed
     assert [c.name for c in report.claims] == ["computable"]
@@ -866,28 +850,6 @@ def test_info_set_distance_matches_other_routes():
             pass
         assert found and set(found.values()) == {got.distance}, \
             (spec, side, found)
-
-
-def test_info_set_workers_deterministic(monkeypatch):
-    monkeypatch.setattr(orc.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(orc, "POOL_MIN_WORDS", 4096)  # split small levels
-    for spec, side in (((7, 2, NEGACYCLIC, 4), "primal"),
-                       ((3, 5, NEGACYCLIC, 23), "primal"),
-                       ((9, 2, CYCLIC, 32), "dual")):
-        code, _, fld = side_and_checks(spec, side)
-        gen = cc.generator_matrix(code)
-        runs = [orc.min_distance(gen, fld, workers=workers,
-                                 shift_invariant=True)
-                for workers in (1, 2, 3)]
-        assert len({(r.distance, r.word, r.enumerated) for r in runs}) == 1
-    # a level splits at block starts (largest positions), in order
-    walk = orc._LevelWalk(3, 1, np.zeros((12, 3, 5), dtype=np.uint8))
-    walk.add_level(5)
-    pieces = walk.pieces(5, 3)
-    assert len(pieces) == 3 and pieces[0][0] == 0
-    assert pieces[-1][1] == walk.starts[5][-1] == math.comb(12, 5) * 16
-    assert all(a[1] == b[0] in walk.starts[5] for a, b in
-               zip(pieces, pieces[1:]))
 
 
 def test_level_walk_matches_unranking_reference(monkeypatch):
