@@ -7,9 +7,12 @@ canonically as 0..p-1.
 
 Determinism contract:
 * the modulus is the lexicographically smallest monic irreducible of
-  degree k, comparing coefficient tuples (c_{k-1}, ..., c_0);
+  degree k, comparing coefficient tuples (c_{k-1}, ..., c_0): the
+  candidates are tried in that order, each by Ben-Or's test;
 * the multiplicative generator is the first element in code order whose
-  order is p^k - 1 (checked against the prime factors of p^k - 1);
+  order is p^k - 1 (checked against the prime factors of p^k - 1): on
+  F_p by built-in `pow` from 1 up, on F_{p^k}, k >= 2, by `vpow` on
+  batches in code order from p up, since the codes below p lie in F_p;
 * exp/log tables are built from that generator, on the first scalar
   `mul`/`inv`/`pow` or `symbol_tables` call that needs them, whenever the
   field is small enough, so repeated constructions are bit-for-bit
@@ -17,7 +20,9 @@ Determinism contract:
 
 Bulk work (the generator search, roots of unity, subfield embeddings and
 the minimal polynomials of `code_core`) runs on digit vectors instead:
-`vmul`/`vpow` multiply (..., k) arrays of base-p digits with no table.
+`vmul`/`vpow` multiply (..., k) arrays of base-p digits with no table,
+and `vpow` raises to the base-p digits of the exponent, one Frobenius
+matrix per digit position.
 """
 
 from __future__ import annotations
@@ -194,21 +199,18 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Monic f over F_p: irreducible iff x^{p^k} = x mod f and
-    gcd(x^{p^{k/d}} - x, f) = 1 for every prime d | k."""
-    k = len(f) - 1
-    if k == 1:
-        return True
-    x = [0, 1]
-    xq = _ppowmod(x, p**k, f, p)
-    if xq != x:
-        return False
-    for d in sorted(factorize(k)):
-        e = k // d
-        xe = _ppowmod(x, p**e, f, p)
-        diff = _pmod_trim([(a - b) % p for a, b in
-                           zip(xe + [0] * len(f), x + [0] * len(f))])
-        if len(_pgcd(diff, f, p)) - 1 != 0:
+    """Ben-Or's test: monic f of degree k over F_p is irreducible iff
+    gcd(x^{p^i} - x, f) = 1 for i = 1..k//2.
+
+    x^{p^i} comes from x^{p^(i-1)} by one p-th power, so a candidate with
+    a factor of degree i is rejected after i of them.
+    """
+    h = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        h = _ppowmod(h, p, f, p)
+        diff = h + [0] * (2 - len(h))  # h - x
+        diff[1] = (diff[1] - 1) % p
+        if len(_pgcd(_pmod_trim(diff), f, p)) > 1:
             return False
     return True
 
@@ -260,6 +262,7 @@ class FieldCtx:
         self.exp: list[int] | None = None
         self.log: list[int | None] | None = None
         self._symbols: tuple[np.ndarray, ...] | None = None
+        self._frob: np.ndarray | None = None
         self.generator = self._find_generator()
 
     # -- representation ----------------------------------------------------
@@ -312,22 +315,71 @@ class FieldCtx:
                               ).reshape(shape)
 
     def vpow(self, a: np.ndarray, e) -> np.ndarray:
-        """a^e for a (..., k) digit array, by square-and-multiply.
+        """a^e for a (..., k) digit array, by the base-p digits of e.
 
         e is an int >= 0, or ints broadcast against a.shape[:-1]; they
-        may exceed int64.
+        may exceed int64.  A positive e is reduced to 1..p^k - 1 (so 0^e
+        stays 0), then written e = sum_j d_j p^j, j < k, and a^e is the
+        product of Frob^j(a^(d_j)): `_digit_powers` gives a^d for the
+        distinct digits, `_frobenius` the matrix of each Frob^j, and the
+        k factors multiply in a halving tree of vmul calls.
         """
+        p, k, n1 = self.p, self.k, self.order - 1
         e = np.array(e, dtype=object)
-        shape = np.broadcast_shapes(np.shape(a), e.shape + (self.k,))
-        result = np.zeros(shape, dtype=self._w.dtype)
-        result[..., 0] = 1
-        for bit in range(max(e.flat, default=0).bit_length()):
+        reduced = [(x - 1) % n1 + 1 if x else 0 for x in e.flat]
+        digits = [[x // p ** j % p for j in range(k)] for x in reduced]
+        distinct = sorted({d for row in digits for d in row})
+        slot = {d: i for i, d in enumerate(distinct)}
+        shape = np.broadcast_shapes(a.shape[:-1], e.shape)
+        a = a.reshape((1,) * (len(shape) + 1 - a.ndim) + a.shape)
+        index = np.array([[slot[d] for d in row] for row in digits],
+                         dtype=np.intp).T.reshape(
+            (k,) + (1,) * (len(shape) - e.ndim) + e.shape + (1,))
+        powers = np.broadcast_to(self._digit_powers(a, distinct),
+                                 (len(distinct),) + shape + (k,))
+        factors = np.take_along_axis(powers, index, axis=0).reshape(k, -1, k)
+        factors = factors @ self._frobenius() % p
+        while len(factors) > 1:
+            half = len(factors) // 2
+            factors = np.concatenate([self.vmul(factors[:half],
+                                                factors[half:2 * half]),
+                                      factors[2 * half:]])
+        return factors[0].reshape(shape + (k,))
+
+    def _digit_powers(self, a: np.ndarray, ds: list[int]) -> np.ndarray:
+        """a^d for each int d >= 0 of ds, stacked on a new first axis.
+
+        Square-and-multiply over the bits of the d: the square a^(2^b)
+        multiplies only the powers whose d has bit b.
+        """
+        out = np.zeros((len(ds),) + a.shape, dtype=self._w.dtype)
+        out[..., 0] = 1
+        square = a
+        for bit in range(max(ds, default=0).bit_length()):
             if bit:
-                a = self.vmul(a, a)
-            odd = np.array([x >> bit & 1 for x in e.flat], dtype=bool)
-            result = np.where(odd.reshape(e.shape + (1,)),
-                              self.vmul(result, a), result)
-        return result
+                square = self.vmul(square, square)
+            odd = np.array([d >> bit & 1 for d in ds], dtype=bool)
+            if odd.any():
+                out[odd] = self.vmul(out[odd], square) if bit else square
+        return out
+
+    def _frobenius(self) -> np.ndarray:
+        """(k, k, k) array: digit rows of a times layer j give a^(p^j).
+
+        a -> a^p is F_p-linear, so row i of layer 1 holds the digits of
+        (x^p)^i, and layer j is layer 1 to the j-th power.  Built on the
+        first vpow, once per field.
+        """
+        if self._frob is None:
+            p, k = self.p, self.k
+            layers = [np.eye(k, dtype=self._w.dtype)]
+            if k > 1:
+                xp = self._digit_powers(self._w[1], [p])[0]  # W[1]: x
+                frob = self._digit_powers(xp, list(range(k)))
+                for _ in range(k - 1):
+                    layers.append(layers[-1] @ frob % p)
+            self._frob = np.array(layers)
+        return self._frob
 
     # -- core arithmetic ---------------------------------------------------
 
@@ -461,15 +513,22 @@ class FieldCtx:
                         dtype=dtype)
 
     def _find_generator(self) -> int:
-        """First code of order p^k - 1, testing batches in code order.
+        """First code of order p^k - 1.
 
-        Batches double from two candidates up to _TABLE_CHUNK; a candidate
-        passes when g^((p^k - 1)/rho) != 1 for every prime rho of p^k - 1.
+        A candidate passes when g^((p^k - 1)/rho) != 1 for every prime rho
+        of p^k - 1: one built-in pow per test on F_p.  For k >= 2 the codes
+        below p lie in F_p, whose orders divide p - 1, so the search
+        starts at p and tests batches in code order, doubling from two
+        candidates up to _TABLE_CHUNK.
         """
         n1 = self.order - 1
         exps = [n1 // rho for rho in sorted(factorize(n1))]
+        if self.k == 1:
+            for g in range(1, self.p):
+                if all(pow(g, e, self.p) != 1 for e in exps):
+                    return g
         one = self.vdigits([1])
-        lo, size = 1, 2
+        lo, size = self.p, 2
         while lo <= n1:
             codes = np.arange(lo, min(lo + size, n1 + 1))
             powers = self.vpow(self.vdigits(codes)[:, None], exps)

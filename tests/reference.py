@@ -16,7 +16,9 @@ the naive union of one orbit walk per exponent, kept as a frozenset of
 residues (`DefiningSetReference`, with its leaders), and
 `dual_defining_set_reference` is the class complement of -T.  Only the
 family names and coprimality check of `bchlab.cyclotomic` and the field
-arithmetic of `bchlab.finite_field` are common.  `field_tables_reference`
+arithmetic of `bchlab.finite_field` are common.  `irreducible_reference`
+tests a modulus by trial division, with no `bchlab` code at all, where
+`finite_field` runs Ben-Or's gcd test.  `field_tables_reference`
 builds, one polynomial multiplication per element, the exp/log tables
 that `FieldCtx` fills by doubling; `generator_reference`,
 `embed_table_reference` and `generator_poly_reference` find the
@@ -552,6 +554,27 @@ def info_set_walk_reference(ctx, echelon) -> tuple[int, tuple[int, ...],
         rest, digit = divmod(rest, q - 1)
         coef = digit + 1
     return distance, tuple(word), walked
+
+
+# ---------------------------------------------------------------------------
+# irreducibility by trial division
+
+
+def irreducible_reference(f: list[int], p: int) -> bool:
+    """Monic f over F_p (ascending coefficients) has no monic divisor of
+    degree 1..deg(f)//2: long division by every one of them."""
+    k = len(f) - 1
+    for d in range(1, k // 2 + 1):
+        for v in range(p ** d):
+            g = [v // p ** j % p for j in range(d)] + [1]
+            rem = list(f)
+            for s in range(k - d, -1, -1):
+                lead = rem[s + d]
+                for j in range(d + 1):
+                    rem[s + j] = (rem[s + j] - lead * g[j]) % p
+            if not any(rem[:d]):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

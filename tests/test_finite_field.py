@@ -1,5 +1,6 @@
 """Finite-field arithmetic: axioms, tables, roots of unity, subfield maps."""
 
+import functools
 import random
 
 import numpy as np
@@ -149,16 +150,43 @@ def test_tables_match_reference(p, k, modulus):
     assert (ctx.exp, ctx.log) == ref.field_tables_reference(ctx)
 
 
+def monic(p, k):
+    """Every monic polynomial of degree k over F_p, ascending coefficients,
+    in find_irreducible's candidate order."""
+    return [[(v // p ** j) % p for j in range(k)] + [1] for v in range(p ** k)]
+
+
+@functools.cache
 def irreducibles(p, k):
-    """Every monic irreducible of degree k over F_p, ascending coefficients."""
-    polys = ([(v // p ** j) % p for j in range(k)] + [1]
-             for v in range(p ** k))
-    return [tuple(f) for f in polys if ff._is_irreducible(f, p)]
+    """Every monic irreducible of degree k over F_p, by trial division."""
+    return [tuple(f) for f in monic(p, k) if ref.irreducible_reference(f, p)]
 
 
 def prime_powers(limit):
     return [(p, k) for p in range(2, limit + 1) if ff._is_prime(p)
             for k in range(1, 64) if p ** k <= limit]
+
+
+def mobius(n):
+    sign, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return -sign if n > 1 else sign
+
+
+def test_irreducibility_matches_trial_division():
+    for p, k in prime_powers(729):
+        got = [tuple(f) for f in monic(p, k) if ff._is_irreducible(f, p)]
+        assert got == irreducibles(p, k), (p, k)
+        # Gauss: (1/k) sum over d | k of mu(d) p^(k/d)
+        assert len(got) * k == sum(mobius(d) * p ** (k // d)
+                                   for d in range(1, k + 1) if k % d == 0)
+        assert ff.find_irreducible(p, k) == got[0]
 
 
 # extension fields F_{p^k}, k >= 2, small enough to list every modulus of
@@ -207,7 +235,8 @@ def test_generator_matches_reference():
 
 @pytest.mark.parametrize("p,k,modulus", [(3, 1, None), (3, 2, (2, 2, 1)),
                                          (2, 8, None), (7, 4, None),
-                                         (5, 3, (2, 3, 0, 1))])
+                                         (5, 3, (2, 3, 0, 1)),
+                                         (2 ** 31 - 1, 2, None)])
 def test_digit_vectors_match_poly_path(p, k, modulus):
     ctx = ff.FieldCtx(p, k, modulus=modulus)
     rng = random.Random(p * k)
@@ -216,10 +245,33 @@ def test_digit_vectors_match_poly_path(p, k, modulus):
     b = [rng.randrange(ctx.order) for _ in range(size)]
     got = ctx.vundigits(ctx.vmul(ctx.vdigits(a), ctx.vdigits(b)))
     assert got == [ref.mul_reference(ctx, x, y) for x, y in zip(a, b)]
-    for e in (0, 1, 2, 7, ctx.order - 2, ctx.order, 10 ** 9 + 7):
-        got = ctx.vundigits(ctx.vpow(ctx.vdigits(a[:40]), e))
-        assert got == [ref.pow_reference(ctx, x, e) for x in a[:40]]
+    base = [0] + a[:39]
+    n1 = ctx.order - 1
+    exps = (0, 1, 2, 7, n1 - 1, n1, ctx.order, 2 * n1, 10 ** 9 + 7)
+    for e in exps:
+        got = ctx.vundigits(ctx.vpow(ctx.vdigits(base), e))
+        assert got == [ref.pow_reference(ctx, x, e) for x in base]
+    # one exponent per column of a (B, 1, k) batch, as _find_generator asks
+    got = ctx.vpow(ctx.vdigits(base)[:, None], exps)
+    assert got.shape == (len(base), len(exps), k)
+    assert [ctx.vundigits(row) for row in got] == \
+        [[ref.pow_reference(ctx, x, e) for e in exps] for x in base]
     assert ctx.exp is None
+
+
+def test_generator_search_on_a_large_prime():
+    # k^2 p^3 >= 2^63: W and every vpow work on Python ints
+    p = 2 ** 31 - 1
+    ctx = ff.FieldCtx(p, 2)
+    assert ctx._w.dtype == object
+    n1 = ctx.order - 1
+    exps = [n1 // rho for rho in ff.factorize(n1)]
+
+    def primitive(g):
+        return all(ref.pow_reference(ctx, g, e) != 1 for e in exps)
+
+    assert primitive(ctx.generator)
+    assert not any(primitive(g) for g in range(p, ctx.generator))
 
 
 @pytest.mark.parametrize("p,k,modulus", [
