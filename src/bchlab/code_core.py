@@ -225,11 +225,15 @@ def dual_code(inst: CodeInstance) -> CodeInstance:
 
 def _times_length_poly(prod: list[int], inst: CodeInstance) -> bool:
     """Whether prod is a scalar times x^n - 1 (cyclic) or x^n + 1
-    (negacyclic), the length polynomial of inst."""
-    field = inst.field
-    sign = 1 if inst.family == CYCLIC else field.neg(1)
-    target = poly_linalg.x_pow_minus(inst.n, sign, field)
-    return bool(prod) and prod == [field.mul(prod[-1], c) for c in target]
+    (negacyclic), the length polynomial of inst: n + 1 coefficients,
+    zero between the ends, and prod[0] = -prod[n] (cyclic) or prod[n]
+    (negacyclic)."""
+    n = inst.n
+    if len(prod) != n + 1 or any(prod[1:n]):
+        return False
+    neg = inst.field.symbol_tables()[2]
+    return prod[0] == (int(neg[prod[n]]) if inst.family == CYCLIC
+                       else prod[n])
 
 
 def run_bound(positions, n: int) -> int:

@@ -43,10 +43,6 @@ class ClassTooLarge(BCHLabError):
     the class positions of a defining set would overflow int64."""
 
 
-class DivisionByZero(BCHLabError):
-    """Field or polynomial division by zero."""
-
-
 class TooManyCodewords(BCHLabError):
     """Message-space enumeration would exceed the codeword cap.
 

@@ -13,16 +13,15 @@ Determinism contract:
   order is p^k - 1 (checked against the prime factors of p^k - 1): on
   F_p by built-in `pow` from 1 up, on F_{p^k}, k >= 2, by `vpow` on
   batches in code order from p up, since the codes below p lie in F_p;
-* exp/log tables are built from that generator, on the first scalar
-  `mul`/`inv`/`pow` or `symbol_tables` call that needs them, whenever the
-  field is small enough, so repeated constructions are bit-for-bit
+* the symbol tables of `symbol_tables` are read off the modulus alone,
+  with no generator, so repeated constructions are bit-for-bit
   identical.
 
-Bulk work (the generator search, roots of unity, subfield embeddings and
-the minimal polynomials of `code_core`) runs on digit vectors instead:
-`vmul`/`vpow` multiply (..., k) arrays of base-p digits with no table,
-and `vpow` raises to the base-p digits of the exponent, one Frobenius
-matrix per digit position.
+All arithmetic runs on digit vectors: `vmul`/`vpow` multiply (..., k)
+arrays of base-p digits through the product matrix W, and `vpow` raises
+to the base-p digits of the exponent, one Frobenius matrix per digit
+position.  The q x q symbol tables of a code's symbol field come from W
+too, one F_p-linear map per element.
 """
 
 from __future__ import annotations
@@ -31,15 +30,10 @@ import math
 
 import numpy as np
 
-from .errors import (
-    BCHLabError,
-    DivisionByZero,
-    FactorizationTooLarge,
-    OrderNotDividing,
-)
+from .errors import BCHLabError, FactorizationTooLarge, OrderNotDividing
 
-TABLE_CAP = 1 << 21  # build exp/log tables when the field order is <= this
-_TABLE_CHUNK = 1 << 12  # codes turned into digit rows at once
+TABLE_CAP = 1 << 21  # most entries of a symbol table (q^2 <= this)
+_TABLE_CHUNK = 1 << 12  # rows per vmul step, and the largest generator batch
 
 _TRIAL_LIMIT = 10**6
 _RHO_ITER_CAP = 10**6
@@ -138,7 +132,7 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over F_p (int coefficient lists, ascending), for
-# find_irreducible and the scalar _mul_poly
+# Ben-Or's test of find_irreducible
 
 
 def _pmod_trim(a: list[int]) -> list[int]:
@@ -259,8 +253,7 @@ class FieldCtx:
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
         self._w = self._product_matrix()
-        self.exp: list[int] | None = None
-        self.log: list[int | None] | None = None
+        self.exp = None  # no exp table; perfbench/tracing.py reads its size
         self._symbols: tuple[np.ndarray, ...] | None = None
         self._frob: np.ndarray | None = None
         self.generator = self._find_generator()
@@ -381,90 +374,6 @@ class FieldCtx:
             self._frob = np.array(layers)
         return self._frob
 
-    # -- core arithmetic ---------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += (a % p + b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += (-a % p) % p * mult
-            a //= p
-            mult *= p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        prod = _prem(_pmul(self.digits(a), self.digits(b), self.p),
-                     list(self.modulus), self.p)
-        return self.undigits(prod + [0] * (self.k - len(prod)))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.k == 1:
-            return a * b % self.p
-        if self.tables():
-            return self.exp[(self.log[a] + self.log[b]) % (self.order - 1)]
-        return self._mul_poly(a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        if self.tables():
-            return self.exp[(-self.log[a]) % (self.order - 1)]
-        return self.pow(a, self.order - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise DivisionByZero("0 to a negative power")
-            return 0
-        e %= self.order - 1
-        if self.k == 1:
-            return pow(a, e, self.p)
-        if self.tables():
-            return self.exp[self.log[a] * e % (self.order - 1)]
-        result = 1
-        b = a
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, b)
-            b = self._mul_poly(b, b)
-            e >>= 1
-        return result
-
-    def tables(self) -> tuple[list[int], list[int | None]] | None:
-        """(exp, log) of the generator, built on first use.
-
-        None when the order is above TABLE_CAP; scalar arithmetic then
-        multiplies polynomials.
-        """
-        if self.exp is None and self.order <= TABLE_CAP:
-            self._build_tables()
-        return None if self.exp is None else (self.exp, self.log)
-
     def symbol_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray]:
         """(add, mul, neg, inv) as read-only int64 code arrays, built once.
@@ -472,24 +381,24 @@ class FieldCtx:
         add and mul are q x q tables, neg and inv vectors of length q
         (inv[0] = 0).  They are meant for the symbol field of a code:
         raises BCHLabError, before allocating, when q^2 > TABLE_CAP.
+        Multiplication by b is F_p-linear on digit vectors, and row j of
+        its matrix holds the digits of x^j b, a combination of the rows
+        of W; the digits of every a times that matrix give row b of mul.
+        inv[a] is the b with mul[a, b] = 1 (row 0 has none, so 0).
         """
         if self._symbols is None:
-            q, p = self.order, self.p
+            q, p, k = self.order, self.p, self.k
             if q * q > TABLE_CAP:
                 raise BCHLabError(
                     f"symbol tables of F_{q} would hold {q * q} entries, "
                     f"over TABLE_CAP = {TABLE_CAP}")
-            place = p ** np.arange(self.k, dtype=np.int64)
+            place = p ** np.arange(k, dtype=np.int64)
             digits = np.arange(q, dtype=np.int64)[:, None] // place % p
             add = (digits[:, None] + digits[None, :]) % p @ place
             neg = (-digits % p) @ place
-            self.tables()
-            exp = np.array(self.exp, dtype=np.int64)
-            log = np.array([0] + self.log[1:], dtype=np.int64)
-            mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
-            mul[0, :] = mul[:, 0] = 0
-            inv = exp[-log % (q - 1)]
-            inv[0] = 0
+            maps = np.tensordot(digits, self._w.reshape(k, k, k), axes=1) % p
+            mul = digits @ maps % p @ place
+            inv = (mul == 1).argmax(axis=1)
             for table in (add, mul, neg, inv):
                 table.flags.writeable = False
             self._symbols = (add, mul, neg, inv)
@@ -537,47 +446,6 @@ class FieldCtx:
                 return int(codes[ok.argmax()])
             lo, size = lo + size, min(2 * size, _TABLE_CHUNK)
         raise RuntimeError("unreachable: F_q* is cyclic")
-
-    def _build_tables(self) -> None:
-        if self.k == 1:
-            exp = [0] * (self.order - 1)
-            x = 1
-            for i in range(self.order - 1):
-                exp[i] = x
-                x = x * self.generator % self.p
-            codes = np.array(exp, dtype=np.int64)
-        else:
-            codes = self._exp_by_doubling()
-            exp = codes.tolist()
-        log = np.empty(self.order, dtype=np.int64)
-        log[codes] = np.arange(self.order - 1)  # 0 is no power of g
-        self.exp = exp
-        self.log = log.tolist()
-        self.log[0] = None
-
-    def _exp_by_doubling(self) -> np.ndarray:
-        """Codes of g^0, ..., g^(order-2) as one int64 array.
-
-        With exp[0:s] known, exp[s:2s] = exp[0:s] * g^s.  Multiplying by
-        the fixed element h = g^s is F_p-linear on coefficient vectors:
-        row j of its matrix holds the digits of x^j * h, so a digit row
-        vector times the matrix (mod p) gives the digits of the product.
-        Digits exist only per chunk of _TABLE_CHUNK codes.
-        """
-        p, k, n1 = self.p, self.k, self.order - 1
-        place = p ** np.arange(k, dtype=np.int64)
-        cube = self._w.reshape(k, k, k)  # cube[i, j] = digits of x^(i+j)
-        exp = np.empty(n1, dtype=np.int64)
-        exp[0] = 1
-        s, h = 1, self.vdigits([self.generator])[0]
-        while s < n1:
-            mat = np.tensordot(h, cube, axes=1) % p  # row j: x^j * h
-            for lo in range(0, min(s, n1 - s), _TABLE_CHUNK):
-                hi = min(lo + _TABLE_CHUNK, s, n1 - s)
-                digits = exp[lo:hi, None] // place % p
-                exp[s + lo:s + hi] = digits @ mat % p @ place
-            s, h = 2 * s, self.vmul(h, h)
-        return exp
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, k={self.k}, modulus={self.modulus})"
@@ -653,13 +521,6 @@ class SubfieldMap:
         # a = sum_j d_j x^j maps to sum_j d_j rho^j, d_j in F_p
         images = small.vdigits(range(small.order)) @ np.array(rho_pows)
         return big.vundigits(images % big.p)
-
-    def embed(self, a: int) -> int:
-        return self.embed_table[a]
-
-    def lift(self, a: int) -> int:
-        """Inverse of embed; raises KeyError if a is outside the subfield."""
-        return self.lift_table[a]
 
 
 _SUBFIELD_CACHE: dict[tuple, SubfieldMap] = {}

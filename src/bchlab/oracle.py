@@ -607,11 +607,12 @@ def _dependency_word(support: list[int], checks: np.ndarray,
     negated entry of the free column in its pivot row.
     """
     pivots, rref = poly_linalg.row_reduce(checks[:, support], field)
+    neg = field.symbol_tables()[2]
     free = next(j for j in range(len(support)) if j not in pivots)
     word = [0] * checks.shape[1]
     word[support[free]] = 1
     for i, j in enumerate(pivots):
-        word[support[j]] = field.neg(int(rref[i, free]))
+        word[support[j]] = int(neg[rref[i, free]])
     return word
 
 

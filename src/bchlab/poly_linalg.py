@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivisionByZero
 from .finite_field import FieldCtx
 
 
@@ -17,15 +16,6 @@ def ptrim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def padd(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, c in enumerate(b):
-        out[i] = ctx.add(out[i], c)
-    return ptrim(out)
 
 
 def pmul(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
@@ -48,41 +38,6 @@ def pmul(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
         diagonals = shifted.ravel()[:rows * width].reshape(rows, width)
         out += diagonals.sum(axis=0) % p * place
     return ptrim(out.tolist())
-
-
-def pdivmod(a: list[int], b: list[int],
-            ctx: FieldCtx) -> tuple[list[int], list[int]]:
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    a = a[:]
-    db, lead = len(b) - 1, b[-1]
-    lead_inv = ctx.inv(lead)
-    if len(a) - 1 < db:
-        return [], ptrim(a)
-    quot = [0] * (len(a) - db)
-    while a and len(a) - 1 >= db:
-        c = ctx.mul(a[-1], lead_inv)
-        shift = len(a) - 1 - db
-        quot[shift] = c
-        for j in range(db + 1):
-            a[shift + j] = ctx.sub(a[shift + j], ctx.mul(c, b[j]))
-        ptrim(a)
-    return ptrim(quot), a
-
-
-def peval(a: list[int], x: int, ctx: FieldCtx) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
-
-
-def x_pow_minus(n: int, const: int, ctx: FieldCtx) -> list[int]:
-    """x^n - const."""
-    out = [0] * (n + 1)
-    out[0] = ctx.neg(const)
-    out[n] = 1
-    return out
 
 
 def _codes(matrix, ctx: FieldCtx) -> np.ndarray:

@@ -15,19 +15,25 @@ which are sorted arrays of class positions: `defining_set_reference` is
 the naive union of one orbit walk per exponent, kept as a frozenset of
 residues (`DefiningSetReference`, with its leaders), and
 `dual_defining_set_reference` is the class complement of -T.  Only the
-family names and coprimality check of `bchlab.cyclotomic` and the field
-arithmetic of `bchlab.finite_field` are common.  `irreducible_reference`
-tests a modulus by trial division, with no `bchlab` code at all, where
-`finite_field` runs Ben-Or's gcd test.  `field_tables_reference`
-builds, one polynomial multiplication per element, the exp/log tables
-that `FieldCtx` fills by doubling; `generator_reference`,
-`embed_table_reference` and `generator_poly_reference` find the
-generator, the subfield embedding and the generator polynomial of a code
-one scalar multiplication at a time, where `FieldCtx` and `code_core` work
-on batches of digit vectors.  `rank_reference` reduces rows
-with the scalar `FieldCtx` calls instead of the symbol tables, and
-`pmul_reference` multiplies polynomials one scalar `mul` and `add` per
-coefficient pair, where `poly_linalg.pmul` is one convolution on them.
+family names and coprimality check of `bchlab.cyclotomic` and
+`bchlab.finite_field.factorize` are common.  The field arithmetic is
+`ScalarField`, which reads only p, k and the modulus of a `FieldCtx`: one
+element at a time, a product being the schoolbook product of two digit
+polynomials reduced by the modulus, where `FieldCtx` multiplies batches of
+digit vectors through its product matrix W and reads its symbol tables
+off W.  `padd`, `pdivmod`, `peval` and `x_pow_minus` are polynomials on
+it, for the tests that check generator polynomials by division and
+evaluation.  `irreducible_reference` tests a modulus by trial division,
+with no `bchlab` code at all, where `finite_field` runs Ben-Or's gcd
+test.  `generator_reference`, `embed_table_reference` and
+`generator_poly_reference` find the generator, the subfield embedding
+(from the `FieldCtx` generator, the one other attribute read) and the
+generator polynomial of a code one scalar multiplication at a time,
+where `FieldCtx` and `code_core` work on batches of digit vectors.
+`rank_reference` reduces rows with scalar calls instead of the symbol
+tables, and `pmul_reference` multiplies polynomials one scalar `mul` and
+`add` per coefficient pair, where `poly_linalg.pmul` is one convolution
+on them.
 `check_search_reference` is the check-matrix search with every node
 reducing its column against every pivot and every leaf walked, where
 `min_distance_via_checks` reduces each column once per level and settles
@@ -47,6 +53,7 @@ time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -355,7 +362,8 @@ def gray_walk_reference(ctx, rows: list[list[int]], start: int,
     a single row addition to the running codeword.  The changed digit at
     step i is the number of trailing q-1 digits of i - 1.
     """
-    p, kf, q = ctx.p, ctx.k, ctx.order
+    f = scalar_field(ctx)
+    p, kf, q = f.p, f.k, f.order
     k = len(rows)
     n = len(rows[0])
     word = _gray_word(start, q, k)
@@ -370,19 +378,10 @@ def gray_walk_reference(ctx, rows: list[list[int]], start: int,
     else:
         # extension field: digit c means the field multiple mul(c, row),
         # so a digit step c -> c+1 adds the precomputed difference vector
-        add = np.zeros((q, q), dtype=np.int16)
-        for a in range(q):
-            for b in range(q):
-                add[a, b] = ctx.add(a, b)
-        scaled = np.zeros((k, q, n), dtype=np.int16)
-        diff = np.zeros((k, q, n), dtype=np.int16)
-        for r in range(k):
-            for c in range(q):
-                scaled[r, c] = [ctx.mul(c, x) for x in rows[r]]
-        for r in range(k):
-            for c in range(q):
-                diff[r, c] = [ctx.sub(int(a), int(b)) for a, b in
-                              zip(scaled[r, (c + 1) % q], scaled[r, c])]
+        add, mul, neg = (np.array(t, dtype=np.int16) for t in f.tables[:3])
+        # scaled[r, c]: c times row r
+        scaled = mul[:, np.array(rows)].transpose(1, 0, 2)
+        diff = add[np.roll(scaled, -1, axis=1), neg[scaled]]
         cw = np.zeros(n, dtype=np.int16)
         for j, gj in enumerate(word):
             if gj:
@@ -419,14 +418,14 @@ def info_set_reference(ctx, rows: list[list[int]]) -> list[int | None]:
     """best[t]: least weight of a word with 1..t nonzeros on [0, k).
 
     Every one of the q^k messages is multiplied out against the rows, as
-    they are (no systematic form), with q x q tables built from scalar
-    FieldCtx calls; a word's information weight is its number of nonzeros
-    on the first k coordinates.  best[0] is None, and best[k] is the
-    minimum distance.
+    they are (no systematic form), with the q x q tables of the scalar
+    field; a word's information weight is its number of nonzeros on the
+    first k coordinates.  best[0] is None, and best[k] is the minimum
+    distance.
     """
-    q, k = ctx.order, len(rows)
-    add = np.array([[ctx.add(a, b) for b in range(q)] for a in range(q)])
-    mul = np.array([[ctx.mul(a, b) for b in range(q)] for a in range(q)])
+    f = scalar_field(ctx)
+    q, k = f.order, len(rows)
+    add, mul = (np.array(t) for t in f.tables[:2])
     mat = np.array(rows)
     best: list[int | None] = [None] * (k + 1)
     for lo in range(1, q ** k, 4096):
@@ -517,16 +516,17 @@ def info_set_walk_reference(ctx, echelon) -> tuple[int, tuple[int, ...],
     unranked from its index and summed from t scaled parity rows; the
     walk stops as min_distance(..., shift_invariant=True) does, once
     ceil(t n / k) reaches the best weight.  The word is rebuilt with
-    scalar FieldCtx calls.
+    scalar field calls.
     """
-    p, kf, q = ctx.p, ctx.k, ctx.order
+    f = scalar_field(ctx)
+    p, kf, q = f.p, f.k, f.order
     pivots, form = echelon
     k = len(pivots)
     assert list(pivots) == list(range(k)), "the information set is [0, k)"
     parity = np.asarray(form, dtype=np.int64)[:, k:]
     r = parity.shape[1]
     n = k + r
-    mul = np.array([[ctx.mul(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array(f.tables[1])
     prod = mul[:, parity].transpose(1, 0, 2)  # [j, c]: c times row j
     scaled = np.concatenate([prod // p ** i % p for i in range(kf)],
                             axis=2).astype(np.uint8)
@@ -549,8 +549,8 @@ def info_set_walk_reference(ctx, echelon) -> tuple[int, tuple[int, ...],
     for pos in _unrank_supports(binom, np.array([rank]))[0].tolist():
         word[pos] = coef
         for x in range(r):
-            word[k + x] = ctx.add(word[k + x],
-                                  ctx.mul(coef, int(parity[pos, x])))
+            word[k + x] = f.add(word[k + x],
+                                f.mul(coef, int(parity[pos, x])))
         rest, digit = divmod(rest, q - 1)
         coef = digit + 1
     return distance, tuple(word), walked
@@ -578,21 +578,156 @@ def irreducible_reference(f: list[int], p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exp/log tables, one field multiplication per element
+# scalar field arithmetic, one schoolbook product at a time
+
+class ScalarField:
+    """F_{p^k} one int-coded element at a time, from p, k and the modulus.
+
+    A code is the base-p digit string of a polynomial, constant term
+    first, as in `bchlab.finite_field`.  Sums and negatives go digit by
+    digit mod p; a product is the schoolbook product of two digit
+    polynomials, reduced by long division by the monic modulus; an
+    inverse is a^(q - 2).
+    """
+
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        self.p, self.k, self.modulus = p, k, modulus
+        self.order = p ** k
+
+    def digits(self, a: int) -> list[int]:
+        out = []
+        for _ in range(self.k):
+            a, d = divmod(a, self.p)
+            out.append(d)
+        return out
+
+    def undigits(self, ds: list[int]) -> int:
+        a = 0
+        for d in reversed(ds):
+            a = a * self.p + d % self.p
+        return a
+
+    def add(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a + b) % self.p
+        return self.undigits([x + y for x, y in
+                              zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a: int) -> int:
+        return self.undigits([-x for x in self.digits(a)])
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return a * b % self.p
+        k, f = self.k, self.modulus
+        prod = [0] * (2 * k - 1)
+        db = self.digits(b)
+        for i, x in enumerate(self.digits(a)):
+            if x:
+                for j, y in enumerate(db):
+                    prod[i + j] += x * y
+        for s in range(k - 2, -1, -1):  # clear x^(s+k) with x^s f
+            lead = prod[s + k] % self.p
+            for j in range(k + 1):
+                prod[s + j] -= lead * f[j]
+        return self.undigits(prod[:k])
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e, e >= 0, by square-and-multiply."""
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return self.pow(a, self.order - 2)
+
+    @functools.cached_property
+    def tables(self) -> tuple[list[list[int]], list[list[int]], list[int],
+                              list[int]]:
+        """(add, mul, neg, inv) as nested lists, one call per entry;
+        inv[0] = 0."""
+        q = range(self.order)
+        return ([[self.add(a, b) for b in q] for a in q],
+                [[self.mul(a, b) for b in q] for a in q],
+                [self.neg(a) for a in q],
+                [self.inv(a) if a else 0 for a in q])
 
 
-def field_tables_reference(ctx) -> tuple[list[int], list[int | None]]:
-    """exp/log tables of ctx's generator, built one element at a time."""
-    n1 = ctx.order - 1
-    exp = [0] * n1
-    log: list[int | None] = [None] * ctx.order
-    x = 1
-    for i in range(n1):
-        exp[i] = x
-        log[x] = i
-        x = ctx._mul_poly(x, ctx.generator) if ctx.k > 1 \
-            else x * ctx.generator % ctx.p
-    return exp, log
+@functools.cache
+def _scalar_field(p: int, k: int, modulus: tuple[int, ...]) -> ScalarField:
+    return ScalarField(p, k, modulus)
+
+
+def scalar_field(ctx) -> ScalarField:
+    """The ScalarField of a FieldCtx's p, k and modulus, one per field."""
+    return _scalar_field(ctx.p, ctx.k, tuple(ctx.modulus))
+
+
+# ---------------------------------------------------------------------------
+# polynomials over the scalar field (int codes, lowest degree first)
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def padd(a: list[int], b: list[int], ctx) -> list[int]:
+    f = scalar_field(ctx)
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, c in enumerate(b):
+        out[i] = f.add(out[i], c)
+    return _trim(out)
+
+
+def pdivmod(a: list[int], b: list[int], ctx) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by b != 0, by long division."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    f = scalar_field(ctx)
+    a = a[:]
+    db = len(b) - 1
+    lead_inv = f.inv(b[-1])
+    if len(a) - 1 < db:
+        return [], _trim(a)
+    quot = [0] * (len(a) - db)
+    while a and len(a) - 1 >= db:
+        c = f.mul(a[-1], lead_inv)
+        shift = len(a) - 1 - db
+        quot[shift] = c
+        for j in range(db + 1):
+            a[shift + j] = f.sub(a[shift + j], f.mul(c, b[j]))
+        _trim(a)
+    return _trim(quot), a
+
+
+def peval(a: list[int], x: int, ctx) -> int:
+    """a(x) by Horner's rule."""
+    f = scalar_field(ctx)
+    acc = 0
+    for c in reversed(a):
+        acc = f.add(f.mul(acc, x), c)
+    return acc
+
+
+def x_pow_minus(n: int, const: int, ctx) -> list[int]:
+    """x^n - const."""
+    out = [0] * (n + 1)
+    out[0] = scalar_field(ctx).neg(const)
+    out[n] = 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -601,27 +736,13 @@ def field_tables_reference(ctx) -> tuple[list[int], list[int | None]]:
 # `FieldCtx` and `code_core` compute on batches of digit vectors
 
 
-def mul_reference(ctx, a: int, b: int) -> int:
-    return ctx._mul_poly(a, b) if ctx.k > 1 else a * b % ctx.p
-
-
-def pow_reference(ctx, a: int, e: int) -> int:
-    """a^e, e >= 0, by square-and-multiply on mul_reference."""
-    result = 1
-    while e:
-        if e & 1:
-            result = mul_reference(ctx, result, a)
-        a = mul_reference(ctx, a, a)
-        e >>= 1
-    return result
-
-
 def generator_reference(ctx) -> int:
     """First code in code order whose order is p^k - 1."""
-    n1 = ctx.order - 1
+    f = scalar_field(ctx)
+    n1 = f.order - 1
     primes = sorted(factorize(n1))
-    for g in range(1, ctx.order):
-        if all(pow_reference(ctx, g, n1 // rho) != 1 for rho in primes):
+    for g in range(1, f.order):
+        if all(f.pow(g, n1 // rho) != 1 for rho in primes):
             return g
     raise AssertionError("F_q* is cyclic")
 
@@ -629,27 +750,28 @@ def generator_reference(ctx) -> int:
 def embed_table_reference(small, big) -> list[int]:
     """Codes of small's elements in big: x goes to the smallest root (in
     code order) of small's modulus among the powers of g^((Q-1)/(q-1))."""
-    if small.k == 1:
-        return list(range(small.p))
-    sub_order = small.order - 1
-    h = pow_reference(big, big.generator, (big.order - 1) // sub_order)
+    sf, bf = scalar_field(small), scalar_field(big)
+    if sf.k == 1:
+        return list(range(sf.p))
+    sub_order = sf.order - 1
+    h = bf.pow(big.generator, (bf.order - 1) // sub_order)
     roots = []
     x = 1
     for _ in range(sub_order):
         acc = 0
-        for c in reversed(small.modulus):
-            acc = big.add(mul_reference(big, acc, x), c)
+        for c in reversed(sf.modulus):
+            acc = bf.add(bf.mul(acc, x), c)
         if acc == 0:
             roots.append(x)
-        x = mul_reference(big, x, h)
+        x = bf.mul(x, h)
     rho_pows = [1]
-    for _ in range(small.k - 1):
-        rho_pows.append(mul_reference(big, rho_pows[-1], min(roots)))
+    for _ in range(sf.k - 1):
+        rho_pows.append(bf.mul(rho_pows[-1], min(roots)))
     table = []
-    for a in range(small.order):
+    for a in range(sf.order):
         img = 0
-        for d, rp in zip(small.digits(a), rho_pows):
-            img = big.add(img, mul_reference(big, d, rp))
+        for d, rp in zip(sf.digits(a), rho_pows):
+            img = bf.add(img, bf.mul(d, rp))
         table.append(img)
     return table
 
@@ -661,17 +783,18 @@ def minimal_polynomial_reference(elem: int, big, small) -> list[int]:
     (q = small.order), lifted through embed_table_reference; raises
     CoefficientNotInSubfield when a coefficient is not in small.
     """
-    q = small.order
+    bf = scalar_field(big)
+    q = scalar_field(small).order
     orbit = [elem]
-    y = pow_reference(big, elem, q)
+    y = bf.pow(elem, q)
     while y != elem:
         orbit.append(y)
-        y = pow_reference(big, y, q)
+        y = bf.pow(y, q)
     poly = [1]
     for e in orbit:  # poly *= x - e
         shifted = [0] + poly
         for i, c in enumerate(poly):
-            shifted[i] = big.sub(shifted[i], mul_reference(big, e, c))
+            shifted[i] = bf.sub(shifted[i], bf.mul(e, c))
         poly = shifted
     lift = {img: a for a, img in enumerate(embed_table_reference(small, big))}
     if any(c not in lift for c in poly):
@@ -685,8 +808,8 @@ def generator_poly_reference(t: DefiningSetReference, extension, field,
     """Product over the leaders j of the minimal polynomial of beta^j."""
     gen = [1]
     for j in t.leaders():
-        mp = minimal_polynomial_reference(pow_reference(extension, beta, j),
-                                          extension, field)
+        mp = minimal_polynomial_reference(
+            scalar_field(extension).pow(beta, j), extension, field)
         gen = pmul_reference(gen, mp, field)
     return gen
 
@@ -696,22 +819,22 @@ def generator_poly_reference(t: DefiningSetReference, extension, field,
 
 
 def pmul_reference(a: list[int], b: list[int], ctx) -> list[int]:
-    """a * b, one scalar FieldCtx mul and add per coefficient pair."""
+    """a * b, one scalar mul and add per coefficient pair."""
     if not a or not b:
         return []
+    f = scalar_field(ctx)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
         for j, bj in enumerate(b):
             if bj:
-                out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+                out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+    return _trim(out)
 
 
 def rank_reference(rows: list[list[int]], ctx) -> int:
+    f = scalar_field(ctx)
     nrows, ncols = len(rows), len(rows[0])
     r = 0
     for c in range(ncols):
@@ -721,12 +844,12 @@ def rank_reference(rows: list[list[int]], ctx) -> int:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ctx.inv(rows[r][c])
-        rows[r] = [ctx.mul(inv, v) for v in rows[r]]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, v) for v in rows[r]]
         for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if f:
-                rows[i] = [ctx.sub(vi, ctx.mul(f, vr))
+            factor = rows[i][c]
+            if factor:
+                rows[i] = [f.sub(vi, f.mul(factor, vr))
                            for vi, vr in zip(rows[i], rows[r])]
         r += 1
     return r
@@ -752,7 +875,7 @@ def check_search_reference(checks: np.ndarray, field,
     """
     rows, n = checks.shape
     cols = [[int(checks[i][j]) for i in range(rows)] for j in range(n)]
-    add, mul, neg, inv = (t.tolist() for t in field.symbol_tables())
+    add, mul, neg, inv = scalar_field(field).tables
     limit = max_weight if max_weight is not None else n
     nodes = 0
     for w in range(1, limit + 1):

@@ -111,13 +111,14 @@ def test_realize_structure():
         assert len(g) - 1 + inst.dim == n
         assert g[-1] == 1  # monic
         # g divides x^n - lambda over F_q
-        lam = 1 if fam == CYCLIC else inst.field.neg(1)
-        xn = pl.x_pow_minus(n, lam, inst.field)
-        assert pl.pdivmod(xn, g, inst.field)[1] == []
+        lam = 1 if fam == CYCLIC else ref.scalar_field(inst.field).neg(1)
+        xn = ref.x_pow_minus(n, lam, inst.field)
+        assert ref.pdivmod(xn, g, inst.field)[1] == []
         # beta has exact order rn
-        assert inst.extension.pow(inst.beta, rn) == 1
+        ext = ref.scalar_field(inst.extension)
+        assert ext.pow(inst.beta, rn) == 1
         for p in ff.factorize(rn):
-            assert inst.extension.pow(inst.beta, rn // p) != 1
+            assert ext.pow(inst.beta, rn // p) != 1
 
 
 def test_generator_roots_are_exactly_t():
@@ -126,12 +127,12 @@ def test_generator_roots_are_exactly_t():
                          (5, 2, CYCLIC, 8), (9, 2, CYCLIC, 2)]:
         inst = realized(q, m, fam, d)
         sm = ff.get_subfield_map(inst.field, inst.extension)
-        lifted = [sm.embed(c) for c in inst.gen_poly]
+        lifted = [sm.embed_table[c] for c in inst.gen_poly]
+        ext = ref.scalar_field(inst.extension)
         want = ref.defining_set_reference(q, m, fam, d)
         assert inst.t.tolist() == want.positions()
         for j in want.class_residues():
-            val = pl.peval(lifted, inst.extension.pow(inst.beta, j),
-                           inst.extension)
+            val = ref.peval(lifted, ext.pow(inst.beta, j), inst.extension)
             assert (val == 0) == (j in want)
 
 
@@ -162,8 +163,8 @@ def test_generator_poly_matches_reference():
         assert e.modulus != ff.find_irreducible(3, e.k)
     for inst in insts:
         ext, fld, rn = inst.extension, inst.field, inst.r * inst.n
-        assert inst.beta == ref.pow_reference(ext, ext.generator,
-                                              (ext.order - 1) // rn)
+        assert inst.beta == ref.scalar_field(ext).pow(
+            ext.generator, (ext.order - 1) // rn)
         dual = cc.dual_code(inst)
         spec = inst.spec
         t = ref.defining_set_reference(spec.q, spec.m, spec.family,
@@ -181,7 +182,7 @@ def test_realize_builds_no_extension_tables(monkeypatch):
     inst = cc.realize(cc.CodeSpec(7, 3, NEGACYCLIC, 2))
     cc.dual_code(inst)
     assert inst.extension.order == 7 ** 6
-    assert inst.extension.exp is None
+    assert inst.extension._symbols is None
 
 
 def test_generator_poly_rejects_coefficients_outside_the_field():
@@ -204,11 +205,12 @@ def test_generator_matrix_shape_and_rank():
 
 
 def matrix_product_is_zero(a, b, ctx):
+    scalar = ref.scalar_field(ctx)
     for row in a:
         for col in b:
             acc = 0
             for x, y in zip(row, col):
-                acc = ctx.add(acc, ctx.mul(int(x), int(y)))
+                acc = scalar.add(acc, scalar.mul(int(x), int(y)))
             if acc:
                 return False
     return True
@@ -245,12 +247,34 @@ def test_dual_code_rejects_a_perturbed_dual(monkeypatch, q, m, fam, d):
 
         def perturbed(*args):
             gen = real(*args)
-            gen[0] = fld.add(gen[0], fld.p ** s)
+            gen[0] = ref.scalar_field(fld).add(gen[0], fld.p ** s)
             return gen
 
         monkeypatch.setattr(cc, "_generator_poly", perturbed)
         with pytest.raises(AssertionError, match="not orthogonal"):
             cc.dual_code(inst)
+
+
+@pytest.mark.parametrize("q,m,fam,d", [(3, 2, CYCLIC, 3), (9, 2, CYCLIC, 2),
+                                       (3, 3, NEGACYCLIC, 2),
+                                       (7, 2, NEGACYCLIC, 6)])
+def test_times_length_poly(q, m, fam, d):
+    inst = realized(q, m, fam, d)
+    scalar = ref.scalar_field(inst.field)
+    n = inst.n
+    for c in range(1, q):
+        low = scalar.neg(c) if fam == CYCLIC else c
+        good = [low] + [0] * (n - 1) + [c]
+        assert cc._times_length_poly(good, inst) is True
+        # the other family's length polynomial
+        wrong = [scalar.neg(low)] + good[1:]
+        assert cc._times_length_poly(wrong, inst) is False
+    for i in range(1, n):
+        middle = good[:]
+        middle[i] = 1
+        assert cc._times_length_poly(middle, inst) is False
+    for bad in ([], [low], [low, c], good[:n], good + [c]):
+        assert cc._times_length_poly(bad, inst) is False
 
 
 def test_dual_check_matches_matrix_orthogonality():
@@ -274,7 +298,7 @@ def test_dual_check_matches_matrix_orthogonality():
             spec
         # a wrong generator of the same degree: both say no
         wrong = dual.gen_poly[:]
-        wrong[0] = inst.field.add(wrong[0], 1)
+        wrong[0] = ref.scalar_field(inst.field).add(wrong[0], 1)
         bad = dataclasses.replace(dual, gen_poly=wrong)
         assert product_says(inst, bad) is matrices_say(inst, bad) is False, \
             spec

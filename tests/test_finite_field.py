@@ -1,7 +1,11 @@
-"""Finite-field arithmetic: axioms, tables, roots of unity, subfield maps."""
+"""Finite fields: construction, digit vectors, symbol tables, roots of
+unity and subfield maps."""
 
 import functools
+import importlib.util
+import pathlib
 import random
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchlab import finite_field as ff
-from bchlab.errors import BCHLabError, DivisionByZero, OrderNotDividing
+from bchlab.errors import BCHLabError, OrderNotDividing
 
 import reference as ref
 
@@ -74,22 +78,20 @@ def field_sample(ctx, limit=12):
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 4), (5, 2), (7, 2)])
 def test_field_axioms(p, k):
     ctx = ff.get_field(p, k)
+    add, mul, neg, inv = (t.tolist() for t in ctx.symbol_tables())
     xs = field_sample(ctx)
     for a in xs:
-        assert ctx.add(a, 0) == a
-        assert ctx.mul(a, 1) == a
-        assert ctx.add(a, ctx.neg(a)) == 0
-        assert ctx.sub(a, a) == 0
+        assert add[a][0] == a
+        assert mul[a][1] == a
+        assert add[a][neg[a]] == 0
         if a:
-            assert ctx.mul(a, ctx.inv(a)) == 1
+            assert mul[a][inv[a]] == 1
         for b in xs:
-            assert ctx.add(a, b) == ctx.add(b, a)
-            assert ctx.mul(a, b) == ctx.mul(b, a)
+            assert add[a][b] == add[b][a]
+            assert mul[a][b] == mul[b][a]
             for c in xs[:5]:
-                assert ctx.mul(a, ctx.add(b, c)) == \
-                    ctx.add(ctx.mul(a, b), ctx.mul(a, c))
-                assert ctx.mul(a, ctx.mul(b, c)) == \
-                    ctx.mul(ctx.mul(a, b), c)
+                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+                assert mul[a][mul[b][c]] == mul[mul[a][b]][c]
 
 
 def test_digits_roundtrip():
@@ -100,54 +102,14 @@ def test_digits_roundtrip():
         assert ctx.undigits(ds) == a
 
 
-def test_division_by_zero():
-    ctx = ff.get_field(3, 2)
-    with pytest.raises(DivisionByZero):
-        ctx.inv(0)
-    with pytest.raises(DivisionByZero):
-        ctx.pow(0, -1)
-
-
 def test_pow_matches_repeated_mul():
     ctx = ff.get_field(5, 2)
     for a in (0, 1, 2, 7, 24):
-        acc = 1
+        x = ctx.vdigits([a])
+        acc = ctx.vdigits([1])
         for e in range(9):
-            assert ctx.pow(a, e) == acc
-            acc = ctx.mul(acc, a)
-    assert ctx.mul(ctx.pow(2, -3), ctx.pow(2, 3)) == 1
-
-
-def test_tables_match_poly_path():
-    ctx = ff.get_field(3, 2)
-    for a in range(9):
-        for b in range(9):
-            assert ctx.mul(a, b) == ctx._mul_poly(a, b)
-    assert ctx.exp is not None  # small field: the first mul built tables
-    # random pairs in F_{7^4} and in F_{5^3} = F_5[x]/(x^3 + 3x + 2), a
-    # modulus other than the default x^3 + x + 1
-    rng = random.Random(5)
-    for ctx in (ff.get_field(7, 4), ff.FieldCtx(5, 3, modulus=(2, 3, 0, 1))):
-        for _ in range(2000):
-            a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
-            assert ctx.mul(a, b) == ctx._mul_poly(a, b)
-
-
-# several doubling steps, a last step shorter than the one before, and
-# (on F_{3^10}, F_{7^6}) chunk boundaries off the step boundaries
-TABLE_FIELDS = [(2, 8, None), (3, 2, None), (3, 2, (2, 2, 1)), (3, 5, None),
-                (3, 10, None), (5, 4, None), (7, 4, None), (7, 6, None),
-                (11, 3, None), (13, 2, None), (5, 3, (2, 3, 0, 1)),
-                (7, 1, None), (11, 1, None)]
-
-
-@pytest.mark.parametrize("p,k,modulus", TABLE_FIELDS)
-def test_tables_match_reference(p, k, modulus):
-    ctx = ff.get_field(p, k) if modulus is None \
-        else ff.FieldCtx(p, k, modulus=modulus)
-    assert modulus is None or ctx.modulus != ff.find_irreducible(p, k)
-    ctx.tables()  # built on first use
-    assert (ctx.exp, ctx.log) == ref.field_tables_reference(ctx)
+            assert (ctx.vpow(x, e) == acc).all()
+            acc = ctx.vmul(acc, x)
 
 
 def monic(p, k):
@@ -208,9 +170,12 @@ def field_and_triples(draw):
 @given(field_and_triples())
 def test_field_axioms_on_drawn_moduli(case):
     ctx, triples = case
-    ctx.tables()
-    assert (ctx.exp, ctx.log) == ref.field_tables_reference(ctx)
     add, mul, neg, inv = (t.tolist() for t in ctx.symbol_tables())
+    scalar = ref.scalar_field(ctx)
+    for a in {a for a, _, _ in triples}:
+        assert mul[a] == [scalar.mul(a, b) for b in range(ctx.order)]
+    assert inv[0] == 0
+    assert all(scalar.mul(a, inv[a]) == 1 for a in range(1, ctx.order))
     for a, b, c in triples:
         assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
         assert add[add[a][b]][c] == add[a][add[b][c]]
@@ -229,7 +194,6 @@ def test_generator_matches_reference():
     assert len(fields) > 6000
     assert (2, 2, 1) in [f.modulus for f in fields]
     for ctx in fields:
-        assert ctx.exp is None  # no tables at construction
         assert ctx.generator == ref.generator_reference(ctx), ctx
 
 
@@ -243,20 +207,20 @@ def test_digit_vectors_match_poly_path(p, k, modulus):
     size = ff._TABLE_CHUNK + 300  # more rows than one chunk
     a = [rng.randrange(ctx.order) for _ in range(size)]
     b = [rng.randrange(ctx.order) for _ in range(size)]
+    scalar = ref.scalar_field(ctx)
     got = ctx.vundigits(ctx.vmul(ctx.vdigits(a), ctx.vdigits(b)))
-    assert got == [ref.mul_reference(ctx, x, y) for x, y in zip(a, b)]
+    assert got == [scalar.mul(x, y) for x, y in zip(a, b)]
     base = [0] + a[:39]
     n1 = ctx.order - 1
     exps = (0, 1, 2, 7, n1 - 1, n1, ctx.order, 2 * n1, 10 ** 9 + 7)
     for e in exps:
         got = ctx.vundigits(ctx.vpow(ctx.vdigits(base), e))
-        assert got == [ref.pow_reference(ctx, x, e) for x in base]
+        assert got == [scalar.pow(x, e) for x in base]
     # one exponent per column of a (B, 1, k) batch, as _find_generator asks
     got = ctx.vpow(ctx.vdigits(base)[:, None], exps)
     assert got.shape == (len(base), len(exps), k)
     assert [ctx.vundigits(row) for row in got] == \
-        [[ref.pow_reference(ctx, x, e) for e in exps] for x in base]
-    assert ctx.exp is None
+        [[scalar.pow(x, e) for e in exps] for x in base]
 
 
 def test_generator_search_on_a_large_prime():
@@ -268,30 +232,56 @@ def test_generator_search_on_a_large_prime():
     exps = [n1 // rho for rho in ff.factorize(n1)]
 
     def primitive(g):
-        return all(ref.pow_reference(ctx, g, e) != 1 for e in exps)
+        return all(ref.scalar_field(ctx).pow(g, e) != 1 for e in exps)
 
     assert primitive(ctx.generator)
     assert not any(primitive(g) for g in range(p, ctx.generator))
 
 
-@pytest.mark.parametrize("p,k,modulus", [
-    (3, 1, None), (7, 1, None), (3, 2, None), (3, 2, (2, 2, 1)),
-    (5, 2, None), (3, 3, None), (7, 2, None)])
+# every F_p, p <= 13, and every modulus of F_9, F_25, F_27, F_49 and F_81,
+# the hand-picked cases first; None is the default modulus
+SYMBOL_FIELDS = [(3, 1, None), (7, 1, None), (3, 2, None), (3, 2, (2, 2, 1)),
+                 (5, 2, None), (3, 3, None), (7, 2, None)]
+SYMBOL_FIELDS += [(p, 1, None) for p in (2, 5, 11, 13)]
+SYMBOL_FIELDS += [case for p, k in [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
+                  for i, f in enumerate(irreducibles(p, k))
+                  if (case := (p, k, f if i else None)) not in SYMBOL_FIELDS]
+
+
+@pytest.mark.parametrize("p,k,modulus", SYMBOL_FIELDS)
 def test_symbol_tables_match_scalar_arithmetic(p, k, modulus):
     ctx = ff.FieldCtx(p, k, modulus=modulus)
     tables = ctx.symbol_tables()
     assert ctx.symbol_tables() is tables
-    add, mul, neg, inv = (t.tolist() for t in tables)
-    q = ctx.order
     for t in tables:
         assert t.dtype == np.int64 and not t.flags.writeable
-    assert (len(add), len(add[0]), len(neg), len(inv)) == (q, q, q, q)
-    for a in range(q):
-        assert neg[a] == ctx.neg(a)
-        assert inv[a] == (ctx.inv(a) if a else 0)
-        for b in range(q):
-            assert add[a][b] == ctx.add(a, b)
-            assert mul[a][b] == ctx.mul(a, b) == ctx._mul_poly(a, b)
+    assert [t.tolist() for t in tables] == list(ref.scalar_field(ctx).tables)
+
+
+def test_references_read_four_field_attributes():
+    # the scalar references see a FieldCtx only through p, k, modulus and
+    # generator: a bare namespace of those four gives the same answers
+    def bare(ctx):
+        return types.SimpleNamespace(p=ctx.p, k=ctx.k, modulus=ctx.modulus,
+                                     generator=ctx.generator)
+
+    small, big = ff.FieldCtx(3, 2, modulus=(2, 2, 1)), ff.get_field(3, 4)
+    assert ref.generator_reference(bare(big)) == big.generator
+    assert ref.embed_table_reference(bare(small), bare(big)) == \
+        ff.SubfieldMap(small, big).embed_table
+    assert ref.minimal_polynomial_reference(big.generator, bare(big),
+                                            bare(small)) == \
+        ref.minimal_polynomial_reference(big.generator, big, small)
+    rows = [[1, 0, 3, 5, 7], [0, 1, 2, 8, 4]]
+
+    def answers(ctx):
+        return (ref.gray_walk_reference(ctx, rows, 1, 81),
+                ref.info_set_walk_reference(ctx, ([0, 1], rows)),
+                ref.check_search_reference(np.array(rows), ctx),
+                ref.rank_reference([row[:] for row in rows], ctx),
+                ref.pdivmod(rows[0], rows[1][1:], ctx))
+
+    assert answers(bare(small)) == answers(small)
 
 
 def test_symbol_tables_size_guard(monkeypatch):
@@ -306,6 +296,21 @@ def test_symbol_tables_size_guard(monkeypatch):
         ctx.symbol_tables()
 
 
+def test_tracer_counts_no_field_table():
+    # the traced benchmark records len(FieldCtx.exp or ()) after every
+    # FieldCtx construction; perfbench/tracing.py needs only the standard
+    # library, so it loads by path
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    count = tracing._COUNTS["finite_field.FieldCtx"]
+    ctx = ff.FieldCtx(3, 2)
+    assert count((ctx,), None) == 0
+    ctx.symbol_tables()
+    assert count((ctx,), None) == 0
+
+
 def test_get_field_caches():
     assert ff.get_field(3, 4) is ff.get_field(3, 4)
     assert ff.get_field(3, 4) is not ff.get_field(3, 2)
@@ -314,22 +319,24 @@ def test_get_field_caches():
 def test_multiplicative_generator_order():
     for p, k in [(3, 2), (3, 4), (7, 2)]:
         ctx = ff.get_field(p, k)
+        scalar = ref.scalar_field(ctx)
         g = ctx.generator
         order = p**k - 1
-        assert ctx.pow(g, order) == 1
+        assert scalar.pow(g, order) == 1
         for r in ff.factorize(order):
-            assert ctx.pow(g, order // r) != 1
+            assert scalar.pow(g, order // r) != 1
 
 
 def test_root_of_unity():
     ctx = ff.get_field(3, 4)  # F81, group order 80
+    scalar = ref.scalar_field(ctx)
     beta = ff.root_of_unity(ctx, 10)
-    assert ctx.pow(beta, 10) == 1
+    assert scalar.pow(beta, 10) == 1
     for e in range(1, 10):
-        assert ctx.pow(beta, e) != 1
+        assert scalar.pow(beta, e) != 1
     # deterministic construction
     assert beta == ff.root_of_unity(ctx, 10)
-    assert beta == ref.pow_reference(ctx, ctx.generator, 8)
+    assert beta == scalar.pow(ctx.generator, 8)
     with pytest.raises(OrderNotDividing):
         ff.root_of_unity(ctx, 7)
 
@@ -338,14 +345,15 @@ def test_subfield_map_is_field_hom():
     small = ff.get_field(3, 2)
     big = ff.get_field(3, 4)
     sm = ff.get_subfield_map(small, big)
-    assert sm.embed(0) == 0 and sm.embed(1) == 1
-    img = [sm.embed(a) for a in range(9)]
+    img = sm.embed_table
+    assert img[0] == 0 and img[1] == 1
     assert len(set(img)) == 9
+    sf, bf = ref.scalar_field(small), ref.scalar_field(big)
     for a in range(9):
-        assert sm.lift(sm.embed(a)) == a
+        assert sm.lift_table[img[a]] == a
         for b in range(9):
-            assert sm.embed(small.add(a, b)) == big.add(img[a], img[b])
-            assert sm.embed(small.mul(a, b)) == big.mul(img[a], img[b])
+            assert img[sf.add(a, b)] == bf.add(img[a], img[b])
+            assert img[sf.mul(a, b)] == bf.mul(img[a], img[b])
     for ext in (ff.get_field(3, 8), ff.FieldCtx(3, 4, (2, 0, 0, 1, 1))):
         for sub in (ff.get_field(3, 2), ff.FieldCtx(3, 2, (2, 2, 1)),
                     ff.get_field(3, 1)):

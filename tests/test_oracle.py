@@ -474,6 +474,7 @@ def test_min_distance_extension_field_symbols():
     # systematic [I | A] code over F9: the hand loop rebuilds every codeword
     # from scratch, independently of the oracle's walk
     fld = ff.get_field(3, 2)
+    scalar = ref.scalar_field(fld)
     q = fld.order
     rng = random.Random(92)
     k, n = 3, 7
@@ -485,12 +486,12 @@ def test_min_distance_extension_field_symbols():
         cw = [0] * n
         for r in range(k):
             for j in range(n):
-                cw[j] = fld.add(cw[j], fld.mul(msg[r], gen[r][j]))
+                cw[j] = scalar.add(cw[j], scalar.mul(msg[r], gen[r][j]))
         best = min(best, weight(cw))
     rep = orc.min_distance(np.array(gen), fld)
     assert rep.distance == best
     assert weight(rep.word) == rep.distance
-    chk = [[fld.sub(0, a[r][j]) for r in range(k)]
+    chk = [[scalar.neg(a[r][j]) for r in range(k)]
            + [1 if c == j else 0 for c in range(n - k)]
            for j in range(n - k)]
     via = orc.min_distance_via_checks(np.array(chk), fld)
@@ -503,12 +504,11 @@ def test_min_distance_extension_field_realized():
     rep = orc.min_distance(gdual, inst.field)
     assert rep.distance == weight(rep.word)
     # rebuild each dual codeword by folding scaled rows, independently
-    fld = inst.field
-    q = fld.order
+    scalar = ref.scalar_field(inst.field)
+    q = scalar.order
     kd, nd = gdual.shape
-    add = np.array([[fld.add(x, y) for y in range(q)] for x in range(q)])
-    scaled = np.array([[[fld.mul(c, int(x)) for x in row] for c in range(q)]
-                       for row in gdual])
+    add, mul = (np.array(t) for t in scalar.tables[:2])
+    scaled = mul[:, gdual].transpose(1, 0, 2)  # [r, c]: c times row r
     best = nd + 1
     for idx in range(1, q ** kd):
         cw = np.zeros(nd, dtype=np.int64)
@@ -617,6 +617,7 @@ def test_min_distance_uses_the_fields_own_modulus():
     # have its minimum weight
     fld = ff.FieldCtx(3, 2, modulus=(2, 2, 1))
     assert fld.modulus != ff.get_field(3, 2).modulus
+    scalar = ref.scalar_field(fld)
     q, k, n = fld.order, 2, 6
     rng = random.Random(0)
     for _ in range(60):
@@ -624,7 +625,7 @@ def test_min_distance_uses_the_fields_own_modulus():
         span = set()
         for a in range(q):
             for b in range(q):
-                span.add(tuple(fld.add(fld.mul(a, x), fld.mul(b, y))
+                span.add(tuple(scalar.add(scalar.mul(a, x), scalar.mul(b, y))
                                for x, y in zip(*gen)))
         assert len(span) == q ** k  # independent rows
         best = min(weight(w) for w in span if any(w))
@@ -689,10 +690,11 @@ def test_shift_normalised_search_matches_plain():
         d = got.distance
         assert d == plain.distance, (spec, side)
         assert weight(got.word) == d and got.word[0] != 0, (spec, side)
+        scalar = ref.scalar_field(fld)
         for row in checks.tolist():
             acc = 0
             for c, x in zip(row, got.word):
-                acc = fld.add(acc, fld.mul(c, x))
+                acc = scalar.add(acc, scalar.mul(c, x))
             assert acc == 0, (spec, side)
         if fld.order ** code.dim <= 60_000:
             rows = cc.generator_matrix(code).tolist()
