@@ -21,7 +21,6 @@ from .cyclotomic import CYCLIC, FAMILIES, NEGACYCLIC
 from .errors import (
     BCHLabError,
     DeltaOutOfRange,
-    ExtensionTooLarge,
     Phi3Unavailable,
     UnsupportedM,
     UnsupportedQ,
@@ -152,11 +151,6 @@ def _cmd_code_info(args) -> int:
     n, r, rn, _ = cyclotomic.defining_set_parameters(
         args.q, args.m, args.family, args.delta, args.b)
     ext = cyclotomic.ord_mod(args.q, rn)
-    cap = code_core.max_ext_degree(args.max_ext)
-    if ext > cap:
-        raise ExtensionTooLarge(
-            f"extension degree {ext} over GF({args.q}) exceeds cap {cap}; "
-            "raise --max-ext or BCHLAB_MAX_EXT_DEGREE to allow it")
     spec = code_core.CodeSpec(args.q, args.m, args.family, args.delta,
                               b=args.b)
     tset = spec.defining_set
@@ -167,13 +161,13 @@ def _cmd_code_info(args) -> int:
     lcd: bool | None = None
     note: str | None = None
     if args.q ** ext <= TABLE_CAP:
-        inst = code_core.realize(spec, max_ext=cap)
+        inst = code_core.realize(spec)
         realized = True
         gen = [str(c) for c in inst.gen_poly]
         lcd = code_core.is_lcd(inst)
     else:
-        note = (f"extension field of order {args.q}^{ext} exceeds the "
-                "log-table cap; combinatorial view only")
+        note = (f"extension field of order {args.q}^{ext} is above "
+                f"TABLE_CAP = {TABLE_CAP} elements; combinatorial view only")
     payload = {"schema": 1, "command": "code-info", "q": args.q, "m": args.m,
                "family": args.family, "delta": str(args.delta),
                "b": _s(args.b), "n": str(n), "modulus": str(rn), "r": r,
@@ -440,9 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("delta", type=int)
     p.add_argument("b", type=int, nargs="?", default=None)
-    p.add_argument("--max-ext", type=int, default=None,
-                   help="largest tolerated extension degree "
-                        "(default BCHLAB_MAX_EXT_DEGREE or 24)")
     add_format(p)
     p.set_defaults(func=_cmd_code_info)
 

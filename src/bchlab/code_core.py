@@ -12,33 +12,19 @@ constant the length polynomial takes.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cyclotomic, poly_linalg
 from .cyclotomic import CYCLIC
-from .errors import BCHLabError, CoefficientNotInSubfield, \
-    ExtensionTooLarge
+from .errors import CoefficientNotInSubfield, ExtensionTooLarge
 from .finite_field import FieldCtx, get_field, get_subfield_map, \
     prime_power_decomposition, root_of_unity
 
-DEFAULT_MAX_EXT = 24
-ENV_MAX_EXT = "BCHLAB_MAX_EXT_DEGREE"
-
-
-def max_ext_degree(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    raw = os.environ.get(ENV_MAX_EXT)
-    if not raw:
-        return DEFAULT_MAX_EXT
-    try:
-        return int(raw)
-    except ValueError:
-        raise BCHLabError(
-            f"{ENV_MAX_EXT} must be an integer, got {raw!r}") from None
+# the largest splitting degree ell = ord_rn(q) that realize builds; ell is
+# 2m at these lengths, so realize stops at m = 12
+MAX_EXT_DEGREE = 24
 
 
 @dataclass(frozen=True)
@@ -92,24 +78,22 @@ class CodeInstance:
         return 1 if self.family == CYCLIC else 2
 
 
-def realize(spec: CodeSpec, max_ext: int | None = None,
-            field: FieldCtx | None = None,
+def realize(spec: CodeSpec, *, field: FieldCtx | None = None,
             extension: FieldCtx | None = None) -> CodeInstance:
     """Build field contexts and the generator polynomial for a spec.
 
     `field`/`extension` may be supplied to force particular (e.g.
     non-default modulus) contexts; by default the cached deterministic
-    ones are used.  Raises ExtensionTooLarge when ord_{rn}(q) exceeds the
-    cap (argument, else BCHLAB_MAX_EXT_DEGREE, else 24).
+    ones are used.  Raises ExtensionTooLarge, before any field is built,
+    when ord_{rn}(q) exceeds MAX_EXT_DEGREE.
     """
     t = spec.defining_set
     n, r, rn = cyclotomic.family_parameters(spec.q, spec.m, spec.family)
     p, k = prime_power_decomposition(spec.q)
     ell = cyclotomic.ord_mod(spec.q, rn)
-    cap = max_ext_degree(max_ext)
-    if ell > cap:
-        raise ExtensionTooLarge(
-            f"splitting extension degree {ell} exceeds cap {cap}")
+    if ell > MAX_EXT_DEGREE:
+        raise ExtensionTooLarge(f"splitting extension degree {ell} exceeds "
+                                f"MAX_EXT_DEGREE = {MAX_EXT_DEGREE}")
     if field is None:
         field = get_field(p, k)
     if extension is None:

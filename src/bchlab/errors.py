@@ -35,7 +35,7 @@ class FactorizationTooLarge(BCHLabError):
 
 
 class ExtensionTooLarge(BCHLabError):
-    """Required extension degree exceeds the configured cap."""
+    """Required extension degree exceeds code_core.MAX_EXT_DEGREE."""
 
 
 class ClassTooLarge(BCHLabError):

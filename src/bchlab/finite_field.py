@@ -32,7 +32,9 @@ import numpy as np
 
 from .errors import BCHLabError, FactorizationTooLarge, OrderNotDividing
 
-TABLE_CAP = 1 << 21  # most entries of a symbol table (q^2 <= this)
+# most entries of a symbol table (q^2 <= this); code-info also reads it as
+# its realize gate, building F_{q^ext} only when q^ext <= this
+TABLE_CAP = 1 << 21
 _TABLE_CHUNK = 1 << 12  # rows per vmul step, and the largest generator batch
 
 _TRIAL_LIMIT = 10**6

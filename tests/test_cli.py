@@ -188,9 +188,9 @@ def test_code_info_class_positions_past_int64(capsys):
     # class positions run to n - 1: n > 2^63 is a ClassTooLarge error,
     # and n just below it still prints, even with residues past 2^63
     for argv in (["11", "20", "cyclic", "2"],
-                 ["3", "40", "cyclic", "2", "--max-ext", "100"],
-                 ["3", "41", "negacyclic", "2", "--max-ext", "100"],
-                 ["7", "23", "negacyclic", "2", "--max-ext", "100"]):
+                 ["3", "40", "cyclic", "2"],
+                 ["3", "41", "negacyclic", "2"],
+                 ["7", "23", "negacyclic", "2"]):
         assert cli.main(["code-info", *argv]) == 1, argv
         out, err = capsys.readouterr()
         assert out == "", argv
@@ -198,7 +198,7 @@ def test_code_info_class_positions_past_int64(capsys):
     for argv, n, size, bound in (
             (["3", "39", "cyclic", "2"], 3 ** 39 + 1, 78, 2),
             (["3", "40", "negacyclic", "2"], (3 ** 40 + 1) // 2, 80, 5)):
-        assert cli.main(["code-info", *argv, "--max-ext", "100"]) == 0
+        assert cli.main(["code-info", *argv]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == str(n)
         assert payload["defining_size"] == str(size)
@@ -207,48 +207,34 @@ def test_code_info_class_positions_past_int64(capsys):
         assert payload["realized"] is False
 
 
-def test_code_info_extension_cap():
-    proc = run_cli("code-info", "3", "5", "cyclic", "2", "--max-ext", "4")
-    assert proc.returncode == 1
-    err = json.loads(proc.stderr)
-    assert err["schema"] == 1
-    assert err["error"]["type"] == "ExtensionTooLarge"
-    assert proc.stdout == ""
-
-
-def test_code_info_large_m_is_an_extension_error():
-    # n = 3^30 + 1: the designed bound must not allocate per class position
+def test_code_info_large_m_is_combinatorial():
+    # n = 3^30 + 1 and ext = 60: far past TABLE_CAP, so no field is built,
+    # and the designed bound must not allocate per class position
     proc = run_cli("code-info", "3", "30", "cyclic", "2")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    err = json.loads(proc.stderr)["error"]
-    assert err["type"] == "ExtensionTooLarge"
-    assert "extension degree 60" in err["message"]
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert payload["n"] == str(3 ** 30 + 1)
+    assert payload["extension_degree"] == 60
+    assert payload["defining_size"] == "60"
+    assert payload["realized"] is False and payload["generator_poly"] is None
+    assert payload["note"] == ("extension field of order 3^60 is above "
+                               "TABLE_CAP = 2097152 elements; combinatorial "
+                               "view only")
 
 
-def test_code_info_checks_the_extension_cap_before_building_t(
-        monkeypatch, capsys):
-    # T of 3^30 + 1 at delta 20000 holds about 1.2 M residues; the cap
-    # check needs only the order of q, so T is never built
+def test_code_info_checks_parameters_before_building_t(monkeypatch, capsys):
+    # the checks need only q, m, family, delta and b, so T is never built
+    # for an input they refuse
     calls = []
     monkeypatch.setattr(cy, "defining_set", lambda *args: calls.append(args))
-    assert cli.main(["code-info", "3", "30", "cyclic", "20000"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and calls == []
-    assert json.loads(err)["error"]["type"] == "ExtensionTooLarge"
-    # an input bad on two counts reports the defining-set error first,
-    # then the environment, as when T was built first
-    for argv, env, kind in ((["3", "30", "cyclic", "1"], None, "BadDelta"),
-                            (["3", "31", "negacyclic", "2", "2"], None,
-                             "BadFamilyParams"),
-                            (["11", "20", "cyclic", "2", "--max-ext", "1"],
-                             None, "ClassTooLarge"),
-                            (["3", "30", "cyclic", "200"], "abc",
-                             "BCHLabError")):
-        if env:
-            monkeypatch.setenv("BCHLAB_MAX_EXT_DEGREE", env)
+    for argv, kind in ((["3", "30", "cyclic", "1"], "BadDelta"),
+                       (["3", "31", "negacyclic", "2", "2"],
+                        "BadFamilyParams"),
+                       (["11", "20", "cyclic", "2"], "ClassTooLarge")):
         assert cli.main(["code-info", *argv]) == 1, argv
-        assert json.loads(capsys.readouterr().err)["error"]["type"] == kind
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert json.loads(err)["error"]["type"] == kind, argv
     assert calls == []
 
 
@@ -259,8 +245,7 @@ def test_code_info_caps_the_size_of_t_before_building_it(monkeypatch,
     real, calls = cy.defining_set, []
     monkeypatch.setattr(cy, "defining_set",
                         lambda *args: calls.append(args) or real(*args))
-    argv = ["code-info", "3", "30", "cyclic", "40000000000000",
-            "--max-ext", "100"]
+    argv = ["code-info", "3", "30", "cyclic", "40000000000000"]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and calls == []
@@ -274,16 +259,6 @@ def test_code_info_caps_the_size_of_t_before_building_it(monkeypatch,
     payload = json.loads(capsys.readouterr().out)
     assert payload["defining_size"] == "799980"
     assert payload["realized"] is False
-
-
-def test_code_info_bad_extension_env(monkeypatch, capsys):
-    monkeypatch.setenv("BCHLAB_MAX_EXT_DEGREE", "abc")
-    assert cli.main(["code-info", "3", "2", "cyclic", "2"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    err = json.loads(err)
-    assert err["error"]["type"] == "BCHLabError"
-    assert "BCHLAB_MAX_EXT_DEGREE" in err["error"]["message"]
 
 
 def test_bound_defect_is_flagged():
@@ -403,11 +378,14 @@ def test_verify_usage_errors():
 
 
 def test_removed_options_are_usage_errors(capsys):
-    # verify has no worker count, and the cyclic dually rows are always on
-    # the even-like subcode: neither option selects anything
+    # verify has no worker count, the cyclic dually rows are always on
+    # the even-like subcode, and code-info's realize gate is TABLE_CAP
+    # alone: none of these options selects anything
     for argv, flag in ((["verify", "--all", "--workers", "2"], "--workers"),
                        (["dually", "5", "2", "cyclic", "--delta-range",
-                         "2..4", "--even-like"], "--even-like")):
+                         "2..4", "--even-like"], "--even-like"),
+                       (["code-info", "3", "5", "cyclic", "2", "--max-ext",
+                         "4"], "--max-ext")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

@@ -364,16 +364,14 @@ def test_is_lcd_on_random_realized_codes(spec):
     assert cc.is_lcd(inst) is stacked_rank_is_n(inst), spec
 
 
-def test_extension_cap():
-    with pytest.raises(ExtensionTooLarge):
-        cc.realize(cc.CodeSpec(3, 5, CYCLIC, 2), max_ext=4)
-    # explicit argument overrides the environment and the default
-    assert cc.max_ext_degree(7) == 7
-
-
-def test_max_ext_env(monkeypatch):
-    monkeypatch.setenv(cc.ENV_MAX_EXT, "6")
-    assert cc.max_ext_degree() == 6
-    assert cc.max_ext_degree(30) == 30
-    monkeypatch.delenv(cc.ENV_MAX_EXT)
-    assert cc.max_ext_degree() == cc.DEFAULT_MAX_EXT
+def test_extension_cap(monkeypatch):
+    # ext = 26 > MAX_EXT_DEGREE: refused before any field is built
+    calls = []
+    monkeypatch.setattr(cc, "get_field", lambda *args: calls.append(args))
+    with pytest.raises(ExtensionTooLarge, match="MAX_EXT_DEGREE = 24"):
+        cc.realize(cc.CodeSpec(3, 13, CYCLIC, 2))
+    assert calls == []
+    # the field overrides are keyword-only: a stray positional argument
+    # is a TypeError at the call, not a failure deep inside realize
+    with pytest.raises(TypeError):
+        cc.realize(cc.CodeSpec(3, 2, CYCLIC, 2), 24)
