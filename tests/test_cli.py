@@ -207,6 +207,25 @@ def test_code_info_class_positions_past_int64(capsys):
         assert payload["realized"] is False
 
 
+def test_code_info_extension_cap(capsys):
+    # the extension cap of code-info is TABLE_CAP on q^ext alone: no option
+    # sets it, and past it the combinatorial view is printed, not an error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["code-info", "3", "5", "cyclic", "2", "--max-ext", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-ext" in capsys.readouterr().err
+    for m, ext, realized in ((6, 12, True), (7, 14, False)):
+        assert cli.main(["code-info", "3", str(m), "cyclic", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["extension_degree"] == ext
+        assert payload["realized"] is realized
+    assert payload["note"] == ("extension field of order 3^14 is above "
+                               "TABLE_CAP = 2097152 elements; combinatorial "
+                               "view only")
+
+
 def test_code_info_large_m_is_combinatorial():
     # n = 3^30 + 1 and ext = 60: far past TABLE_CAP, so no field is built,
     # and the designed bound must not allocate per class position
@@ -378,14 +397,11 @@ def test_verify_usage_errors():
 
 
 def test_removed_options_are_usage_errors(capsys):
-    # verify has no worker count, the cyclic dually rows are always on
-    # the even-like subcode, and code-info's realize gate is TABLE_CAP
-    # alone: none of these options selects anything
+    # verify has no worker count, and the cyclic dually rows are always on
+    # the even-like subcode: neither option selects anything
     for argv, flag in ((["verify", "--all", "--workers", "2"], "--workers"),
                        (["dually", "5", "2", "cyclic", "--delta-range",
-                         "2..4", "--even-like"], "--even-like"),
-                       (["code-info", "3", "5", "cyclic", "2", "--max-ext",
-                         "4"], "--max-ext")):
+                         "2..4", "--even-like"], "--even-like")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
