@@ -99,52 +99,32 @@ def realize(spec: CodeSpec, *, field: FieldCtx | None = None,
     if extension is None:
         extension = get_field(p, k * ell)
     beta = root_of_unity(extension, rn)
-    gen = _generator_poly(_leaders(t, spec.q, r, rn), extension, field,
-                          beta, rn)
+    gen = _generator_poly(r * t + (r - 1), extension, field, beta, rn)
     assert len(gen) - 1 == len(t), "generator degree must equal |T|"
     return CodeInstance(spec=spec, family=spec.family, n=n, t=t, field=field,
                         extension=extension, beta=beta, gen_poly=gen,
                         dim=n - len(t))
 
 
-def _leaders(t: np.ndarray, q: int, r: int, rn: int) -> list[int]:
-    """Sorted coset leaders of the class positions t, a union of cosets.
-
-    Each residue steps x -> x q mod rn until all are back where they
-    started (at most ord_rn(q) steps), keeping its orbit minimum.
-    """
-    x = r * t + (r - 1)
-    lead, y = x.copy(), x * q % rn
-    while not np.array_equal(y, x):
-        np.minimum(lead, y, out=lead)
-        y = y * q % rn
-    return x[lead == x].tolist()
-
-
-def _generator_poly(leaders, extension: FieldCtx, field: FieldCtx,
+def _generator_poly(residues, extension: FieldCtx, field: FieldCtx,
                     beta: int, rn: int) -> list[int]:
-    """Product over the leaders j of the minimal polynomial of beta^j.
+    """Product of the distinct minimal polynomials of beta^j, j a residue.
 
     The minimal polynomial of beta^j over F_q is prod (x - beta^e) over
-    the orbit e = j q^i mod rn.  All of this runs on digit vectors of the
-    extension: beta^e comes from the bits of e, one vmul by beta^(2^b)
-    per bit b, and the orbits of one size s multiply out their s linear
-    factors together, one batched step per factor.  The coefficients are
-    lifted into F_q (CoefficientNotInSubfield if one is not in it) and the
-    minimal polynomials multiplied over F_q.
+    the orbit e = j q^i mod rn, a column of cyclotomic.orbits.  All of
+    this runs on digit vectors of the extension: beta^e comes from the
+    bits of e, one vmul by beta^(2^b) per bit b, and the orbits of one
+    size s multiply out their s linear factors together, one batched step
+    per factor.  The coefficients are lifted into F_q
+    (CoefficientNotInSubfield if one is not in it) and the minimal
+    polynomials multiplied over F_q.
     """
     q, p, kx = field.order, extension.p, extension.k
-    by_size: dict[int, list[int]] = {}  # orbit size -> orbits laid end to end
-    for j in leaders:
-        orbit, e = [j], j * q % rn
-        while e != j:
-            orbit.append(e)
-            e = e * q % rn
-        by_size.setdefault(len(orbit), []).extend(orbit)
+    _, sizes, table = cyclotomic.orbits(residues, q, rn)
     lift = get_subfield_map(field, extension).lift_table
     gen = [1]
-    for size, exps in sorted(by_size.items()):
-        exps = np.array(exps, dtype=np.int64)
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        exps = table[:size, sizes == size].T.reshape(-1).astype(np.int64)
         step = extension.vdigits([beta])[0]  # beta^(2^bit)
         roots = np.zeros((len(exps), kx), dtype=step.dtype)
         roots[:, 0] = 1
@@ -196,8 +176,8 @@ def dual_code(inst: CodeInstance) -> CodeInstance:
     r, rn = inst.r, inst.r * inst.n
     tperp = cyclotomic.dual_defining_set(inst.t, inst.n, r)
     field = inst.field
-    gen = _generator_poly(_leaders(tperp, field.order, r, rn), inst.extension,
-                          field, inst.beta, rn)
+    gen = _generator_poly(r * tperp + (r - 1), inst.extension, field,
+                          inst.beta, rn)
     assert _times_length_poly(poly_linalg.pmul(inst.gen_poly, gen[::-1],
                                                field), inst), \
         "generators of code and dual are not orthogonal: g times the " \
@@ -241,16 +221,9 @@ def is_lcd(inst: CodeInstance) -> bool:
     C meets its dual in the code generated by lcm(g, g_dual).  Both divide
     x^n -+ 1, which is squarefree (gcd(n, q) = 1), and their degrees sum
     to n, so C is LCD exactly when their product is a scalar multiple of
-    x^n -+ 1 (Yang-Massey 1994).  Cross-checks the defining-set
-    criterion: -T = T and T disjoint from the dual defining set (both
-    hold by construction at these lengths).
+    x^n -+ 1 (Yang-Massey 1994).  dual_code asserts the defining-set
+    criterion -T = T, in cyclotomic.dual_defining_set.
     """
-    in_t = np.zeros(inst.n, dtype=bool)
-    in_t[inst.t] = True
-    assert in_t[(1 - inst.r - inst.t) % inst.n].all(), \
-        "defining set must satisfy -T = T"
     dual = dual_code(inst)
-    assert not in_t[dual.t].any(), \
-        "defining sets of code and dual must be disjoint"
     return _times_length_poly(
         poly_linalg.pmul(inst.gen_poly, dual.gen_poly, inst.field), inst)

@@ -72,6 +72,34 @@ def coset(x: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def orbits(x, q: int, rn: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The q-cyclotomic cosets modulo rn that meet the integers x.
+
+    Returns (leaders, sizes, table): the sorted distinct coset leaders,
+    their coset sizes, and the table whose row i holds leaders q^i mod rn
+    (column j's first sizes[j] rows are the coset of leaders[j]).  Every
+    size divides ell = ord_rn(q), so a running minimum over x q^i, i < ell,
+    finds the leaders in memory for len(x) residues.  Entries are int64
+    while rn q < 2^63 (x must then fit int64), else Python ints.
+    """
+    ell = ord_mod(q, rn)
+    lead = np.asarray(x, dtype=np.int64 if rn * q < 2 ** 63 else object) % rn
+    y = lead
+    for _ in range(ell - 1):
+        y = y * q % rn
+        np.minimum(lead, y, out=lead)
+    lead.sort()  # distinct by neighbour mask: np.unique imports numpy.ma
+    keep = np.ones(len(lead), dtype=bool)
+    np.not_equal(lead[1:], lead[:-1], out=keep[1:])
+    leaders = lead[keep]
+    table = np.empty((ell, len(leaders)), dtype=lead.dtype)
+    table[0] = leaders
+    for i in range(1, ell):
+        table[i] = table[i - 1] * q % rn
+    # a coset of size s meets its leader in ell / s of the ell rows
+    return leaders, ell // (table == leaders).sum(axis=0), table
+
+
 def _is_power_of(q: int, x: int) -> bool:
     """Whether x = q^m for some m >= 1 (False for q <= 1: no loop)."""
     if q <= 1:
@@ -230,14 +258,12 @@ def defining_set(q: int, m: int, family: str, delta: int,
     n > 2^63.
     """
     n, r, rn, b = defining_set_parameters(q, m, family, delta, b)
-    residues: set[int] = set()
-    for i in range(delta - 1):  # the orbit of each exponent not yet in T
-        x = (b + r * i) % rn
-        while x not in residues:
-            residues.add(x)
-            x = x * q % rn
-    # sorted, not np.sort: a first int64 np.sort maps ~0.4 MB of sort code
-    return np.array(sorted(x // r for x in residues), dtype=np.int64)
+    _, sizes, table = orbits(range(b, b + r * (delta - 1), r), q, rn)
+    table //= r  # residue x sits at class position x // r
+    t = table[np.arange(len(table))[:, None] < sizes].astype(np.int64,
+                                                               copy=False)
+    t.sort()
+    return t
 
 
 def dual_defining_set(t: np.ndarray, n: int, r: int) -> np.ndarray:

@@ -280,6 +280,25 @@ def test_code_info_caps_the_size_of_t_before_building_it(monkeypatch,
     assert payload["realized"] is False
 
 
+def test_code_info_builds_t_in_arrays():
+    # |T| = 2,181,816 at 8 bytes a residue in int64 arrays: a fresh
+    # process measures the peak of its one child, the CLI (a Python set
+    # of the residues peaked near 272 MB)
+    code = """
+import json, resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-m", "bchlab.cli", "code-info",
+                       "11", "12", "cyclic", "100000"],
+                      capture_output=True, text=True)
+assert proc.returncode == 0, proc.stderr
+assert json.loads(proc.stdout)["defining_size"] == "2181816"
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=checkout_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 150
+
+
 def test_bound_defect_is_flagged():
     payload = run_json("bound", "3", "5", "negacyclic", "8")
     assert payload["lower_bound"] == "7"
@@ -485,20 +504,25 @@ def test_closed_pipe_ends_without_a_traceback():
 
 def test_verify_loads_no_numpy_module_after_import():
     # a numpy module imported lazily (numpy.ma, by np.unique and the other
-    # set routines) costs every fresh CLI process its import time
+    # set routines) costs every fresh CLI process its import time; the
+    # code-info call builds a T of 21,816 residues
     code = """
 import contextlib, io, json, sys
 from bchlab import cli
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
-    cli.main(["verify", "negacyclic-q3-m4"])
+    cli.main(sys.argv[1:])
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=checkout_env())
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert [m for m in loaded if m.split(".")[0] == "numpy"] == [], loaded
+    for argv in (["verify", "negacyclic-q3-m4"],
+                 ["code-info", "11", "12", "cyclic", "1000"]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True,
+                              env=checkout_env())
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert [m for m in loaded if m.split(".")[0] == "numpy"] == [], \
+            (argv, loaded)
 
 
 def test_python_dash_m_bchlab_is_the_cli():

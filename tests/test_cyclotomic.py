@@ -61,6 +61,39 @@ def test_coset_hand_values():
         cy.coset(1, 2, 10)
 
 
+def test_orbits_hand_values():
+    leaders, sizes, table = cy.orbits(np.array([], dtype=np.int64), 3, 10)
+    assert leaders.tolist() == sizes.tolist() == []
+    assert table.shape == (4, 0)  # ord_10(3) rows
+    # 0 and 5 are fixed by x -> 3 x mod 10; repeats come back once
+    leaders, sizes, table = cy.orbits([5, 0, 5, 0], 3, 10)
+    assert leaders.tolist() == [0, 5]
+    assert sizes.tolist() == [1, 1]
+    assert table.tolist() == [[0, 5]] * 4
+
+
+def test_orbits_match_coset():
+    # mixed sizes, residues unsorted and repeated, on both residue dtypes:
+    # rn q < 2^63 at 3^38 + 1, not at 3^39 + 1
+    big = [3 ** 38 + 1, 3 ** 39 + 1]
+    for x, q, rn, dtype in [(range(10), 3, 10, np.int64),
+                            ([27, 13, 21, 1, 7, 9, 7, 3], 3, 28, np.int64),
+                            (range(28), 3, 28, np.int64),
+                            (range(0, 126, 7), 5, 126, np.int64),
+                            ([5, 1, big[0] // 2, 2, 1], 3, big[0], np.int64),
+                            ([5, 1, big[1] // 2, 2, 1], 3, big[1], object)]:
+        leaders, sizes, table = cy.orbits(np.array(x, dtype=dtype), q, rn)
+        assert table.dtype == dtype
+        lead = leaders.tolist()
+        assert lead == sorted({min(cy.coset(y, q, rn)) for y in x})
+        assert table.shape == (cy.ord_mod(q, rn), len(lead))
+        for j, size in enumerate(sizes.tolist()):
+            column = table[:, j].tolist()
+            assert tuple(sorted(column[:size])) == cy.coset(lead[j], q, rn)
+            assert column == column[:size] * (len(column) // size)
+        assert len(set(sizes.tolist())) > 1, (q, rn)
+
+
 def test_leader_map_matches_cosets():
     # position p of the cyclic class holds the leader of residue p
     for q, n in [(3, 10), (3, 28), (5, 26), (7, 50)]:
@@ -213,7 +246,8 @@ def test_defining_set_properties():
     assert list(t.class_residues()) == list(range(1, 28, 2))
     assert t.is_symmetric()
     assert np.array_equal(negated(got, 14, 2), got)
-    assert t.leaders() == cc._leaders(got, 3, 2, 28) == [1]
+    assert t.leaders() == cy.orbits(2 * got + 1, 3, 28)[0].tolist() \
+        == [1]
     with pytest.raises(ref.NotACosetUnion):
         ref.DefiningSetReference(3, 28, 2, frozenset({1, 3})).leaders()
 
@@ -301,8 +335,8 @@ def test_dual_defining_set():
 
 
 def test_defining_set_matches_naive_coset_union():
-    # defining_set skips exponents already in T; the naive union walks
-    # the orbit of every one of b, b + r, ..., b + r(delta - 2)
+    # defining_set keeps one orbit per distinct leader; the naive union
+    # walks the orbit of every one of b, b + r, ..., b + r(delta - 2)
     for q, m, family in [(3, 2, CYCLIC), (5, 2, CYCLIC), (3, 3, CYCLIC),
                          (9, 2, CYCLIC), (3, 3, NEGACYCLIC),
                          (3, 4, NEGACYCLIC), (7, 2, NEGACYCLIC),
@@ -317,6 +351,22 @@ def test_defining_set_matches_naive_coset_union():
                 got = cy.defining_set(q, m, family, delta, b)
                 assert got.tolist() == naive.positions(), (q, m, family, b,
                                                             delta)
+
+
+def test_defining_set_on_both_sides_of_the_int64_residues():
+    # residues are int64 while rn q < 2^63 (m = 38) and Python ints past
+    # it (m = 39); the class positions are int64 on both sides
+    for m in (38, 39):
+        rn = 3 ** m + 1
+        assert (rn * 3 < 2 ** 63) == (m == 38)
+        for family in (CYCLIC, NEGACYCLIC):
+            for b in (None, rn - 3) + ((0,) if family == CYCLIC else ()):
+                for delta in (2, 3, 6):
+                    naive = ref.defining_set_reference(3, m, family, delta, b)
+                    got = cy.defining_set(3, m, family, delta, b)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == naive.positions(), (m, family, b,
+                                                                delta)
 
 
 # (q, m) with q^m + 1 <= 20,000, so the reference complement stays quick
@@ -351,5 +401,6 @@ def test_defining_sets_match_the_reference(case):
     want_p = ref.dual_defining_set_reference(want)
     assert tp.tolist() == want_p.positions()
     for got, naive in ((t, want), (tp, want_p)):
-        assert cc._leaders(got, q, r, rn) == naive.leaders()
+        assert cy.orbits(r * got + r - 1, q, rn)[0].tolist() \
+            == naive.leaders()
         assert cc.run_bound(got, n) == naive_bch_bound(naive)
