@@ -227,7 +227,8 @@ def defining_set_parameters(q: int, m: int, family: str, delta: int,
     T is built.  T is a union of delta - 1 orbits whose sizes divide
     ord_rn(q), a divisor of 2m (q^m = -1 mod rn), so |T| is at most
     min(n, 2m (delta - 1)): ClassTooLarge when that exceeds
-    MAX_CLASS_RESIDUES.
+    MAX_CLASS_RESIDUES, or an eighth of it where rn q >= 2^63: orbits
+    then holds Python ints of about 70 bytes each, not 8.
     """
     n, r, rn = family_parameters(q, m, family)
     if not 2 <= delta <= n:
@@ -240,9 +241,10 @@ def defining_set_parameters(q: int, m: int, family: str, delta: int,
     if n > 1 << 63:
         raise ClassTooLarge(f"the class of {n} positions overflows int64")
     most = min(n, 2 * m * (delta - 1))  # residues T can hold
-    if most > MAX_CLASS_RESIDUES:
+    cap = MAX_CLASS_RESIDUES if rn * q < 2 ** 63 else MAX_CLASS_RESIDUES // 8
+    if most > cap:
         raise ClassTooLarge(f"T at delta = {delta} may hold up to {most} "
-                            f"residues, above the cap of {MAX_CLASS_RESIDUES}")
+                            f"residues, above the cap of {cap}")
     return n, r, rn, b
 
 

@@ -258,11 +258,11 @@ class _LevelWalk:
     (t-1) words under c plus each of the q-1 multiples of parity row c.
     A block is laid out multiple-major, (q-1, below[t][c]), so it is
     one broadcast addition of the parity columns of row c to one run of
-    the level below; index() maps a position back to the index.  Level
-    1 (the parity rows) is always kept, deeper levels only when they fit
-    in 4 BLOCK_SYMBOLS digits; a run of any other level is built from
-    the nearest kept level below, one addition per level, at most
-    BLOCK_SYMBOLS digits per numpy step.
+    the level below; index() maps a position back to the index.  One
+    level is kept: level 1 (the parity rows) at first, then the last
+    level walk() was asked to store, which drops every lower one.  A run
+    of any other level is built from the kept level below it, one
+    addition per level, at most BLOCK_SYMBOLS digits per numpy step.
     """
 
     def __init__(self, p: int, kf: int, scaled: np.ndarray):
@@ -330,14 +330,18 @@ class _LevelWalk:
         row, u = np.divmod(self.index(t - 1, x), per)
         return starts[c] + (row * self.q1 + m) * per + u
 
-    def walk(self, t: int, keep: bool) -> tuple[int, int]:
-        """Least (parity weight, index) over the whole of level t.
+    def walk(self, t: int, keep: bool, low: int) -> tuple[int, int, int]:
+        """(parity weight, index) of the first lightest word of level t,
+        and the words walked.
 
         A chunk of at most BLOCK_SYMBOLS digits is weighed by one
         add.reduce over the nonzero digits, after OR-ing the kf planes.
         Blocks follow each other in index order, so a chunk can only
-        tie the best if that was found in the chunk's first block.
-        keep stores the level for the levels above it.
+        tie the best if that was found in the chunk's first block.  No
+        word has a parity weight below low, so the walk ends with the
+        block of the first word that meets it: its multiples interleave
+        in index order, and that block's end is what is walked.  keep
+        stores the level, if walked whole, for the levels above it.
         """
         width, r = self.width, self.width // self.kf
         step = max(1, BLOCK_SYMBOLS // max(1, width))
@@ -347,8 +351,10 @@ class _LevelWalk:
             if keep else None
         count = np.min_scalar_type(r)
         best = None
-        for a in range(0, size, step):
-            b = min(a + step, size)
+        end = size  # or the end of the block of the first word of weight low
+        a = 0
+        while a < end:
+            b = min(a + step, end)
             planes = self.words(t, a, b)
             if keep:
                 store[:, a:b] = planes
@@ -357,16 +363,18 @@ class _LevelWalk:
                 nonzero = nonzero | planes[i * r:(i + 1) * r]
             weights = np.add.reduce(nonzero != 0, axis=0, dtype=count)
             w = int(weights.min())
-            if best is not None:
-                first = starts[bisect.bisect_right(starts, a) - 1]
-                if w > best[0] or w == best[0] and best[1] < first:
-                    continue
-            hits = a + np.flatnonzero(weights == w)
-            best = min(best or (w, math.inf),
-                       (w, int(self.index(t, hits).min())))
-        if keep:
-            self.kept[t] = store
-        return best
+            first = starts[bisect.bisect_right(starts, a) - 1]
+            if best is None or w < best[0] or \
+                    w == best[0] and first <= best[1]:
+                hits = a + np.flatnonzero(weights == w)
+                best = min(best or (w, math.inf),
+                           (w, int(self.index(t, hits).min())))
+                if w <= low:
+                    end = starts[bisect.bisect_right(starts, hits[0])]
+            a = b
+        if keep and end == size:
+            self.kept = {t: store}
+        return (*best, end)
 
 
 def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP, *,
@@ -377,21 +385,31 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP, *,
     row-echelon form is the systematic form [I | P] on the pivot columns,
     an information set: a word is its message u there plus u P on the
     other columns, and level t walks every u of weight t whose first
-    nonzero digit is 1, C(k, t) (q - 1)^(t - 1) words (see _LevelWalk),
-    counted in `enumerated`.
+    nonzero digit is 1, C(k, t) (q - 1)^(t - 1) words (see _LevelWalk).
 
-    Stopping rule: once every level below t has been walked, any word not
-    yet seen has at least t nonzeros on the information set, so it weighs
-    at least low = t, and the walk stops when low reaches the best weight
-    found.  shift_invariant asserts, as in min_distance_via_checks, that
-    the code is cyclic or negacyclic in natural coordinate order; the
-    pivots must then be [0, k), as they are for the rows x^i g(x)
-    (ValueError otherwise).  The n rotations of a word w put wt(w) k
-    nonzeros into [0, k), so one of them has at most floor(wt(w) k / n)
-    there; a rotation is a word of the same weight (a negacyclic one
-    flips a sign), so low = ceil(t n / k).  A level that would take the
-    words walked past cap raises TooManyCodewords with low and best
-    instead.  The result is the first minimum by (level, index).
+    Stopping rules: once every level below t has been walked, any word
+    not yet seen has at least t nonzeros on the information set, so it
+    weighs at least low = t.  The walk stops before level t when low
+    reaches the best weight found, and inside level t at the first word
+    of weight low: no word is lighter, and the earlier levels were all
+    heavier.  That level still ends with the block of that word, so the
+    result stays the first minimum by (level, index).  `enumerated`
+    counts the words walked: whole levels, and the last one up to the
+    end of the block where it stopped.  A level that would take the words
+    walked past cap raises TooManyCodewords with low and best instead.
+
+    shift_invariant asserts, as in min_distance_via_checks, that the code
+    is cyclic or negacyclic in natural coordinate order; the pivots must
+    then be [0, k), as they are for the rows x^i g(x) (ValueError
+    otherwise).  The n rotations of a word w put wt(w) k nonzeros into
+    [0, k), so one of them has at most floor(wt(w) k / n) there; a
+    rotation is a word of the same weight (a negacyclic one flips a
+    sign), so low = ceil(t n / k).
+
+    A level t > 1 is stored for the levels above it only when level
+    t + 1 may still run (within cap, and its low below the best weight
+    found before level t) and it fits in 16 BLOCK_SYMBOLS digits; it then
+    replaces every lower kept level.
     """
     k, n = gen.shape
     if k == 0:
@@ -407,25 +425,33 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP, *,
     others = np.delete(np.arange(n), pivots)  # the parity columns
     parity = echelon[:, others]
     walk = _LevelWalk(p, kf, _digit_planes(p, kf, mul, parity))
+
+    def level(t: int) -> tuple[int, int]:  # (low, words) of level t
+        low = -(-t * n // k) if shift_invariant else t
+        return low, math.comb(k, t) * (q - 1) ** (t - 1)
+
     best_w, best_at = None, None  # best_at: (level, index)
     walked = 0
     for t in range(1, k + 1):
-        low = -(-t * n // k) if shift_invariant else t
+        low, size = level(t)
         if best_w is not None and low >= best_w:
             break
-        size = math.comb(k, t) * (q - 1) ** (t - 1)
         if walked + size > cap:
             raise TooManyCodewords(
                 f"information weight {t} would take the words walked "
                 f"to {walked + size}, over cap {cap}; the distance lies "
                 f"in [{low}, {best_w or n}]", low=low, best=best_w)
-        keep = t > 1 and size * walk.width <= 4 * BLOCK_SYMBOLS
+        keep = 1 < t < k and size * walk.width <= 16 * BLOCK_SYMBOLS
+        if keep:  # only if level t + 1 may still run
+            next_low, next_size = level(t + 1)
+            keep = walked + size + next_size <= cap and \
+                (best_w is None or next_low < best_w)
         if t > 1:
             walk.add_level(t)
-        weight, index = walk.walk(t, keep)
+        weight, index, words = walk.walk(t, keep, low - t)
         if best_w is None or t + weight < best_w:
             best_w, best_at = t + weight, (t, index)
-        walked += size
+        walked += words
     t, index = best_at
     binom = np.array([[math.comb(x, i) for x in range(k)]
                       for i in range(t + 1)], dtype=np.int64)

@@ -469,8 +469,9 @@ def _digit_add(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _info_set_block(p: int, kf: int, scaled: np.ndarray, binom: np.ndarray,
-                    lo: int, hi: int) -> tuple[int, int]:
-    """First (parity weight, index) of least parity weight in [lo, hi).
+                    lo: int, hi: int, low: int) -> tuple[int, int]:
+    """First (parity weight, index) of least parity weight in [lo, hi),
+    up to the first chunk that holds a parity weight of at most low.
 
     Word i of level t = len(binom) - 1 has the support of colex rank
     i // (q-1)^(t-1) on the information positions, coefficient 1 at its
@@ -502,11 +503,13 @@ def _info_set_block(p: int, kf: int, scaled: np.ndarray, binom: np.ndarray,
         j = int(np.argmin(weights))
         if best is None or weights[j] < best[0]:
             best = (int(weights[j]), a + j)
+        if best[0] <= low:
+            break
     return best
 
 
-def info_set_walk_reference(ctx, echelon) -> tuple[int, tuple[int, ...],
-                                                   int]:
+def info_set_walk_reference(ctx, echelon, in_level_stop: bool = True
+                            ) -> tuple[int, tuple[int, ...], int]:
     """(distance, word, words walked) of the walk by information weight.
 
     echelon is (pivots, [I | P]): the pivot columns, which must be
@@ -515,8 +518,11 @@ def info_set_walk_reference(ctx, echelon) -> tuple[int, tuple[int, ...],
     C(k, t) (q - 1)^(t - 1) words in index order, each one
     unranked from its index and summed from t scaled parity rows; the
     walk stops as min_distance(..., shift_invariant=True) does, once
-    ceil(t n / k) reaches the best weight.  The word is rebuilt with
-    scalar field calls.
+    ceil(t n / k) reaches the best weight.  With in_level_stop it also
+    stops inside level t at the first index of weight ceil(t n / k), and
+    counts the words up to the end of that word's block: the C(c + 1, t)
+    (q - 1)^(t - 1) words whose largest position is at most the word's
+    largest position c.  The word is rebuilt with scalar field calls.
     """
     f = scalar_field(ctx)
     p, kf, q = f.p, f.k, f.order
@@ -533,15 +539,22 @@ def info_set_walk_reference(ctx, echelon) -> tuple[int, tuple[int, ...],
     binom = np.ones((1, k), dtype=np.int64)  # binom[i, x] = C(x, i)
     best, walked = None, 0
     for t in range(1, k + 1):
-        if best is not None and -(-t * n // k) >= best[0]:
+        low = -(-t * n // k)
+        if best is not None and low >= best[0]:
             break
         row = np.zeros(k, dtype=np.int64)
         np.cumsum(binom[-1, :-1], out=row[1:])
         binom = np.vstack([binom, row])
         size = math.comb(k, t) * (q - 1) ** (t - 1)
-        weight, index = _info_set_block(p, kf, scaled, binom, 0, size)
+        weight, index = _info_set_block(p, kf, scaled, binom, 0, size,
+                                        low - t if in_level_stop else -1)
         if best is None or t + weight < best[0]:
             best = (t + weight, binom, index)
+        if t + weight <= low and in_level_stop:
+            rank = index // (q - 1) ** (t - 1)
+            c = int(_unrank_supports(binom, np.array([rank]))[0, -1])
+            walked += math.comb(c + 1, t) * (q - 1) ** (t - 1)
+            break
         walked += size
     distance, binom, index = best
     rank, rest = divmod(index, (q - 1) ** (len(binom) - 2))

@@ -13,6 +13,7 @@ import pytest
 from bchlab import cli
 from bchlab import cyclotomic as cy
 from bchlab import oracle as orc
+from bchlab.errors import ClassTooLarge
 
 from grid_utils import checkout_env
 
@@ -277,6 +278,42 @@ def test_code_info_caps_the_size_of_t_before_building_it(monkeypatch,
     assert len(calls) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["defining_size"] == "799980"
+    assert payload["realized"] is False
+
+
+def test_code_info_caps_t_by_an_eighth_on_the_object_route(monkeypatch,
+                                                           capsys):
+    # where rn q >= 2^63 the residues are Python ints of about 70 bytes,
+    # not 8, so T may hold an eighth of MAX_CLASS_RESIDUES there:
+    # 2m (delta - 1) = 67,079,922 at (3, 39, cyclic, 860000) is refused
+    # before any residue is stored, while (3, 38) keeps the full cap
+    real, calls = cy.defining_set, []
+
+    def counted(*args):
+        calls.append(args)
+        assert args[3] <= 50, "T is built only for the small delta"
+        return real(*args)
+
+    monkeypatch.setattr(cy, "defining_set", counted)
+    cap = cy.MAX_CLASS_RESIDUES // 8
+    assert 2 * 39 * 107_546 <= cap < 2 * 39 * 107_547
+    cy.defining_set_parameters(3, 39, "cyclic", 107_547)
+    with pytest.raises(ClassTooLarge, match=f"above the cap of {cap}$"):
+        cy.defining_set_parameters(3, 39, "cyclic", 107_548)
+    cy.defining_set_parameters(3, 38, "cyclic", 107_548)
+    assert cli.main(["code-info", "3", "39", "cyclic", "860000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and calls == []
+    err = json.loads(err)["error"]
+    assert err["type"] == "ClassTooLarge"
+    assert "67079922 residues" in err["message"]
+    assert cli.main(["code-info", "3", "39", "cyclic", "50"]) == 0
+    assert len(calls) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == str(3 ** 39 + 1)
+    assert payload["defining_size"] == "2574"
+    assert payload["dimension"] == str(3 ** 39 + 1 - 2574)
+    assert payload["bch_bound"] == "50"
     assert payload["realized"] is False
 
 

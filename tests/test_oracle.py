@@ -822,7 +822,7 @@ def test_info_set_levels_match_reference():
                 assert low < best[t] and low <= best[k], (q, k, t)
                 continue
             assert got.distance == best[t] == best[k], (q, k, t)
-            assert got.enumerated in caps[1:t + 1], (q, k, t)
+            assert caps[t - 1] < got.enumerated <= caps[t], (q, k, t)
             assert_codeword(gen, fld, got.word, got.distance)
             pruned += got.enumerated < caps[k]
             break
@@ -878,7 +878,7 @@ def test_level_walk_matches_unranking_reference(monkeypatch):
             depth[0] -= built
 
     monkeypatch.setattr(orc._LevelWalk, "words", spy)
-    for block, nested in ((orc.BLOCK_SYMBOLS, 3), (1 << 8, 5)):
+    for block, nested in ((orc.BLOCK_SYMBOLS, 2), (1 << 8, 5)):
         monkeypatch.setattr(orc, "BLOCK_SYMBOLS", block)
         depth[1] = 0
         for gen, fld, want in cases:
@@ -886,6 +886,64 @@ def test_level_walk_matches_unranking_reference(monkeypatch):
             assert (got.distance, got.word, got.enumerated) == want, \
                 (fld.order, gen.shape, block)
         assert depth[1] == nested, block
+
+
+def test_in_level_stop_changes_no_answer():
+    # a level ends with the block of its first word that meets the level's
+    # lower bound; the walk run to the end of every level it starts finds
+    # the same first minimum, over more words
+    walked = {}
+    for spec, side in info_set_sides():
+        code, _, fld = side_and_checks(spec, side)
+        gen = cc.generator_matrix(code)
+        got = orc.min_distance(gen, fld, shift_invariant=True)
+        want = ref.info_set_walk_reference(fld, pl.row_reduce(gen, fld),
+                                           in_level_stop=False)
+        assert (got.distance, got.word) == want[:2], (spec, side)
+        assert got.enumerated <= want[2], (spec, side)
+        walked[spec, side] = got.distance, got.enumerated, want[2]
+    # level 6 of the (3, 5, neg, 23) primal ends with the block of its
+    # first word of weight 61
+    assert walked[(3, 5, NEGACYCLIC, 23), "primal"] == (61, 32_440, 47_224)
+
+
+def test_level_walk_keeps_one_level(monkeypatch):
+    # a level is stored only if the level above it could still run, as
+    # judged before the level: within the word cap, and with a lower bound
+    # below the best weight so far; it takes at most 16 BLOCK_SYMBOLS
+    # digits and replaces every lower kept level.  At 2^18 the budget
+    # admits level 6 of the (3, 5, neg, 23) primal, but level 7 could not
+    # beat the weight found before level 6
+    walk = orc._LevelWalk.walk
+    calls = []  # (level, stored, least weight of the level)
+
+    def spy(self, t, keep, low):
+        got = walk(self, t, keep, low)
+        calls.append((t, t in self.kept, t + got[0]))
+        assert len(self.kept.keys() - {1}) <= 1, sorted(self.kept)
+        for level, digits in self.kept.items():
+            assert level == 1 or digits.size <= 16 * orc.BLOCK_SYMBOLS
+        return got
+
+    monkeypatch.setattr(orc._LevelWalk, "walk", spy)
+    for block, stored in ((orc.BLOCK_SYMBOLS, [2, 3, 4]),
+                          (1 << 18, [2, 3, 4, 5])):
+        monkeypatch.setattr(orc, "BLOCK_SYMBOLS", block)
+        for spec, side in info_set_sides():
+            code, _, fld = side_and_checks(spec, side)
+            gen = cc.generator_matrix(code)
+            (k, n), caps = gen.shape, level_caps(fld.order, gen.shape[0])
+            calls.clear()
+            orc.min_distance(gen, fld, shift_invariant=True)
+            assert [t for t, _, _ in calls] == list(range(1, len(calls) + 1))
+            for t, kept, _ in calls[1:]:
+                best = min(w for _, _, w in calls[:t - 1])
+                assert not kept or t < k and -(-(t + 1) * n // k) < best \
+                    and caps[t + 1] <= orc.MIN_DISTANCE_CAP, \
+                    (spec, side, block, t)
+            if (spec, side) == ((3, 5, NEGACYCLIC, 23), "primal"):
+                assert [t for t, kept, _ in calls[1:] if kept] == stored
+                assert len(calls) == 6
 
 
 SMALL_CLASSES = ((3, 2, CYCLIC), (3, 3, CYCLIC), (5, 2, CYCLIC),
