@@ -243,8 +243,7 @@ def _cmd_dually(args) -> int:
         # T(delta) starts at delta = 2 and T_perp ends at max_delta
         profile = oracle.gap_profile(args.q, args.m, args.family)
         swept = [d for d in deltas if 2 <= d <= profile.max_delta]
-        verdicts = dict(zip(swept, oracle.dually_sweep(
-            profile, swept, even_like=even_like)))
+        verdicts = dict(zip(swept, oracle.dually_sweep(profile, swept)))
     rows = []
     for delta in deltas:
         try:
@@ -331,7 +330,7 @@ def _sweep_point(q: int, m: int, family: str) -> list[list[str]]:
     rows = []
     profile = oracle.gap_profile(q, m, family)
     deltas, mode = _sweep_deltas(profile.max_delta)
-    dually = oracle.dually_sweep(profile, deltas, even_like=family == CYCLIC)
+    dually = oracle.dually_sweep(profile, deltas)
     for delta, dual_oracle in zip(deltas, dually):
         cells = {"family": family, "q": q, "m": m, "delta": delta,
                  "n": profile.n, "mode": mode}

@@ -112,9 +112,9 @@ def _generator_poly(residues, extension: FieldCtx, field: FieldCtx,
 
     The minimal polynomial of beta^j over F_q is prod (x - beta^e) over
     the orbit e = j q^i mod rn, a column of cyclotomic.orbits.  All of
-    this runs on digit vectors of the extension: beta^e comes from the
-    bits of e, one vmul by beta^(2^b) per bit b, and the orbits of one
-    size s multiply out their s linear factors together, one batched step
+    this runs on digit vectors of the extension: the beta^e come from one
+    FieldCtx.powers over every e of the orbits of one size s, and those
+    orbits multiply out their s linear factors together, one batched step
     per factor.  The coefficients are lifted into F_q
     (CoefficientNotInSubfield if one is not in it) and the minimal
     polynomials multiplied over F_q.
@@ -124,15 +124,9 @@ def _generator_poly(residues, extension: FieldCtx, field: FieldCtx,
     lift = get_subfield_map(field, extension).lift_table
     gen = [1]
     for size in np.flatnonzero(np.bincount(sizes)).tolist():
-        exps = table[:size, sizes == size].T.reshape(-1).astype(np.int64)
-        step = extension.vdigits([beta])[0]  # beta^(2^bit)
-        roots = np.zeros((len(exps), kx), dtype=step.dtype)
-        roots[:, 0] = 1
-        for bit in range(rn.bit_length()):
-            odd = (exps >> bit) & 1 == 1
-            roots[odd] = extension.vmul(roots[odd], step)
-            step = extension.vmul(step, step)
-        roots = roots.reshape(-1, size, kx)
+        exps = table[:size, sizes == size].T.reshape(-1)
+        roots = extension.powers(extension.vdigits(beta), exps).reshape(
+            -1, size, kx)
         poly = np.zeros((len(roots), 1, kx), dtype=roots.dtype)
         poly[:, 0, 0] = 1
         for i in range(size):  # poly *= x - roots[:, i], orbit by orbit
@@ -140,7 +134,7 @@ def _generator_poly(residues, extension: FieldCtx, field: FieldCtx,
             nxt[:, 1:] = poly
             nxt[:, :-1] -= extension.vmul(poly, roots[:, i:i + 1])
             poly = nxt % p
-        coeffs = extension.vundigits(poly)
+        coeffs = extension.vundigits(poly).reshape(-1).tolist()
         try:
             lifted = [lift[c] for c in coeffs]
         except KeyError as err:

@@ -46,22 +46,19 @@ _BOUND_FIXTURES: dict[str, tuple] = {
     "negacyclic-q7-m3": (7, 3, NEGACYCLIC, [(2, 123, 138)]),
 }
 
-# fixture: (q, m, family, even_like, max delta, claimed ranges, spot_check)
+# fixture: (q, m, family, max delta, claimed ranges, spot_check); the
+# cyclic claims are about the even-like subcode
 _DUALLY_FIXTURES: dict[str, tuple] = {
-    "cyclic-q5-m2-dually": (5, 2, CYCLIC, True, 13, [(2, 2), (8, 13)], False),
-    "cyclic-q3-m3-dually": (3, 3, CYCLIC, True, 14, [(8, 14)], False),
-    "negacyclic-q3-m3-dually": (3, 3, NEGACYCLIC, False, 4,
-                                [(2, 4)], False),
-    "negacyclic-q3-m5-dually": (3, 5, NEGACYCLIC, False, 31,
+    "cyclic-q5-m2-dually": (5, 2, CYCLIC, 13, [(2, 2), (8, 13)], False),
+    "cyclic-q3-m3-dually": (3, 3, CYCLIC, 14, [(8, 14)], False),
+    "negacyclic-q3-m3-dually": (3, 3, NEGACYCLIC, 4, [(2, 4)], False),
+    "negacyclic-q3-m5-dually": (3, 5, NEGACYCLIC, 31,
                                 [(2, 3), (25, 31)], False),
-    "negacyclic-q3-m4-dually": (3, 4, NEGACYCLIC, False, 21,
-                                [(7, 21)], False),
-    "negacyclic-q7-m3-dually": (7, 3, NEGACYCLIC, False, 65,
-                                [(63, 65)], False),
-    "negacyclic-q7-m2-dually": (7, 2, NEGACYCLIC, False, 13,
+    "negacyclic-q3-m4-dually": (3, 4, NEGACYCLIC, 21, [(7, 21)], False),
+    "negacyclic-q7-m3-dually": (7, 3, NEGACYCLIC, 65, [(63, 65)], False),
+    "negacyclic-q7-m2-dually": (7, 2, NEGACYCLIC, 13,
                                 [(2, 2), (10, 13)], False),
-    "negacyclic-q7-m4-dually": (7, 4, NEGACYCLIC, False, 601,
-                                [(430, 601)], True),
+    "negacyclic-q7-m4-dually": (7, 4, NEGACYCLIC, 601, [(430, 601)], True),
 }
 
 EXAMPLE_IDS: tuple[str, ...] = (
@@ -181,10 +178,7 @@ def _spot_deltas(domain_hi: int, ranges: list[tuple[int, int]]) -> list[int]:
 
 
 def _verify_dually(example_id: str) -> ExampleReport:
-    q, m, family, even_like, domain_hi, ranges, spot = \
-        _DUALLY_FIXTURES[example_id]
-    assert even_like or family != CYCLIC, \
-        "cyclic dually claims are about the even-like subcode"
+    q, m, family, domain_hi, ranges, spot = _DUALLY_FIXTURES[example_id]
     claims: list[Claim] = []
     want = _ranges_str(_expand_ranges(ranges))
     got = [d for d in range(2, domain_hi + 1)
@@ -193,8 +187,7 @@ def _verify_dually(example_id: str) -> ExampleReport:
     claims.append(Claim("formula-range", want, got_str, got_str == want))
     check = (_spot_deltas(domain_hi, ranges) if spot
              else list(range(2, domain_hi + 1)))
-    verdicts = oracle.dually_sweep(oracle.gap_profile(q, m, family), check,
-                                   even_like=even_like)
+    verdicts = oracle.dually_sweep(oracle.gap_profile(q, m, family), check)
     claimed = set(_expand_ranges(ranges))
     bad = [d for d, v in zip(check, verdicts) if v != (d in claimed)]
     claims.append(Claim(

@@ -17,11 +17,14 @@ Determinism contract:
   with no generator, so repeated constructions are bit-for-bit
   identical.
 
-All arithmetic runs on digit vectors: `vmul`/`vpow` multiply (..., k)
-arrays of base-p digits through the product matrix W, and `vpow` raises
-to the base-p digits of the exponent, one Frobenius matrix per digit
-position.  The q x q symbol tables of a code's symbol field come from W
-too, one F_p-linear map per element.
+The element format lives here alone: `vdigits` turns codes into (..., k)
+arrays of base-p digits and `vundigits` turns them back, both through
+`place` = (p^0, ..., p^(k-1)).  All arithmetic runs on digit vectors:
+`vmul` multiplies (..., k) arrays through the product matrix W,
+`powers` raises one element to many exponents by square-and-multiply,
+and `vpow` raises to the base-p digits of the exponent, one Frobenius
+matrix per digit position.  The q x q symbol tables of a code's symbol
+field come from W too, one F_p-linear map per element.
 """
 
 from __future__ import annotations
@@ -134,10 +137,11 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over F_p (int coefficient lists, ascending), for
-# Ben-Or's test of find_irreducible
+# Ben-Or's test of find_irreducible; poly_linalg trims with ptrim too
 
 
-def _pmod_trim(a: list[int]) -> list[int]:
+def ptrim(a: list[int]) -> list[int]:
+    """a without its trailing zeros, in place."""
     while a and a[-1] == 0:
         a.pop()
     return a
@@ -151,7 +155,7 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return _pmod_trim(out)
+    return ptrim(out)
 
 
 def _prem(a: list[int], f: list[int], p: int) -> list[int]:
@@ -165,10 +169,10 @@ def _prem(a: list[int], f: list[int], p: int) -> list[int]:
             for j in range(df + 1):
                 a[shift + j] = (a[shift + j] - lead * f[j]) % p
         a.pop()
-        _pmod_trim(a)
+        ptrim(a)
         if len(a) - 1 < df:
             break
-    return _pmod_trim(a)
+    return ptrim(a)
 
 
 def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
@@ -206,7 +210,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
         h = _ppowmod(h, p, f, p)
         diff = h + [0] * (2 - len(h))  # h - x
         diff[1] = (diff[1] - 1) % p
-        if len(_pgcd(_pmod_trim(diff), f, p)) > 1:
+        if len(_pgcd(ptrim(diff), f, p)) > 1:
             return False
     return True
 
@@ -254,6 +258,10 @@ class FieldCtx:
             if not _is_irreducible(list(modulus), p):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
+        # Python ints where a code may pass int64
+        self.place = np.array([p ** i for i in range(k)],
+                              dtype=np.int64 if self.order <= 1 << 63
+                              else object)
         self._w = self._product_matrix()
         self.exp = None  # no exp table; perfbench/tracing.py reads its size
         self._symbols: tuple[np.ndarray, ...] | None = None
@@ -262,27 +270,22 @@ class FieldCtx:
 
     # -- representation ----------------------------------------------------
 
-    def digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            a, d = divmod(a, self.p)
-            out.append(d)
-        return out
-
-    def undigits(self, ds: list[int]) -> int:
-        a = 0
-        for d in reversed(ds):
-            a = a * self.p + d % self.p
-        return a
-
     def vdigits(self, codes) -> np.ndarray:
-        """Digit rows, shape (len(codes), k), of int codes of any size."""
-        return np.array([self.digits(int(a)) for a in codes],
-                        dtype=self._w.dtype).reshape(-1, self.k)
+        """The (..., k) base-p digits of codes, an int or an array of any
+        shape, in W's dtype.
 
-    def vundigits(self, rows: np.ndarray) -> list[int]:
-        """Int codes of the digit rows of a (..., k) array, flattened."""
-        return [self.undigits(r) for r in rows.reshape(-1, self.k).tolist()]
+        Digit i is codes // p^i % p, computed for all codes at once and
+        then transposed: numpy's loops run about 1.5x slower along a
+        trailing axis of length k.
+        """
+        codes = np.asarray(codes, dtype=self.place.dtype)
+        digits = codes.reshape(-1) // self.place[:, None] % self.p
+        return digits.T.reshape(codes.shape + (self.k,)).astype(
+            self._w.dtype, copy=False)
+
+    def vundigits(self, rows: np.ndarray) -> np.ndarray:
+        """The codes of the digit rows of a (..., k) array, shape (...)."""
+        return rows @ self.place
 
     # -- digit-vector arithmetic -------------------------------------------
 
@@ -314,23 +317,21 @@ class FieldCtx:
 
         e is an int >= 0, or ints broadcast against a.shape[:-1]; they
         may exceed int64.  A positive e is reduced to 1..p^k - 1 (so 0^e
-        stays 0), then written e = sum_j d_j p^j, j < k, and a^e is the
-        product of Frob^j(a^(d_j)): `_digit_powers` gives a^d for the
+        stays 0), a code, whose digits write e = sum_j d_j p^j, j < k.
+        a^e is the product of Frob^j(a^(d_j)): `powers` gives a^d for the
         distinct digits, `_frobenius` the matrix of each Frob^j, and the
         k factors multiply in a halving tree of vmul calls.
         """
         p, k, n1 = self.p, self.k, self.order - 1
         e = np.array(e, dtype=object)
-        reduced = [(x - 1) % n1 + 1 if x else 0 for x in e.flat]
-        digits = [[x // p ** j % p for j in range(k)] for x in reduced]
-        distinct = sorted({d for row in digits for d in row})
-        slot = {d: i for i, d in enumerate(distinct)}
+        digits = self.vdigits(np.where(e == 0, 0, (e - 1) % n1 + 1))
+        # not np.unique: its first call adds about 0.6 MB to peak RSS
+        distinct = sorted(set(digits.ravel().tolist()))
         shape = np.broadcast_shapes(a.shape[:-1], e.shape)
         a = a.reshape((1,) * (len(shape) + 1 - a.ndim) + a.shape)
-        index = np.array([[slot[d] for d in row] for row in digits],
-                         dtype=np.intp).T.reshape(
+        index = np.searchsorted(distinct, digits).reshape(-1, k).T.reshape(
             (k,) + (1,) * (len(shape) - e.ndim) + e.shape + (1,))
-        powers = np.broadcast_to(self._digit_powers(a, distinct),
+        powers = np.broadcast_to(self.powers(a, distinct),
                                  (len(distinct),) + shape + (k,))
         factors = np.take_along_axis(powers, index, axis=0).reshape(k, -1, k)
         factors = factors @ self._frobenius() % p
@@ -341,19 +342,25 @@ class FieldCtx:
                                       factors[2 * half:]])
         return factors[0].reshape(shape + (k,))
 
-    def _digit_powers(self, a: np.ndarray, ds: list[int]) -> np.ndarray:
-        """a^d for each int d >= 0 of ds, stacked on a new first axis.
+    def powers(self, a: np.ndarray, es) -> np.ndarray:
+        """a^e for each int e >= 0 of es, stacked on a new first axis.
 
-        Square-and-multiply over the bits of the d: the square a^(2^b)
-        multiplies only the powers whose d has bit b.
+        Square-and-multiply over the bits of the e: the square a^(2^b)
+        multiplies only the powers whose e has bit b.  The bits are read
+        off an int64 array of the e, or an object array when one does not
+        fit int64.
         """
-        out = np.zeros((len(ds),) + a.shape, dtype=self._w.dtype)
+        try:
+            es = np.asarray(es, dtype=np.int64)
+        except OverflowError:
+            es = np.asarray(es, dtype=object)
+        out = np.zeros(es.shape + a.shape, dtype=self._w.dtype)
         out[..., 0] = 1
         square = a
-        for bit in range(max(ds, default=0).bit_length()):
+        for bit in range(int(es.max(initial=0)).bit_length()):
             if bit:
                 square = self.vmul(square, square)
-            odd = np.array([d >> bit & 1 for d in ds], dtype=bool)
+            odd = es >> bit & 1 == 1
             if odd.any():
                 out[odd] = self.vmul(out[odd], square) if bit else square
         return out
@@ -369,8 +376,8 @@ class FieldCtx:
             p, k = self.p, self.k
             layers = [np.eye(k, dtype=self._w.dtype)]
             if k > 1:
-                xp = self._digit_powers(self._w[1], [p])[0]  # W[1]: x
-                frob = self._digit_powers(xp, list(range(k)))
+                xp = self.powers(self._w[1], [p])[0]  # W[1]: x
+                frob = self.powers(xp, range(k))
                 for _ in range(k - 1):
                     layers.append(layers[-1] @ frob % p)
             self._frob = np.array(layers)
@@ -394,12 +401,11 @@ class FieldCtx:
                 raise BCHLabError(
                     f"symbol tables of F_{q} would hold {q * q} entries, "
                     f"over TABLE_CAP = {TABLE_CAP}")
-            place = p ** np.arange(k, dtype=np.int64)
-            digits = np.arange(q, dtype=np.int64)[:, None] // place % p
-            add = (digits[:, None] + digits[None, :]) % p @ place
-            neg = (-digits % p) @ place
+            digits = self.vdigits(np.arange(q))
+            add = self.vundigits((digits[:, None] + digits[None, :]) % p)
+            neg = self.vundigits(-digits % p)
             maps = np.tensordot(digits, self._w.reshape(k, k, k), axes=1) % p
-            mul = digits @ maps % p @ place
+            mul = self.vundigits(digits @ maps % p)
             inv = (mul == 1).argmax(axis=1)
             for table in (add, mul, neg, inv):
                 table.flags.writeable = False
@@ -438,7 +444,7 @@ class FieldCtx:
             for g in range(1, self.p):
                 if all(pow(g, e, self.p) != 1 for e in exps):
                     return g
-        one = self.vdigits([1])
+        one = self.vdigits(1)
         lo, size = self.p, 2
         while lo <= n1:
             codes = np.arange(lo, min(lo + size, n1 + 1))
@@ -473,8 +479,8 @@ def root_of_unity(ctx: FieldCtx, n: int) -> int:
         raise OrderNotDividing(
             f"no element of order {n} in F_{ctx.order} (group order "
             f"{ctx.order - 1})")
-    g = ctx.vdigits([ctx.generator])
-    return ctx.vundigits(ctx.vpow(g, (ctx.order - 1) // n))[0]
+    g = ctx.vdigits(ctx.generator)
+    return int(ctx.vundigits(ctx.vpow(g, (ctx.order - 1) // n)))
 
 
 class SubfieldMap:
@@ -500,29 +506,23 @@ class SubfieldMap:
         if small.k == 1:
             return list(range(small.p))
         sub_order = small.order - 1
-        g = big.vdigits([big.generator])
-        # h^0 .. h^(sub_order - 1) by doubling; 0 is no root of the modulus
-        cand = big.vdigits([1])
-        step = big.vpow(g, (big.order - 1) // sub_order)  # h
-        while len(cand) < sub_order:
-            cand = np.concatenate([cand, big.vmul(cand, step)])
-            step = big.vmul(step, step)
-        cand = cand[:sub_order]
+        # h^0 .. h^(sub_order - 1) for h of order sub_order; 0 is no root
+        # of the modulus
+        h = big.vpow(big.vdigits(big.generator),
+                     (big.order - 1) // sub_order)
+        cand = big.powers(h, range(sub_order))
         acc = np.zeros_like(cand)
         for c in reversed(small.modulus):
             acc = big.vmul(acc, cand)
             acc[:, 0] = (acc[:, 0] + c) % big.p
         roots = big.vundigits(cand[~acc.any(axis=1)])
-        if not roots:
+        if not len(roots):
             raise RuntimeError("unreachable: base modulus splits in the "
                                "extension")
-        rho = big.vdigits([min(roots)])[0]
-        rho_pows = [big.vdigits([1])[0]]
-        for _ in range(small.k - 1):
-            rho_pows.append(big.vmul(rho_pows[-1], rho))
+        rho_pows = big.powers(big.vdigits(roots.min()), range(small.k))
         # a = sum_j d_j x^j maps to sum_j d_j rho^j, d_j in F_p
-        images = small.vdigits(range(small.order)) @ np.array(rho_pows)
-        return big.vundigits(images % big.p)
+        images = small.vdigits(np.arange(small.order)) @ rho_pows
+        return big.vundigits(images % big.p).tolist()
 
 
 _SUBFIELD_CACHE: dict[tuple, SubfieldMap] = {}

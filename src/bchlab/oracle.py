@@ -22,7 +22,6 @@ from . import code_core, cyclotomic, poly_linalg
 from .cyclotomic import CYCLIC
 from .errors import (
     BadDelta,
-    BadFamilyParams,
     EmptySet,
     SearchBudgetExceeded,
     TooManyCodewords,
@@ -122,17 +121,16 @@ def _leader_map(q: int, m: int, rn: int, odd_only: bool) -> np.ndarray:
 # dually-BCH sweep
 
 
-def dually_sweep(profile: GapProfile, deltas: list[int],
-                 even_like: bool = False) -> list[bool]:
+def dually_sweep(profile: GapProfile, deltas: list[int]) -> list[bool]:
     """Oracle dually-BCH verdicts for many deltas of one profile.
 
-    T(delta) is the profile's defining mask; even_like also puts the
-    coset {0} (position 0) in T, the even-like cyclic subcode.  The dual
-    is BCH exactly when one circular run of positions outside T meets
-    all k(delta) cosets outside T.  Beyond max_delta, T_perp is {0}
-    (cyclic, not even_like: one coset, so BCH) or empty.  Up to
-    max_delta such a run meets the anchor coset (largest leader), at
-    one of its <= 2m positions, the seeds.
+    T(delta) is the profile's defining mask; on the cyclic class the
+    coset {0} (position 0) joins T, the even-like subcode.  Without it
+    the question is trivial: {0} is a coset of T_perp whose neighbours 1
+    and n - 1 lie in C_1, so that dual is BCH only where T_perp = {0}.
+    The dual is BCH exactly when one circular run of positions outside T
+    meets all k(delta) cosets outside T.  Such a run meets the anchor
+    coset (largest leader), at one of its <= 2m positions, the seeds.
 
     A run and its mirror meet the same cosets (T = -T, and -x is in
     C_x), so only runs from the profile's half are scanned: its seeds
@@ -142,20 +140,18 @@ def dually_sweep(profile: GapProfile, deltas: list[int],
     first member after it, or crosses the middle and ends at the mirror
     of its start.  Each run at least k long has its coset ids counted.
     Raises BadDelta outside 2 <= delta <= n and EmptySet where T_perp
-    is empty.
+    is empty, beyond max_delta.
     """
-    if even_like and profile.r == 2:
-        raise BadFamilyParams("even_like applies to the cyclic family only")
     n, r, lead = profile.n, profile.r, profile.lead
-    lone_zero = r == 1 and not even_like  # T_perp is {0} beyond max_delta
+    even_like = r == 1
     for delta in deltas:
         if not 2 <= delta <= n:
             raise BadDelta(f"delta must be in [2, {n}], got {delta}")
-        if delta > profile.max_delta and not lone_zero:
+        if delta > profile.max_delta:
             raise EmptySet("dual defining set is empty at this delta")
-    swept = sorted({d for d in deltas if d <= profile.max_delta})
+    swept = sorted(set(deltas))
     if not swept:
-        return [True] * len(deltas)
+        return []
     ds = np.array(swept, dtype=np.int32)
     half = len(lead)
     is_leader = lead == np.arange(r - 1, r * half, r)
@@ -179,7 +175,7 @@ def dually_sweep(profile: GapProfile, deltas: list[int],
         if not verdicts[swept[j]]:
             run = np.bincount(ids[last[i, j] + 1:hi[i, j]])
             verdicts[swept[j]] = int(np.count_nonzero(run)) == k[j]
-    return [verdicts.get(d, True) for d in deltas]
+    return [verdicts[d] for d in deltas]
 
 
 def _arc_edges(entry: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -216,15 +212,17 @@ class DistanceResult:
     enumerated: int
 
 
-def _digit_planes(p: int, kf: int, mul: np.ndarray, rows) -> np.ndarray:
-    """scaled[j, c]: the kf base-p digit planes of mul(c, rows[j]), end to end.
+def _digit_planes(field, rows) -> np.ndarray:
+    """scaled[j, c]: the k base-p digit planes of c times rows[j], end to end.
 
-    On these digits field addition is digit-wise addition mod p.
+    The planes are FieldCtx.vdigits of the symbol-table products, plane i
+    the i-th digit of every entry; on these digits field addition is
+    digit-wise addition mod p.
     """
-    prod = mul[:, np.asarray(rows)].transpose(1, 0, 2)  # mul(c, row_j)
-    sym = np.min_scalar_type(2 * p - 2)
-    return np.concatenate([prod // p ** i % p for i in range(kf)],
-                          axis=2).astype(sym)
+    rows = np.asarray(rows)
+    prod = field.symbol_tables()[1][:, rows].transpose(1, 0, 2)
+    planes = field.vdigits(prod).astype(np.min_scalar_type(2 * field.p - 2))
+    return np.moveaxis(planes, -1, 2).reshape(len(rows), field.order, -1)
 
 
 def _unrank_supports(binom: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -424,7 +422,7 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP, *,
                          f"as the rows x^i g(x) have; the pivots are {pivots}")
     others = np.delete(np.arange(n), pivots)  # the parity columns
     parity = echelon[:, others]
-    walk = _LevelWalk(p, kf, _digit_planes(p, kf, mul, parity))
+    walk = _LevelWalk(p, kf, _digit_planes(field, parity))
 
     def level(t: int) -> tuple[int, int]:  # (low, words) of level t
         low = -(-t * n // k) if shift_invariant else t

@@ -9,35 +9,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .finite_field import FieldCtx
-
-
-def ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+from .finite_field import FieldCtx, ptrim
 
 
 def pmul(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
     """a * b as one convolution on the symbol tables.
 
     prod[i, j] = a_i b_j comes from the multiplication table; field
-    addition is digit-wise addition mod p, so each base-p digit plane of
-    prod is summed along its anti-diagonals i + j = s and reduced mod p.
-    Row i is shifted right by i by laying the rows out with one spare
-    column and reading them back len(a) + len(b) - 1 wide.
+    addition is digit-wise addition mod p, so the base-p digits of prod
+    (FieldCtx.vdigits) are summed along the anti-diagonals i + j = s and
+    reduced mod p, all k digit planes in one pass.  Row i is shifted
+    right by i by laying the rows out with one spare column and reading
+    them back len(a) + len(b) - 1 wide.
     """
     if not a or not b:
         return []
-    p, rows, width = ctx.p, len(a), len(a) + len(b) - 1
+    rows, width = len(a), len(a) + len(b) - 1
     prod = ctx.symbol_tables()[1][np.array(a)[:, None], np.array(b)]
-    shifted = np.zeros((rows, width + 1), dtype=np.int64)
-    out = np.zeros(width, dtype=np.int64)
-    for place in (p ** i for i in range(ctx.k)):
-        shifted[:, :len(b)] = prod // place % p
-        diagonals = shifted.ravel()[:rows * width].reshape(rows, width)
-        out += diagonals.sum(axis=0) % p * place
-    return ptrim(out.tolist())
+    shifted = np.zeros((rows, width + 1, ctx.k), dtype=np.int64)
+    shifted[:, :len(b)] = ctx.vdigits(prod)
+    diagonals = shifted.reshape(-1, ctx.k)[:rows * width].reshape(
+        rows, width, ctx.k)
+    return ptrim(ctx.vundigits(diagonals.sum(axis=0) % ctx.p).tolist())
 
 
 def _codes(matrix, ctx: FieldCtx) -> np.ndarray:

@@ -202,8 +202,7 @@ def dually_discrepancies() -> tuple[str, ...]:
                 flips = [d for d in range(3, md + 1)
                          if want[d] != want[d - 1]]
                 deltas = _sampled_deltas(md, flips)
-            got = oracle.dually_sweep(prof, deltas,
-                                      even_like=family == CYCLIC)
+            got = oracle.dually_sweep(prof, deltas)
             for d, v in zip(deltas, got):
                 if v != want[d]:
                     bad.append(f"dually({q},{m},{family},{d}): "

@@ -63,8 +63,7 @@ def test_criterion_2_cyclic_dually_ranges():
     for q, m, hi, truth in cases:
         deltas = list(range(2, hi + 1))
         formula = [cf.dually_bch_even_like(q, m, d) for d in deltas]
-        sweep = orc.dually_sweep(orc.gap_profile(q, m, CYCLIC), deltas,
-                                 even_like=True)
+        sweep = orc.dually_sweep(orc.gap_profile(q, m, CYCLIC), deltas)
         for d, f, s in zip(deltas, formula, sweep):
             check(errors, f"formula({q},{m},delta={d})", f, d in truth)
             check(errors, f"oracle({q},{m},delta={d})", s, d in truth)

@@ -64,4 +64,4 @@ def test_closed_forms_match_oracle_beyond_the_grid(case):
     assert (rep.gap_low, rep.gap_high) == \
         (prof.low(d), prof.high(d) if two_sided else None), (q, m, family, d)
     assert cf.dually_bch(q, m, family, d) == orc.dually_sweep(
-        prof, [d], even_like=family == CYCLIC)[0], (q, m, family, d)
+        prof, [d])[0], (q, m, family, d)

@@ -96,10 +96,46 @@ def test_field_axioms(p, k):
 
 def test_digits_roundtrip():
     ctx = ff.get_field(3, 4)
-    for a in range(81):
-        ds = ctx.digits(a)
-        assert len(ds) == 4 and all(0 <= d < 3 for d in ds)
-        assert ctx.undigits(ds) == a
+    ds = ctx.vdigits(np.arange(81))
+    assert ds.shape == (81, 4) and ((0 <= ds) & (ds < 3)).all()
+    assert ctx.vundigits(ds).tolist() == list(range(81))
+
+
+# F_9; F_{3^40}, whose codes pass int64 while W is int64; and
+# F_{(2^31-1)^2}, whose codes fit int64 while W holds Python ints
+FORMAT_FIELDS = [(3, 2, np.int64, np.int64), (3, 40, object, np.int64),
+                 (2 ** 31 - 1, 2, np.int64, object)]
+
+
+@pytest.mark.parametrize("p,k,code_type,w_type", FORMAT_FIELDS)
+def test_code_format_roundtrips_arrays(p, k, code_type, w_type):
+    ctx = ff.FieldCtx(p, k)
+    assert ctx.place.dtype == code_type and ctx._w.dtype == w_type
+    rng = random.Random(p * k)
+    codes = [0, 1, p, ctx.order - 1]
+    codes += [rng.randrange(ctx.order) for _ in range(20)]
+    for shape in [(24,), (4, 6), (2, 3, 4)]:
+        arr = np.array(codes, dtype=code_type).reshape(shape)
+        ds = ctx.vdigits(arr)
+        assert ds.shape == shape + (k,) and ds.dtype == w_type
+        assert ds.reshape(-1, k).tolist() == \
+            [[a // p ** i % p for i in range(k)] for a in codes]
+        back = ctx.vundigits(ds)
+        assert back.shape == shape and back.tolist() == arr.tolist()
+
+
+@pytest.mark.parametrize("p,k,code_type,w_type", FORMAT_FIELDS)
+def test_powers_match_vpow(p, k, code_type, w_type):
+    # exponents past int64 (on F_{3^40}) take the object route of powers
+    ctx = ff.FieldCtx(p, k)
+    rng = random.Random(p + k)
+    n1 = ctx.order - 1
+    exps = [0, 1, 2, p, n1 - 1, n1] + [rng.randrange(n1) for _ in range(6)]
+    base = ctx.vdigits([0, 1, ctx.generator, rng.randrange(ctx.order)])
+    got = ctx.powers(base, exps)
+    assert got.shape == (len(exps), 4, k)
+    want = ctx.vpow(base, np.array(exps, dtype=object)[:, None])
+    assert (got == want).all()
 
 
 def test_pow_matches_repeated_mul():
@@ -208,18 +244,18 @@ def test_digit_vectors_match_poly_path(p, k, modulus):
     a = [rng.randrange(ctx.order) for _ in range(size)]
     b = [rng.randrange(ctx.order) for _ in range(size)]
     scalar = ref.scalar_field(ctx)
-    got = ctx.vundigits(ctx.vmul(ctx.vdigits(a), ctx.vdigits(b)))
+    got = ctx.vundigits(ctx.vmul(ctx.vdigits(a), ctx.vdigits(b))).tolist()
     assert got == [scalar.mul(x, y) for x, y in zip(a, b)]
     base = [0] + a[:39]
     n1 = ctx.order - 1
     exps = (0, 1, 2, 7, n1 - 1, n1, ctx.order, 2 * n1, 10 ** 9 + 7)
     for e in exps:
-        got = ctx.vundigits(ctx.vpow(ctx.vdigits(base), e))
+        got = ctx.vundigits(ctx.vpow(ctx.vdigits(base), e)).tolist()
         assert got == [scalar.pow(x, e) for x in base]
     # one exponent per column of a (B, 1, k) batch, as _find_generator asks
     got = ctx.vpow(ctx.vdigits(base)[:, None], exps)
     assert got.shape == (len(base), len(exps), k)
-    assert [ctx.vundigits(row) for row in got] == \
+    assert ctx.vundigits(got).tolist() == \
         [[scalar.pow(x, e) for e in exps] for x in base]
 
 

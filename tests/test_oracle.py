@@ -24,7 +24,7 @@ from bchlab import finite_field as ff
 from bchlab import oracle as orc
 from bchlab import poly_linalg as pl
 from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
-from bchlab.errors import (BadDelta, BadFamilyParams, ClassTooLarge, EmptySet,
+from bchlab.errors import (BadDelta, ClassTooLarge, EmptySet,
                            SearchBudgetExceeded, TooManyCodewords)
 
 import reference as ref
@@ -200,18 +200,19 @@ def test_dually_engines_and_witnesses():
         assert (verdict.is_dually, verdict.witness, verdict.counterexample) \
             == (want, witness, cx), (q, m, d)
         assert_witness_consistent(tp, verdict)
-        assert orc.dually_sweep(profile(q, m, CYCLIC), [d],
-                                even_like=True) == [want], (q, m, d)
+        assert orc.dually_sweep(profile(q, m, CYCLIC), [d]) == [want], \
+            (q, m, d)
 
 
 def test_dually_engines_agree_exhaustively():
-    # narrow-sense sets, (3, 3, cyclic) included
+    # narrow-sense sets, and the even-like (3, 3, cyclic) sets
     for q, m, family in [(3, 3, NEGACYCLIC), (3, 4, NEGACYCLIC),
                          (7, 2, NEGACYCLIC), (3, 3, CYCLIC)]:
         deltas = list(range(2, profile(q, m, family).max_delta + 1))
         swept = orc.dually_sweep(profile(q, m, family), deltas)
         for d, got in zip(deltas, swept):
-            tp = tperp_of(q, m, family, d)
+            tp = even_like_tperp(q, m, d) if family == CYCLIC \
+                else tperp_of(q, m, family, d)
             verdict = ref.dually_bch_oracle(tp)
             assert got == verdict.is_dually, (q, m, family, d)
             assert_witness_consistent(tp, verdict)
@@ -226,17 +227,17 @@ def test_dually_sweep_matches_fast_engine():
                      for d in deltas]
     # even-like sets, against the per-set reference
     deltas = list(range(2, 14))
-    swept = orc.dually_sweep(profile(5, 2, CYCLIC), deltas, even_like=True)
+    swept = orc.dually_sweep(profile(5, 2, CYCLIC), deltas)
     assert swept == [ref.dually_bch_oracle(even_like_tperp(5, 2, d)).is_dually
                      for d in deltas]
     # order of requested deltas must not matter
-    assert orc.dually_sweep(profile(5, 2, CYCLIC), [13, 2, 8],
-                            even_like=True) == [swept[11], swept[0], swept[6]]
+    assert orc.dually_sweep(profile(5, 2, CYCLIC), [13, 2, 8]) == \
+        [swept[11], swept[0], swept[6]]
 
 
 def test_dually_sweep_empty_dual():
     with pytest.raises(EmptySet):
-        orc.dually_sweep(profile(3, 2, CYCLIC), [10], even_like=True)
+        orc.dually_sweep(profile(3, 2, CYCLIC), [10])
 
 
 def test_coverage_verdict_wraps_the_tail_run():
@@ -259,18 +260,18 @@ def toy_profile(lead, r, rn, entry):
     return prof
 
 
-def assert_toy_verdicts(prof, cases):
-    """dually_sweep against the sort over every run of the whole class."""
+def assert_toy_verdicts(prof, want):
+    """dually_sweep against the sort over every run of the whole class,
+    {0} in T on the cyclic class (the even-like subcode)."""
     lead = full_lead(prof)
     is_leader = lead == np.arange(prof.r - 1, prof.rn, prof.r)
-    for even_like, want in cases:
-        deltas = list(range(2, 2 + len(want)))
-        assert orc.dually_sweep(prof, deltas, even_like) == want
-        for d, verdict in zip(deltas, want):
-            in_t = prof.defining_mask(d)
-            in_t[0] |= even_like
-            assert ref.coverage_verdict_reference(
-                lead, is_leader, in_t, prof.rn) == verdict, (even_like, d)
+    deltas = list(range(2, 2 + len(want)))
+    assert orc.dually_sweep(prof, deltas) == want
+    for d, verdict in zip(deltas, want):
+        in_t = prof.defining_mask(d)
+        in_t[0] |= prof.r == 1
+        assert ref.coverage_verdict_reference(
+            lead, is_leader, in_t, prof.rn) == verdict, d
 
 
 def test_dually_sweep_reads_the_run_across_the_middle():
@@ -279,12 +280,12 @@ def test_dually_sweep_reads_the_run_across_the_middle():
     # position 1 runs on to its mirror 9, meeting all cosets but {0}
     prof = toy_profile(cy.leader_map(9, 10), 1, 10, [11, 2, 3, 4, 5, 6])
     assert list(prof.lead) == [0, 1, 2, 3, 4, 5] and prof.max_delta == 5
-    assert_toy_verdicts(prof, [(False, [False] * 4), (True, [True] * 4)])
+    assert_toy_verdicts(prof, [True] * 4)
     # the odd class mod 12 (1, 3, 5 | 7, 9, 11) has no middle position:
     # the run 3..9 of T(2) = {1, 11} crosses between 5 and 7
     prof = toy_profile(cy.leader_map(11, 12, True), 2, 12, [2, 3, 4])
     assert list(prof.lead) == [1, 3, 5] and prof.max_delta == 3
-    assert_toy_verdicts(prof, [(False, [True, True])])
+    assert_toy_verdicts(prof, [True, True])
 
 
 def test_dually_sweep_at_the_lone_zero_coset():
@@ -295,15 +296,25 @@ def test_dually_sweep_at_the_lone_zero_coset():
         for d in (prof.max_delta + 1, prof.n):
             assert ref.dually_bch_oracle(tperp_of(q, m, CYCLIC, d)) \
                 .is_dually
-            assert orc.dually_sweep(prof, [d]) == [True], (q, m, d)
             with pytest.raises(EmptySet):
-                orc.dually_sweep(prof, [d], even_like=True)
+                orc.dually_sweep(prof, [d])
+
+
+def test_plain_cyclic_dual_is_never_bch():
+    # why the cyclic sweep asks about the even-like subcode: {0} is a
+    # coset of T_perp whose neighbours 1 and n - 1 lie in C_1, so up to
+    # max_delta, where T_perp holds more than {0}, no run meets them all
+    for q, m, family in SMALL_CELLS:
+        if family == CYCLIC and q ** m < 200:
+            for d in range(2, profile(q, m, CYCLIC).max_delta + 1):
+                assert not ref.dually_bch_oracle(
+                    tperp_of(q, m, CYCLIC, d)).is_dually, (q, m, d)
 
 
 def test_dually_sweep_with_an_arc_after_the_seed():
     # mod 14 the cosets {0}, {1, 13}, {2, 12}, {3, 5, 7, 9, 11}, {4, 10}
     # and {6, 8}: the anchor 6 is the one seed on the half 0..7, with
-    # arc 0 = 0..5 (position 0 in it, in T with even_like) before it and
+    # arc 0 = 0..5 (position 0 in it, in the even-like T) before it and
     # arc 1 = {7} after it.  T(3) leaves arc 1 empty, so the run from 3
     # crosses the middle to 11 and meets every coset but {0}; T(4)
     # fills arc 1, so the run through the seed is {6} alone, and the
@@ -311,8 +322,7 @@ def test_dually_sweep_with_an_arc_after_the_seed():
     prof = toy_profile([0, 1, 2, 3, 4, 3, 6, 3], 1, 14,
                        [15, 2, 3, 4, 5, 4, 7, 4])
     assert prof.anchor == 6 and prof.max_delta == 6
-    assert_toy_verdicts(prof, [(False, [False] * 5),
-                               (True, [True, True, False, True, True])])
+    assert_toy_verdicts(prof, [True, True, False, True, True])
 
 
 def sweep_deltas(prof, hi):
@@ -326,35 +336,24 @@ def sweep_deltas(prof, hi):
 
 def test_dually_sweep_matches_sort_reference():
     # the seed-run verdicts against one sort over every run, on the
-    # grid: cyclic T_perp up to {0} at delta = n, even-like and
-    # negacyclic up to max_delta
+    # grid up to max_delta: even-like cyclic and negacyclic
     for q, m, family in MEMBERSHIP_GRID:
         prof = profile(q, m, family)
         lead = full_lead(prof)
         is_leader = lead == np.arange(prof.r - 1, prof.rn, prof.r)
-        cases = [(False, prof.max_delta)]
-        if family == CYCLIC:
-            cases = [(False, prof.n), (True, prof.max_delta)]
-        for even_like, hi in cases:
-            deltas = sweep_deltas(prof, hi)
-            swept = orc.dually_sweep(prof, deltas, even_like)
-            for d, got in zip(deltas, swept):
-                in_t = prof.defining_mask(d)
-                in_t[0] |= even_like
-                want = ref.coverage_verdict_reference(lead, is_leader,
-                                                      in_t, prof.rn)
-                assert got == want, (q, m, family, even_like, d)
-
-
-def test_dually_sweep_even_like_is_cyclic_only():
-    # the odd class has no coset of 0 to add
-    with pytest.raises(BadFamilyParams):
-        orc.dually_sweep(profile(3, 3, NEGACYCLIC), [2], even_like=True)
+        deltas = sweep_deltas(prof, prof.max_delta)
+        swept = orc.dually_sweep(prof, deltas)
+        for d, got in zip(deltas, swept):
+            in_t = prof.defining_mask(d)
+            in_t[0] |= family == CYCLIC
+            want = ref.coverage_verdict_reference(lead, is_leader,
+                                                  in_t, prof.rn)
+            assert got == want, (q, m, family, d)
 
 
 @st.composite
 def sweep_requests(draw):
-    """A profile, an unsorted delta list with repeats, and even_like."""
+    """A profile and an unsorted delta list with repeats."""
     q, m, family = draw(st.sampled_from(SMALL_CELLS))
     prof = profile(q, m, family)
     hi = prof.n if draw(st.booleans()) else prof.max_delta
@@ -362,7 +361,7 @@ def sweep_requests(draw):
     deltas = draw(st.lists(st.integers(2, hi) | st.sampled_from(edges),
                            min_size=1, max_size=10))
     deltas += draw(st.lists(st.sampled_from(deltas), max_size=3))
-    return prof, deltas, family == CYCLIC and draw(st.booleans())
+    return prof, deltas
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -370,21 +369,21 @@ def sweep_requests(draw):
 def test_dually_sweep_matches_sort_reference_on_random_requests(request):
     # the arc scan against one sort over every run, delta by delta; one
     # delta with an empty dual makes the whole call an EmptySet
-    prof, deltas, even_like = request
+    prof, deltas = request
     lead = full_lead(prof)
     is_leader = lead == np.arange(prof.r - 1, prof.rn, prof.r)
     want = []
     for d in deltas:
         in_t = prof.defining_mask(d)
-        in_t[0] |= even_like
+        in_t[0] |= prof.r == 1
         try:
             want.append(ref.coverage_verdict_reference(lead, is_leader,
                                                        in_t, prof.rn))
         except EmptySet:
             with pytest.raises(EmptySet):
-                orc.dually_sweep(prof, deltas, even_like)
+                orc.dually_sweep(prof, deltas)
             return
-    got = orc.dually_sweep(prof, deltas, even_like)
+    got = orc.dually_sweep(prof, deltas)
     assert got == want
     assert all(type(v) is bool for v in got)
 
