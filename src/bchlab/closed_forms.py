@@ -228,14 +228,9 @@ def dually_bch_even_like(q: int, m: int, delta: int) -> bool:
 # negacyclic gap formulas
 
 
-def _phi12(q: int, m: int) -> tuple[int, int]:
-    phi1, phi2 = phi_leaders_formula(q, m, count=2)
-    return phi1, phi2
-
-
 def _window_check(q: int, m: int, delta: int) -> tuple[int, int]:
     """Validate delta against [2, (phi1+3)/2); return (phi1, phi2)."""
-    phi1, phi2 = _phi12(q, m)
+    phi1, phi2 = phi_leaders_formula(q, m, count=2)
     hi = (phi1 + 3) // 2
     if not 2 <= delta < hi:
         raise DeltaOutOfRange(f"delta must be in [2, {hi}), got {delta}")
@@ -533,7 +528,7 @@ def dual_bound_negacyclic(q: int, m: int, delta: int) -> BoundReport:
     """
     gaps = neg_gaps(q, m, delta)
     n = (q**m + 1) // 2
-    phi1, _ = _phi12(q, m)
+    phi1, _ = phi_leaders_formula(q, m, count=2)
     cases = [gaps.low] + ([gaps.high] if gaps.high else [])
     if m % 2 == 0:
         bound = n - gaps.low.value

@@ -11,7 +11,7 @@ Determinism contract:
   candidates are tried in that order, each by Ben-Or's test;
 * the multiplicative generator is the first element in code order whose
   order is p^k - 1 (checked against the prime factors of p^k - 1): on
-  F_p by built-in `pow` from 1 up, on F_{p^k}, k >= 2, by `vpow` on
+  F_p by built-in `pow` from 1 up, on F_{p^k}, k >= 2, by `powers` on
   batches in code order from p up, since the codes below p lie in F_p;
 * the symbol tables of `symbol_tables` are read off the modulus alone,
   with no generator, so repeated constructions are bit-for-bit
@@ -20,11 +20,10 @@ Determinism contract:
 The element format lives here alone: `vdigits` turns codes into (..., k)
 arrays of base-p digits and `vundigits` turns them back, both through
 `place` = (p^0, ..., p^(k-1)).  All arithmetic runs on digit vectors:
-`vmul` multiplies (..., k) arrays through the product matrix W,
-`powers` raises one element to many exponents by square-and-multiply,
-and `vpow` raises to the base-p digits of the exponent, one Frobenius
-matrix per digit position.  The q x q symbol tables of a code's symbol
-field come from W too, one F_p-linear map per element.
+`vmul` multiplies (..., k) arrays through the product matrix W, and
+`powers`, the one power routine, raises elements to many exponents by
+square-and-multiply.  The q x q symbol tables of a code's symbol field
+come from W too, one F_p-linear map per element.
 """
 
 from __future__ import annotations
@@ -265,7 +264,6 @@ class FieldCtx:
         self._w = self._product_matrix()
         self.exp = None  # no exp table; perfbench/tracing.py reads its size
         self._symbols: tuple[np.ndarray, ...] | None = None
-        self._frob: np.ndarray | None = None
         self.generator = self._find_generator()
 
     # -- representation ----------------------------------------------------
@@ -312,43 +310,14 @@ class FieldCtx:
                                for lo in range(0, rows, _TABLE_CHUNK)]
                               ).reshape(shape)
 
-    def vpow(self, a: np.ndarray, e) -> np.ndarray:
-        """a^e for a (..., k) digit array, by the base-p digits of e.
-
-        e is an int >= 0, or ints broadcast against a.shape[:-1]; they
-        may exceed int64.  A positive e is reduced to 1..p^k - 1 (so 0^e
-        stays 0), a code, whose digits write e = sum_j d_j p^j, j < k.
-        a^e is the product of Frob^j(a^(d_j)): `powers` gives a^d for the
-        distinct digits, `_frobenius` the matrix of each Frob^j, and the
-        k factors multiply in a halving tree of vmul calls.
-        """
-        p, k, n1 = self.p, self.k, self.order - 1
-        e = np.array(e, dtype=object)
-        digits = self.vdigits(np.where(e == 0, 0, (e - 1) % n1 + 1))
-        # not np.unique: its first call adds about 0.6 MB to peak RSS
-        distinct = sorted(set(digits.ravel().tolist()))
-        shape = np.broadcast_shapes(a.shape[:-1], e.shape)
-        a = a.reshape((1,) * (len(shape) + 1 - a.ndim) + a.shape)
-        index = np.searchsorted(distinct, digits).reshape(-1, k).T.reshape(
-            (k,) + (1,) * (len(shape) - e.ndim) + e.shape + (1,))
-        powers = np.broadcast_to(self.powers(a, distinct),
-                                 (len(distinct),) + shape + (k,))
-        factors = np.take_along_axis(powers, index, axis=0).reshape(k, -1, k)
-        factors = factors @ self._frobenius() % p
-        while len(factors) > 1:
-            half = len(factors) // 2
-            factors = np.concatenate([self.vmul(factors[:half],
-                                                factors[half:2 * half]),
-                                      factors[2 * half:]])
-        return factors[0].reshape(shape + (k,))
-
     def powers(self, a: np.ndarray, es) -> np.ndarray:
         """a^e for each int e >= 0 of es, stacked on a new first axis.
 
-        Square-and-multiply over the bits of the e: the square a^(2^b)
-        multiplies only the powers whose e has bit b.  The bits are read
-        off an int64 array of the e, or an object array when one does not
-        fit int64.
+        a is a (..., k) digit array, so the result has shape
+        es.shape + a.shape; a^0 is 1, 0 included.  Square-and-multiply
+        over the bits of the e: the square a^(2^b) multiplies only the
+        powers whose e has bit b.  The bits are read off an int64 array
+        of the e, or an object array when one does not fit int64.
         """
         try:
             es = np.asarray(es, dtype=np.int64)
@@ -364,24 +333,6 @@ class FieldCtx:
             if odd.any():
                 out[odd] = self.vmul(out[odd], square) if bit else square
         return out
-
-    def _frobenius(self) -> np.ndarray:
-        """(k, k, k) array: digit rows of a times layer j give a^(p^j).
-
-        a -> a^p is F_p-linear, so row i of layer 1 holds the digits of
-        (x^p)^i, and layer j is layer 1 to the j-th power.  Built on the
-        first vpow, once per field.
-        """
-        if self._frob is None:
-            p, k = self.p, self.k
-            layers = [np.eye(k, dtype=self._w.dtype)]
-            if k > 1:
-                xp = self.powers(self._w[1], [p])[0]  # W[1]: x
-                frob = self.powers(xp, range(k))
-                for _ in range(k - 1):
-                    layers.append(layers[-1] @ frob % p)
-            self._frob = np.array(layers)
-        return self._frob
 
     def symbol_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray]:
@@ -448,8 +399,8 @@ class FieldCtx:
         lo, size = self.p, 2
         while lo <= n1:
             codes = np.arange(lo, min(lo + size, n1 + 1))
-            powers = self.vpow(self.vdigits(codes)[:, None], exps)
-            ok = (powers != one).any(axis=2).all(axis=1)
+            powers = self.powers(self.vdigits(codes), exps)
+            ok = (powers != one).any(axis=2).all(axis=0)
             if ok.any():
                 return int(codes[ok.argmax()])
             lo, size = lo + size, min(2 * size, _TABLE_CHUNK)
@@ -480,7 +431,7 @@ def root_of_unity(ctx: FieldCtx, n: int) -> int:
             f"no element of order {n} in F_{ctx.order} (group order "
             f"{ctx.order - 1})")
     g = ctx.vdigits(ctx.generator)
-    return int(ctx.vundigits(ctx.vpow(g, (ctx.order - 1) // n)))
+    return int(ctx.vundigits(ctx.powers(g, [(ctx.order - 1) // n])[0]))
 
 
 class SubfieldMap:
@@ -508,8 +459,8 @@ class SubfieldMap:
         sub_order = small.order - 1
         # h^0 .. h^(sub_order - 1) for h of order sub_order; 0 is no root
         # of the modulus
-        h = big.vpow(big.vdigits(big.generator),
-                     (big.order - 1) // sub_order)
+        h = big.powers(big.vdigits(big.generator),
+                       [(big.order - 1) // sub_order])[0]
         cand = big.powers(h, range(sub_order))
         acc = np.zeros_like(cand)
         for c in reversed(small.modulus):

@@ -125,27 +125,30 @@ def test_code_format_roundtrips_arrays(p, k, code_type, w_type):
 
 
 @pytest.mark.parametrize("p,k,code_type,w_type", FORMAT_FIELDS)
-def test_powers_match_vpow(p, k, code_type, w_type):
+def test_powers_match_scalar_reference(p, k, code_type, w_type):
     # exponents past int64 (on F_{3^40}) take the object route of powers
     ctx = ff.FieldCtx(p, k)
+    scalar = ref.scalar_field(ctx)
     rng = random.Random(p + k)
     n1 = ctx.order - 1
     exps = [0, 1, 2, p, n1 - 1, n1] + [rng.randrange(n1) for _ in range(6)]
-    base = ctx.vdigits([0, 1, ctx.generator, rng.randrange(ctx.order)])
-    got = ctx.powers(base, exps)
+    base = [0, 1, ctx.generator, rng.randrange(ctx.order)]
+    got = ctx.powers(ctx.vdigits(base), exps)
     assert got.shape == (len(exps), 4, k)
-    want = ctx.vpow(base, np.array(exps, dtype=object)[:, None])
-    assert (got == want).all()
+    assert ctx.vundigits(got).tolist() == \
+        [[scalar.pow(x, e) for x in base] for e in exps]
 
 
 def test_pow_matches_repeated_mul():
     ctx = ff.get_field(5, 2)
-    for a in (0, 1, 2, 7, 24):
-        x = ctx.vdigits([a])
-        acc = ctx.vdigits([1])
-        for e in range(9):
-            assert (ctx.vpow(x, e) == acc).all()
-            acc = ctx.vmul(acc, x)
+    x = ctx.vdigits([0, 1, 2, 7, 24])
+    got = ctx.powers(x, range(9))
+    assert got.shape == (9, 5, 2)
+    acc = ctx.vdigits([1] * 5)
+    for e in range(9):
+        assert (got[e] == acc).all()
+        assert (ctx.powers(x[2], [e])[0] == acc[2]).all()
+        acc = ctx.vmul(acc, x)
 
 
 def monic(p, k):
@@ -250,17 +253,17 @@ def test_digit_vectors_match_poly_path(p, k, modulus):
     n1 = ctx.order - 1
     exps = (0, 1, 2, 7, n1 - 1, n1, ctx.order, 2 * n1, 10 ** 9 + 7)
     for e in exps:
-        got = ctx.vundigits(ctx.vpow(ctx.vdigits(base), e)).tolist()
+        got = ctx.vundigits(ctx.powers(ctx.vdigits(base), [e])[0]).tolist()
         assert got == [scalar.pow(x, e) for x in base]
-    # one exponent per column of a (B, 1, k) batch, as _find_generator asks
-    got = ctx.vpow(ctx.vdigits(base)[:, None], exps)
-    assert got.shape == (len(base), len(exps), k)
+    # all exponents on all bases: the (E, B, k) batch of _find_generator
+    got = ctx.powers(ctx.vdigits(base), exps)
+    assert got.shape == (len(exps), len(base), k)
     assert ctx.vundigits(got).tolist() == \
-        [[scalar.pow(x, e) for e in exps] for x in base]
+        [[scalar.pow(x, e) for x in base] for e in exps]
 
 
 def test_generator_search_on_a_large_prime():
-    # k^2 p^3 >= 2^63: W and every vpow work on Python ints
+    # k^2 p^3 >= 2^63: W and every power of the search work on Python ints
     p = 2 ** 31 - 1
     ctx = ff.FieldCtx(p, 2)
     assert ctx._w.dtype == object
@@ -375,6 +378,22 @@ def test_root_of_unity():
     assert beta == scalar.pow(ctx.generator, 8)
     with pytest.raises(OrderNotDividing):
         ff.root_of_unity(ctx, 7)
+
+
+# the splitting fields F_{p^(2h)} the workloads build, each at
+# rn = p^h + 1; and F_{3^40} at n = 1, where (Q - 1)/n passes int64
+@pytest.mark.parametrize("p,k,n", [(p, k, p ** (k // 2) + 1)
+                                   for p, k in [(3, 4), (5, 4), (3, 6),
+                                                (7, 4), (3, 8), (7, 6),
+                                                (3, 10)]] + [(3, 40, 1)])
+def test_root_of_unity_on_splitting_fields(p, k, n):
+    ctx = ff.get_field(p, k)
+    scalar = ref.scalar_field(ctx)
+    beta = ff.root_of_unity(ctx, n)
+    assert beta == scalar.pow(ctx.generator, (ctx.order - 1) // n)
+    assert scalar.pow(beta, n) == 1
+    for r in ff.factorize(n):
+        assert scalar.pow(beta, n // r) != 1
 
 
 def test_subfield_map_is_field_hom():
