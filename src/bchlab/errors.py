@@ -43,23 +43,9 @@ class ClassTooLarge(BCHLabError):
     the class positions of a defining set would overflow int64."""
 
 
-class TooManyCodewords(BCHLabError):
-    """Message-space enumeration would exceed the codeword cap.
-
-    When the dual dimension is the small one, compute there instead.  The
-    information-set route of `oracle.min_distance` stops with the bounds
-    it reached: the distance lies in [low, best], where best is the
-    lightest weight seen (None when no word was walked).
-    """
-
-    def __init__(self, message: str, low: int | None = None,
-                 best: int | None = None):
-        super().__init__(message)
-        self.low, self.best = low, best
-
-
 class SearchBudgetExceeded(BCHLabError):
-    """The check-matrix distance search visited more nodes than its cap."""
+    """A distance is left open past the check-matrix search's node cap;
+    the message names the interval proven, if there is one."""
 
 
 class UnknownExample(BCHLabError):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from . import closed_forms, code_core, oracle
 from .cyclotomic import CYCLIC, NEGACYCLIC
-from .errors import (BCHLabError, EmptySet, TooManyCodewords,
-                     UnknownExample)
+from .errors import BCHLabError, SearchBudgetExceeded, UnknownExample
 
 
 @dataclass
@@ -111,10 +110,11 @@ def true_distance(inst: code_core.CodeInstance) -> int:
     Walks the code's words by information weight on one cyclic
     information set (`oracle.min_distance(..., shift_invariant=True)`),
     at most `oracle.MIN_DISTANCE_CAP` of them.  Past that budget the
-    distance lies in [low, best] of the walk, and a shift-normalised
-    search for a dependent column subset of a parity-check matrix (a
-    generator matrix of the dual code) looks for a word lighter than
-    best.
+    walk returns the interval [low, best] it proved, and a
+    shift-normalised search for a dependent column subset of a
+    parity-check matrix (a generator matrix of the dual code) tries the
+    support sizes low, ..., best - 1.  If its node budget leaves the
+    interval open, SearchBudgetExceeded names it.
     """
     return _distance(inst, lambda: code_core.dual_code(inst))
 
@@ -132,21 +132,19 @@ def dual_distance(spec: code_core.CodeSpec) -> int:
 
 def _distance(code: code_core.CodeInstance, dual) -> int:
     """The distance of code; dual() gives its dual, built only if needed."""
-    try:
-        return oracle.min_distance(code_core.generator_matrix(code),
-                                   code.field, cap=oracle.MIN_DISTANCE_CAP,
-                                   shift_invariant=True).distance
-    except TooManyCodewords as exc:
-        best = exc.best
-    checks = code_core.generator_matrix(dual())
-    try:
-        return oracle.min_distance_via_checks(
-            checks, code.field, max_weight=None if best is None else best - 1,
-            shift_invariant=True).distance
-    except EmptySet:
-        if best is None:
-            raise
-        return best
+    got = oracle.min_distance(code_core.generator_matrix(code), code.field,
+                              cap=oracle.MIN_DISTANCE_CAP,
+                              shift_invariant=True)
+    if got.low < got.distance:
+        got = oracle.min_distance_via_checks(
+            code_core.generator_matrix(dual()), code.field, got,
+            shift_invariant=True)
+    if got.low < got.distance:
+        raise SearchBudgetExceeded(
+            f"the word walk and the check-matrix search (MAX_CHECK_NODES = "
+            f"{oracle.MAX_CHECK_NODES}) leave the distance in "
+            f"[{got.low}, {got.distance}]")
+    return got.distance
 
 
 def _verify_bounds(example_id: str) -> ExampleReport:

@@ -14,18 +14,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import code_core, cyclotomic, poly_linalg
 from .cyclotomic import CYCLIC
-from .errors import (
-    BadDelta,
-    EmptySet,
-    SearchBudgetExceeded,
-    TooManyCodewords,
-)
+from .errors import BadDelta, EmptySet, SearchBudgetExceeded
 
 MIN_DISTANCE_CAP = 1_000_000  # words walked by min_distance
 MAX_CHECK_NODES = 50_000_000  # columns tried by min_distance_via_checks
@@ -207,6 +202,9 @@ def _arc_edges(entry: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 
 @dataclass
 class DistanceResult:
+    """The minimum distance d lies in [low, distance], exact if low ==
+    distance; word weighs distance, and enumerated counts words or nodes."""
+    low: int
     distance: int
     word: tuple[int, ...]
     enumerated: int
@@ -393,8 +391,10 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP, *,
     heavier.  That level still ends with the block of that word, so the
     result stays the first minimum by (level, index).  `enumerated`
     counts the words walked: whole levels, and the last one up to the
-    end of the block where it stopped.  A level that would take the words
-    walked past cap raises TooManyCodewords with low and best instead.
+    end of the block where it stopped.  A level t > 1 that would take the
+    words walked past cap is not walked: the result is then the interval
+    [low of level t, best], with the word of best.  Level 1, the k systematic
+    rows, is walked whatever the cap, so every result has a word.
 
     shift_invariant asserts, as in min_distance_via_checks, that the code
     is cyclic or negacyclic in natural coordinate order; the pivots must
@@ -428,28 +428,24 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP, *,
         low = -(-t * n // k) if shift_invariant else t
         return low, math.comb(k, t) * (q - 1) ** (t - 1)
 
-    best_w, best_at = None, None  # best_at: (level, index)
+    best_w, best_at = math.inf, None  # best_at: (level, index)
     walked = 0
     for t in range(1, k + 1):
         low, size = level(t)
-        if best_w is not None and low >= best_w:
+        if low >= best_w or t > 1 and walked + size > cap:
             break
-        if walked + size > cap:
-            raise TooManyCodewords(
-                f"information weight {t} would take the words walked "
-                f"to {walked + size}, over cap {cap}; the distance lies "
-                f"in [{low}, {best_w or n}]", low=low, best=best_w)
         keep = 1 < t < k and size * walk.width <= 16 * BLOCK_SYMBOLS
         if keep:  # only if level t + 1 may still run
             next_low, next_size = level(t + 1)
-            keep = walked + size + next_size <= cap and \
-                (best_w is None or next_low < best_w)
+            keep = walked + size + next_size <= cap and next_low < best_w
         if t > 1:
             walk.add_level(t)
         weight, index, words = walk.walk(t, keep, low - t)
-        if best_w is None or t + weight < best_w:
+        if t + weight < best_w:
             best_w, best_at = t + weight, (t, index)
         walked += words
+    else:
+        low = best_w
     t, index = best_at
     binom = np.array([[math.comb(x, i) for x in range(k)]
                       for i in range(t + 1)], dtype=np.int64)
@@ -464,7 +460,8 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP, *,
     assert np.count_nonzero(word) == best_w, "rebuilt word's weight differs"
     assert poly_linalg.rank(np.vstack([gen, word]), field) == k, \
         "rebuilt word is not in the span of the generator rows"
-    return DistanceResult(best_w, tuple(word.tolist()), walked)
+    return DistanceResult(min(low, best_w), best_w, tuple(word.tolist()),
+                          walked)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +469,9 @@ def min_distance(gen: np.ndarray, field, cap: int = MIN_DISTANCE_CAP, *,
 
 
 def min_distance_via_checks(checks: np.ndarray, field,
-                            max_weight: int | None = None, *,
+                            within: DistanceResult | None = None, *,
                             shift_invariant: bool = False) -> DistanceResult:
-    """Exact minimum distance of the null space of `checks`.
+    """Minimum distance of the null space of `checks`, exact or narrowed.
 
     Iterative deepening on the support size w: depth-first search over
     index-increasing column subsets, keeping the chosen columns linearly
@@ -500,15 +497,20 @@ def min_distance_via_checks(checks: np.ndarray, field,
     cyclic gap to 0.  The search visits only these canonical supports.
     The caller must know the symmetry; nothing here checks it.
 
-    The search visits at most MAX_CHECK_NODES columns in total and
-    raises SearchBudgetExceeded beyond that.
+    within, a proven [low, best] with a word of weight best, narrows the
+    sizes to low, ..., best - 1, and is returned made exact if none of
+    them is dependent.  The search visits at most MAX_CHECK_NODES columns
+    in total; past that it returns within with low raised to the size
+    reached.  Without within it raises SearchBudgetExceeded there (it has
+    no upper end to return), and EmptySet if no support is dependent.
     """
     rows, n = checks.shape
     cols = [[int(checks[i][j]) for i in range(rows)] for j in range(n)]
     add, mul, neg, inv = (t.tolist() for t in field.symbol_tables())
-    limit = max_weight if max_weight is not None else n
+    first, limit = (1, n) if within is None else \
+        (within.low, within.distance - 1)
     nodes = 0
-    for w in range(1, limit + 1):
+    for w in range(first, limit + 1):
         support: list[int] = []
 
         def visit(count: int) -> None:
@@ -610,7 +612,12 @@ def min_distance_via_checks(checks: np.ndarray, field,
                 visit(max(leaf_stop - i, 1))
             return None
 
-        found = dfs(0, 0, cols)
+        try:
+            found = dfs(0, 0, cols)
+        except SearchBudgetExceeded:
+            if within is None:
+                raise
+            return replace(within, low=w, enumerated=nodes)
         if found is not None:
             word = _dependency_word(found, checks, field)
             prod = [0] * rows
@@ -618,8 +625,10 @@ def min_distance_via_checks(checks: np.ndarray, field,
                 scale = mul[word[j]]
                 prod = [add[a][scale[c]] for a, c in zip(prod, cols[j])]
             assert not any(prod), "reconstructed word fails the checks"
-            return DistanceResult(w, tuple(word), nodes)
-    raise EmptySet(f"no dependent column subset of size <= {limit}")
+            return DistanceResult(w, w, tuple(word), nodes)
+    if within is None:
+        raise EmptySet(f"no dependent column subset of size <= {limit}")
+    return replace(within, low=within.distance, enumerated=nodes)
 
 
 def _dependency_word(support: list[int], checks: np.ndarray,

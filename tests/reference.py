@@ -872,8 +872,7 @@ def rank_reference(rows: list[list[int]], ctx) -> int:
 # check-matrix search, every node reducing its column against every pivot
 
 
-def check_search_reference(checks: np.ndarray, field,
-                           max_weight: int | None = None, *,
+def check_search_reference(checks: np.ndarray, field, *,
                            shift_invariant: bool = False) \
         -> tuple[int, tuple[int, ...], int]:
     """(distance, word, nodes) of the null space of `checks`, one node at
@@ -889,9 +888,8 @@ def check_search_reference(checks: np.ndarray, field,
     rows, n = checks.shape
     cols = [[int(checks[i][j]) for i in range(rows)] for j in range(n)]
     add, mul, neg, inv = scalar_field(field).tables
-    limit = max_weight if max_weight is not None else n
     nodes = 0
-    for w in range(1, limit + 1):
+    for w in range(1, n + 1):
         pivots: list[tuple[int, list[int]]] = []
         support: list[int] = []
 
@@ -938,7 +936,7 @@ def check_search_reference(checks: np.ndarray, field,
                 prod = [add[a][scale[c]] for a, c in zip(prod, cols[j])]
             assert not any(prod), "reconstructed word fails the checks"
             return w, tuple(word), nodes
-    raise EmptySet(f"no dependent column subset of size <= {limit}")
+    raise EmptySet(f"no dependent column subset of size <= {n}")
 
 
 def _reduce_col(col: list[int], pivots: list[tuple[int, list[int]]],

@@ -3,7 +3,7 @@
 import pytest
 
 from bchlab import code_core, examples, oracle
-from bchlab.errors import TooManyCodewords, UnknownExample
+from bchlab.errors import UnknownExample
 
 from grid_utils import verify_cached
 
@@ -84,13 +84,23 @@ def test_dually_example_reports():
 
 
 def test_true_distance_routes_agree(monkeypatch):
-    # both routes (the word walk / parity-check search) on one code
-    from bchlab import code_core
-    inst = code_core.realize(code_core.CodeSpec(3, 3, "negacyclic", 4))
+    # both routes (the word walk / parity-check search) on one code: a
+    # word budget of 1 walks level 1 only, and the search settles the rest
+    inst = code_core.realize(code_core.CodeSpec(3, 3, "negacyclic", 2))
     by_enum = examples.true_distance(inst)
+    calls = []
+    search = oracle.min_distance_via_checks
+
+    def spy(*args, **kwargs):
+        got = search(*args, **kwargs)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(oracle, "min_distance_via_checks", spy)
     monkeypatch.setattr(oracle, "MIN_DISTANCE_CAP", 1)
     by_checks = examples.true_distance(inst)
-    assert by_enum == by_checks == 7
+    assert by_enum == by_checks == 5
+    assert [(got.low, got.distance) for got in calls] == [(5, 5)]
 
 
 def test_true_distance_searches_below_the_lightest_word(monkeypatch):
@@ -98,18 +108,18 @@ def test_true_distance_searches_below_the_lightest_word(monkeypatch):
     # walk 3.5 M words, past the budget, so the check-matrix search runs
     # once, and only below the lightest word the walk found
     inst = code_core.realize(code_core.CodeSpec(9, 2, "cyclic", 4))
-    with pytest.raises(TooManyCodewords) as caught:
-        oracle.min_distance(code_core.generator_matrix(inst), inst.field,
-                            cap=oracle.MIN_DISTANCE_CAP, shift_invariant=True)
-    low, best = caught.value.low, caught.value.best
-    assert low <= 6 <= best
+    walk = oracle.min_distance(code_core.generator_matrix(inst), inst.field,
+                               cap=oracle.MIN_DISTANCE_CAP,
+                               shift_invariant=True)
+    low, best = walk.low, walk.distance
+    assert low < best and low <= 6 <= best
     calls = []
     search = oracle.min_distance_via_checks
 
-    def spy(checks, field, max_weight=None, **kwargs):
-        calls.append(max_weight)
-        return search(checks, field, max_weight, **kwargs)
+    def spy(checks, field, within=None, **kwargs):
+        calls.append((within.low, within.distance))
+        return search(checks, field, within, **kwargs)
 
     monkeypatch.setattr(oracle, "min_distance_via_checks", spy)
     assert examples.true_distance(inst) == 6
-    assert calls == [best - 1]
+    assert calls == [(low, best)]

@@ -9,6 +9,7 @@ import ast
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from bchlab import oracle as orc
 from bchlab import poly_linalg as pl
 from bchlab.cyclotomic import CYCLIC, NEGACYCLIC
 from bchlab.errors import (BadDelta, ClassTooLarge, EmptySet,
-                           SearchBudgetExceeded, TooManyCodewords)
+                           SearchBudgetExceeded)
 
 import reference as ref
 from grid_utils import (DUALLY_EXHAUSTIVE_BUDGET, STRUCTURAL_INSTANCES,
@@ -442,8 +443,16 @@ def test_min_distance_tiny_codes():
     assert rep.enumerated == 2  # level 2 weighs at least 2: not walked
     with pytest.raises(EmptySet):
         orc.min_distance(np.zeros((0, 3), dtype=int), f3)
-    with pytest.raises(TooManyCodewords):
-        orc.min_distance(parity, f3, cap=1)
+    # level 1 is walked whatever the cap; past the cap the result is the
+    # interval [low of the next level, best] with best's word
+    rep = orc.min_distance(parity, f3, cap=1)
+    assert (rep.low, rep.distance, rep.enumerated) == (2, 2, 2)
+    heavy = np.array([[1, 0, 1, 1], [0, 1, 1, 2]])  # distance 3
+    rep = orc.min_distance(heavy, f3, cap=1)
+    assert (rep.low, rep.distance, rep.enumerated) == (2, 3, 2)
+    assert_codeword(heavy, f3, rep.word, 3)
+    rep = orc.min_distance(heavy, f3)
+    assert (rep.low, rep.distance, rep.enumerated) == (3, 3, 4)
 
 
 def test_min_distance_word_is_a_codeword():
@@ -644,10 +653,13 @@ def test_via_checks_cross_validates_enumeration():
                                           inst.field)
         assert via.distance == enum.distance, (q, m, fam, d)
         assert weight(via.word) == via.distance
-        with pytest.raises(EmptySet):
-            orc.min_distance_via_checks(cc.generator_matrix(dual),
-                                        inst.field,
-                                        max_weight=via.distance - 1)
+        assert (enum.low, via.low) == (enum.distance, via.distance)
+        # no support below the distance is dependent: the interval
+        # [1, d] closes at d, with its word
+        got = orc.min_distance_via_checks(cc.generator_matrix(dual),
+                                          inst.field, replace(via, low=1))
+        assert (got.low, got.distance, got.word) == \
+            (via.distance, via.distance, via.word)
 
 
 # sides of STRUCTURAL_INSTANCES whose distance (9 to 22) is out of reach
@@ -699,9 +711,9 @@ def test_shift_normalised_search_matches_plain():
             rows = cc.generator_matrix(code).tolist()
             walk = ref.gray_walk_reference(fld, rows, 1, fld.order ** code.dim)
             assert walk[0] == d, (spec, side)
-        with pytest.raises(EmptySet):
-            orc.min_distance_via_checks(checks, fld, max_weight=d - 1,
-                                        shift_invariant=True)
+        closed = orc.min_distance_via_checks(checks, fld, replace(got, low=1),
+                                             shift_invariant=True)
+        assert (closed.low, closed.distance) == (d, d), (spec, side)
         plain_nodes += plain.enumerated
         normalised_nodes += got.enumerated
     assert len(cases) == 20
@@ -751,9 +763,20 @@ def test_check_search_budget(monkeypatch, capsys):
                        match=r"visited 173 nodes.* w = 4 "):
         orc.min_distance_via_checks(checks, inst.field, shift_invariant=True)
     monkeypatch.setattr(orc, "MAX_CHECK_NODES", 100)
+    # with an interval to narrow, the search returns it instead, its low
+    # raised to the support size where the budget ran out
+    dual = cc.generator_matrix(cc.dual_code(inst))
+    within = orc.min_distance(dual, inst.field, cap=1, shift_invariant=True)
+    assert (within.low, within.distance) == (3, 4)
+    got = orc.min_distance_via_checks(checks, inst.field,
+                                      replace(within, low=1),
+                                      shift_invariant=True)
+    assert (got.low, got.distance, got.word) == (3, 4, within.word)
+    assert got.low <= 4 <= got.distance and got.enumerated <= 100
     # verify turns the error into one failed claim, and the CLI exits 1
-    # with a JSON report instead of a traceback; a word budget of 1 sends
-    # every distance of the example to the check-matrix search
+    # with a JSON report instead of a traceback; a word budget of 1 walks
+    # level 1 only and leaves each distance to the check-matrix search,
+    # and the claim names the interval left open
     walk = orc.min_distance
     monkeypatch.setattr(orc, "min_distance",
                         lambda gen, field, cap, **kw:
@@ -762,6 +785,7 @@ def test_check_search_budget(monkeypatch, capsys):
     assert not report.passed
     assert [c.name for c in report.claims] == ["computable"]
     assert report.claims[0].computed.startswith("SearchBudgetExceeded: ")
+    assert report.claims[0].computed.endswith(" in [13, 16]")
     assert cli.main(["verify", "cyclic-q5-m2"]) == 1
     out, err = capsys.readouterr()
     assert json.loads(out)["examples"][0]["claims"][0]["name"] == \
@@ -812,13 +836,14 @@ def test_info_set_levels_match_reference():
         best = ref.info_set_reference(fld, gen.tolist())
         caps = level_caps(q, k)
         for t in range(1, k + 1):
-            try:
-                got = orc.min_distance(gen, fld, cap=caps[t],
-                                       shift_invariant=True)
-            except TooManyCodewords as exc:
+            got = orc.min_distance(gen, fld, cap=caps[t],
+                                   shift_invariant=True)
+            assert_codeword(gen, fld, got.word, got.distance)
+            if got.low < got.distance:
                 low = -(-(t + 1) * n // k)
-                assert (exc.low, exc.best) == (low, best[t]), (q, k, t)
+                assert (got.low, got.distance) == (low, best[t]), (q, k, t)
                 assert low < best[t] and low <= best[k], (q, k, t)
+                assert got.enumerated == caps[t], (q, k, t)
                 continue
             assert got.distance == best[t] == best[k], (q, k, t)
             assert caps[t - 1] < got.enumerated <= caps[t], (q, k, t)
@@ -844,11 +869,11 @@ def test_info_set_distance_matches_other_routes():
         elif words <= 120_000:
             found["Gray walk"] = ref.gray_walk_reference(
                 fld, gen.tolist(), 1, words)[0]
-        try:  # without the shift rule, up to 10^7 words
-            found["level walk"] = orc.min_distance(gen, fld,
-                                                   cap=10 ** 7).distance
-        except TooManyCodewords:
-            pass
+        # without the shift rule, up to 10^7 words
+        walk = orc.min_distance(gen, fld, cap=10 ** 7)
+        assert walk.low <= got.distance <= walk.distance, (spec, side)
+        if walk.low == walk.distance:
+            found["level walk"] = walk.distance
         assert found and set(found.values()) == {got.distance}, \
             (spec, side, found)
 
@@ -973,10 +998,10 @@ def test_distance_routes_agree(case):
     if words <= 20_000:
         found["Gray walk"] = ref.gray_walk_reference(
             fld, gen.tolist(), 1, words)[0]
-    try:
-        found["level walk"] = orc.min_distance(gen, fld, cap=20_000).distance
-    except TooManyCodewords:
-        pass
+    walk = orc.min_distance(gen, fld, cap=20_000)
+    assert walk.low <= got.distance <= walk.distance, (case, walk)
+    if walk.low == walk.distance:
+        found["level walk"] = walk.distance
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orc, "MAX_CHECK_NODES", 20_000)
         try:
